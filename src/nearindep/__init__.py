@@ -22,7 +22,6 @@ from .graphs import (
 )
 from .limits import CapabilityError, Limits, effective_limits
 from .sigma import (
-    ExactRational,
     SigmaDistribution,
     SigmaPair,
     combine_union,
@@ -54,7 +53,6 @@ __all__ = [
     "CanonicalCode",
     "CapabilityError",
     "ClassSpec",
-    "ExactRational",
     "Graph",
     "Graph6Error",
     "Limits",

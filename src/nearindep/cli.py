@@ -9,6 +9,7 @@ codes: 0 success, 1 verification violation, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -36,22 +37,11 @@ def _input_lines(path: str | None) -> Iterator[str]:
         stream = sys.stdin
     else:
         stream = open(path, "r", encoding="ascii")
-    with stream if stream is not sys.stdin else _nullcontext(stream) as fh:
+    with stream if stream is not sys.stdin else contextlib.nullcontext(stream) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 yield line
-
-
-class _nullcontext:
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __enter__(self):
-        return self.obj
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _record_row(g: Graph) -> dict:

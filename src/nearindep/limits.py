@@ -24,6 +24,9 @@ class Limits:
     trees_max_n: int = 18
     forests_max_n: int = 14
     graphs_max_n: int = 8        # 12346 classes at n = 8
+    tree_checks_max_n: int = 16  # tree universes of checks 3.3, 4.1 and 4.5
+    leaf_lemmas_max_n: int = 12  # per-leaf checks 4.2-4.4
+    degree_checks_max_n: int = 7  # checks 3.4, 3.5 and 3.6
 
 
 def effective_limits() -> Limits:

@@ -36,9 +36,6 @@ from functools import reduce
 from .graphs import Graph, bits, connected_components, induced_subgraph
 from .limits import check_cap, effective_limits
 
-# Exact normalised rationals (gcd-reduced, positive denominator).
-ExactRational = Fraction
-
 
 @dataclass(frozen=True)
 class SigmaPair:

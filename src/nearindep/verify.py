@@ -26,27 +26,35 @@ The catalogue of named checks (the ``--theorem`` ids of the CLI):
 * 4.4  leaf identities: sigma0(T) = 2 sigma0(T-N[v]) + sigma0(T-N[u])
        and the matching exact decomposition of Q(T).
 * 4.5  forests: Q <= n/4 - 1/6, tight at order 2.
+
+A bound check is a ``Check`` record, applied by the one scan loop
+(``_scan``) to a scored table of (graph, graph6, Q) rows.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
-from .generate import ClassSpec, gen_class, gen_graphs, gen_trees
+from .generate import ClassSpec, gen_class
 from .graph6 import emit_graph6
 from .graphs import (
     Graph,
-    bits,
     closed_neighborhood,
     induced_subgraph,
+    is_connected,
+    mask_of,
     max_degree,
 )
-from .limits import check_cap, effective_limits
+from .limits import Limits, check_cap, effective_limits
 from .sigma import q_ratio, sigma01, star_q
 
 ONE_THIRD = Fraction(1, 3)
+
+Row = tuple[Graph, str, Fraction]  # one scored member of a universe: (graph, graph6, Q)
 
 
 @dataclass(frozen=True)
@@ -115,23 +123,29 @@ class VerificationReport:
         }
 
 
-def _q_list(graphs: list[Graph], jobs: int = 1) -> list[Fraction]:
-    """Q of every graph, optionally over worker processes (order kept)."""
-    if jobs > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunk = max(1, len(graphs) // (4 * jobs))
-            return list(ex.map(q_ratio, graphs, chunksize=chunk))
-    return [q_ratio(g) for g in graphs]
+@dataclass(frozen=True)
+class Check:
+    """A bound ``Q op bound(spec)`` over a universe; ``bound`` may return
+    None at orders where nothing is compared.
 
+    Only graphs accepted by ``extremal`` may attain the bound (else a
+    violation with context ``off``), and the first graph it accepts must
+    attain it (else context ``miss``).  Graphs accepted by ``exempt`` are
+    not compared.  ``note_attained`` notes whether the bound is attained.
+    """
 
-def _extremes(
-    pairs: list[tuple[str, Fraction]]
-) -> tuple[tuple[str, Fraction] | None, tuple[str, Fraction] | None]:
-    if not pairs:
-        return None, None
-    lo = min(pairs, key=lambda p: p[1])
-    hi = max(pairs, key=lambda p: p[1])
-    return lo, hi
+    theorem_id: str
+    op: str
+    bound: Callable[[ClassSpec], Fraction | None]
+    extremal: Callable[[Graph, ClassSpec], bool] | None = None
+    off: str = ""
+    miss: str = ""
+    exempt: Callable[[Graph], bool] | None = None
+    note_attained: bool = False
+
+    def __post_init__(self) -> None:
+        if self.op not in (">=", "<="):
+            raise ValueError("comparison must be '>=' or '<='")
 
 
 def is_star_graph(g: Graph) -> bool:
@@ -140,11 +154,7 @@ def is_star_graph(g: Graph) -> bool:
 
 
 def strip_isolated(g: Graph) -> Graph:
-    keep = 0
-    for v in range(g.n):
-        if g.adj[v]:
-            keep |= 1 << v
-    return induced_subgraph(g, keep)
+    return induced_subgraph(g, mask_of(v for v in range(g.n) if g.adj[v]))
 
 
 def is_star_plus_isolated(g: Graph, star_order: int) -> bool:
@@ -152,217 +162,119 @@ def is_star_plus_isolated(g: Graph, star_order: int) -> bool:
     return core.n == star_order and is_star_graph(core)
 
 
-def verify_connected_lower(n: int, jobs: int = 1) -> VerificationReport:
-    """Connected graphs on n vertices: Q >= Q(star), equality only at the star."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    check_cap(n, effective_limits().graphs_max_n, "verify_connected_lower")
-    spec = ClassSpec("connected_graphs", n)
+STAR_LOWER = Check(
+    "thm-3.2", ">=", lambda s: star_q(s.n), lambda g, s: is_star_graph(g),
+    off="bound attained by a non-star graph", miss="star does not attain the bound",
+)
+TREE_LOWER = replace(STAR_LOWER, theorem_id="cor-3.3", off="bound attained by a non-star tree")
+GENERAL_LOWER = Check(  # the star bound of 3.5 applies from order 4 on
+    "thm-3.1+3.5", ">=", lambda s: star_q(s.n) if s.n >= 4 else None,
+    exempt=lambda g: g.edge_count() == 0,
+)
+MAX_DEGREE_LOWER = Check(
+    "thm-3.6", ">=", lambda s: min(ONE_THIRD, star_q(s.delta + 1)),
+    lambda g, s: is_star_plus_isolated(g, s.delta + 1),
+    off="bound attained off the star-plus-isolated graph",
+    miss="star-plus-isolated graph misses the bound", note_attained=True,
+)
+FOREST_BOUNDS = {
+    "thm41": Check("thm-4.1", "<=", lambda s: Fraction(s.n - 1, 3), note_attained=True),
+    "thm45": Check("thm-4.5", "<=", lambda s: Fraction(s.n, 4) - Fraction(1, 6), note_attained=True),
+}
+
+
+def _score(spec: ClassSpec, jobs: int = 1) -> list[Row]:
+    """Every member of the universe with its graph6 string and Q, in
+    generation order; Q optionally over worker processes."""
     graphs = list(gen_class(spec))
-    qs = _q_list(graphs, jobs)
-    bound = star_q(n)
-    report = VerificationReport("thm-3.2", spec, len(graphs))
-    labelled = [(emit_graph6(g), q) for g, q in zip(graphs, qs)]
-    for (g6, q), g in zip(labelled, graphs):
-        if q < bound:
+    if jobs > 1 and len(graphs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            qs = list(ex.map(q_ratio, graphs, chunksize=max(1, len(graphs) // (4 * jobs))))
+    else:
+        qs = [q_ratio(g) for g in graphs]
+    return list(zip(graphs, map(emit_graph6, graphs), qs))
+
+
+def _scan(check: Check, spec: ClassSpec, rows: list[Row]) -> VerificationReport:
+    """The one loop comparing Q with a bound: ``check`` over the scored
+    rows of ``spec``, plus the extremal witnesses."""
+    report = VerificationReport(check.theorem_id, spec, len(rows))
+    if rows:
+        report.min_witness = min(rows, key=lambda r: r[2])[1:]
+        report.max_witness = max(rows, key=lambda r: r[2])[1:]
+    bound = check.bound(spec)
+    if bound is None:
+        return report
+    for g, g6, q in rows:
+        if check.exempt and check.exempt(g):
+            continue
+        if (q < bound) if check.op == ">=" else (q > bound):
             report.violations.append(Violation(g6, q, bound))
         elif q == bound:
             report.equality_witnesses.append(g6)
-            if not is_star_graph(g):
-                report.violations.append(
-                    Violation(g6, q, bound, "bound attained by a non-star graph")
-                )
-    if not any(is_star_graph(g) and q == bound for g, q in zip(graphs, qs)):
-        star_pos = next(i for i, g in enumerate(graphs) if is_star_graph(g))
-        report.violations.append(
-            Violation(labelled[star_pos][0], qs[star_pos], bound, "star does not attain the bound")
-        )
-    report.min_witness, report.max_witness = _extremes(labelled)
+            if check.extremal and not check.extremal(g, spec):
+                report.violations.append(Violation(g6, q, bound, check.off))
+    if check.extremal:
+        first = next(((g6, q) for g, g6, q in rows if check.extremal(g, spec)), None)
+        if first is None or first[1] != bound:
+            g6, q = first or ("", Fraction(0))
+            report.violations.append(Violation(g6, q, bound, check.miss))
     report.notes["bound"] = bound
+    if check.note_attained:
+        report.notes["bound_attained"] = bool(report.equality_witnesses)
     return report
 
 
-def verify_general_lower(n: int, jobs: int = 1) -> VerificationReport:
-    """All graphs on n vertices: Q = 0 exactly for the edgeless graph, and
-    (for n >= 4) Q >= Q(star) for every other graph.  Also records the
-    second-smallest Q and its witnesses."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    check_cap(n, effective_limits().graphs_max_n, "verify_general_lower")
-    spec = ClassSpec("all_graphs", n)
-    graphs = list(gen_class(spec))
-    qs = _q_list(graphs, jobs)
-    with_second = n >= 4
-    theorem_id = "thm-3.1+3.5" if with_second else "thm-3.1"
-    report = VerificationReport(theorem_id, spec, len(graphs))
-    bound = star_q(n) if with_second else None
-    labelled = [(emit_graph6(g), q) for g, q in zip(graphs, qs)]
-    nonzero: list[tuple[str, Fraction]] = []
-    for (g6, q), g in zip(labelled, graphs):
+def _general_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
+    """Checks 3.1 and 3.5: the star bound, the zero-iff-edgeless test and
+    the second-smallest Q."""
+    report = _scan(GENERAL_LOWER, spec, rows)
+    if spec.n < 4:
+        report.theorem_id = "thm-3.1"
+    zero, found = Fraction(0), []
+    for g, g6, q in rows:
         empty = g.edge_count() == 0
         if q < 0:
-            report.violations.append(Violation(g6, q, Fraction(0), "negative ratio"))
+            found.append(Violation(g6, q, zero, "negative ratio"))
         if empty and q != 0:
-            report.violations.append(Violation(g6, q, Fraction(0), "edgeless graph with nonzero ratio"))
-        if not empty:
-            nonzero.append((g6, q))
-            if q == 0:
-                report.violations.append(Violation(g6, q, Fraction(0), "zero ratio off the edgeless graph"))
-            if bound is not None and q < bound:
-                report.violations.append(Violation(g6, q, bound))
-            if bound is not None and q == bound:
-                report.equality_witnesses.append(g6)
-    report.min_witness, report.max_witness = _extremes(labelled)
+            found.append(Violation(g6, q, zero, "edgeless graph with nonzero ratio"))
+        if not empty and q == 0:
+            found.append(Violation(g6, q, zero, "zero ratio off the edgeless graph"))
+    if found:  # graph by graph, the zero test's violations come first
+        position = {g6: i for i, (_, g6, _) in enumerate(rows)}
+        report.violations = sorted(found + report.violations, key=lambda v: position[v.graph6])
+    nonzero = [(g6, q) for g, g6, q in rows if g.edge_count()]
     if nonzero:
         second = min(q for _, q in nonzero)
-        report.notes["second_smallest"] = second
-        report.notes["second_smallest_witnesses"] = [g6 for g6, q in nonzero if q == second]
-    if bound is not None:
-        report.notes["bound"] = bound
+        report.notes = {
+            "second_smallest": second,
+            "second_smallest_witnesses": [g6 for g6, q in nonzero if q == second],
+        } | report.notes
     return report
 
 
-def verify_max_degree_lower(n: int, delta: int, jobs: int = 1) -> VerificationReport:
-    """Graphs on n vertices with maximum degree exactly delta:
-    Q >= min(1/3, Q(star on delta+1 vertices)).
-
-    For delta != 2 the set of graphs attaining the bound must be exactly
-    the star on delta+1 vertices padded with isolated vertices.  For
-    delta = 2 the bound is not attainable (the class minimum is Q of the
-    3-vertex path plus isolated vertices); the observed minimum is
-    reported instead of being treated as a failure.
-    """
-    if not 1 <= delta <= n - 1:
-        raise ValueError(f"need 1 <= delta <= n-1, got delta={delta}, n={n}")
-    if n > 7:
-        raise ValueError("verify_max_degree_lower is specified for n <= 7")
-    spec = ClassSpec("bounded_degree_graphs", n, delta)
-    graphs = list(gen_class(spec))
-    qs = _q_list(graphs, jobs)
-    bound = min(ONE_THIRD, star_q(delta + 1))
-    theorem_id = "prop-3.4" if delta == 1 else "thm-3.6"
-    report = VerificationReport(theorem_id, spec, len(graphs))
-    labelled = [(emit_graph6(g), q) for g, q in zip(graphs, qs)]
-    for (g6, q), g in zip(labelled, graphs):
-        if q < bound:
-            report.violations.append(Violation(g6, q, bound))
-        elif q == bound:
-            report.equality_witnesses.append(g6)
-            if delta != 2 and not is_star_plus_isolated(g, delta + 1):
-                report.violations.append(
-                    Violation(g6, q, bound, "bound attained off the star-plus-isolated graph")
-                )
-    report.min_witness, report.max_witness = _extremes(labelled)
-    report.notes["bound"] = bound
-    report.notes["bound_attained"] = bool(report.equality_witnesses)
-    if delta != 2:
-        expected = next(
-            (i for i, g in enumerate(graphs) if is_star_plus_isolated(g, delta + 1)), None
-        )
-        if expected is None or qs[expected] != bound:
-            g6, q = labelled[expected] if expected is not None else ("", Fraction(0))
-            report.violations.append(
-                Violation(g6, q, bound, "star-plus-isolated graph misses the bound")
-            )
-    elif not report.equality_witnesses:
+def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
+    """Check 3.6, which is 3.4 at delta 1.  At delta 2 the bound is not
+    attained, so no extremal graph is named and the gap is noted."""
+    check = MAX_DEGREE_LOWER
+    if spec.delta == 1:
+        check = replace(check, theorem_id="prop-3.4")
+    elif spec.delta == 2:
+        check = replace(check, extremal=None)
+    report = _scan(check, spec, rows)
+    if spec.delta == 2 and not report.equality_witnesses:
         report.notes["anomaly"] = (
             "stated bound 1/3 is strictly below the class minimum for maximum degree 2"
         )
     return report
 
 
-def verify_tree_lower(n: int, jobs: int = 1) -> VerificationReport:
-    """Trees on n vertices: Q >= Q(star), equality only at the star."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    check_cap(n, 16, "verify_tree_lower")
-    spec = ClassSpec("trees", n)
-    graphs = list(gen_class(spec))
-    qs = _q_list(graphs, jobs)
-    bound = star_q(n)
-    report = VerificationReport("cor-3.3", spec, len(graphs))
-    labelled = [(emit_graph6(g), q) for g, q in zip(graphs, qs)]
-    saw_star = False
-    for (g6, q), g in zip(labelled, graphs):
-        if q < bound:
-            report.violations.append(Violation(g6, q, bound))
-        elif q == bound:
-            report.equality_witnesses.append(g6)
-            if is_star_graph(g):
-                saw_star = True
-            else:
-                report.violations.append(
-                    Violation(g6, q, bound, "bound attained by a non-star tree")
-                )
-    if not saw_star:
-        star_pos = next(i for i, g in enumerate(graphs) if is_star_graph(g))
-        report.violations.append(
-            Violation(labelled[star_pos][0], qs[star_pos], bound, "star does not attain the bound")
-        )
-    report.min_witness, report.max_witness = _extremes(labelled)
-    report.notes["bound"] = bound
-    return report
-
-
-FOREST_BOUNDS = {
-    "thm41": ("thm-4.1", lambda n: Fraction(n - 1, 3)),
-    "thm45": ("thm-4.5", lambda n: Fraction(n, 4) - Fraction(1, 6)),
-}
-
-
-def verify_forest_upper(
-    n: int, which: str, universe: str = "forests", jobs: int = 1
-) -> VerificationReport:
-    """Forests (or just trees) on n vertices against one of the two upper
-    bounds: Q <= (n-1)/3 or Q <= n/4 - 1/6.  Equality witnesses and the
-    class maximum are recorded; neither bound claims uniqueness."""
-    if which not in FOREST_BOUNDS:
-        raise ValueError(f"which must be one of {sorted(FOREST_BOUNDS)}")
-    if universe not in ("forests", "trees"):
-        raise ValueError("universe must be 'forests' or 'trees'")
-    if n < 1:
-        raise ValueError("n >= 1")
-    check_cap(n, 16 if universe == "trees" else effective_limits().forests_max_n, "verify_forest_upper")
-    theorem_id, bound_fn = FOREST_BOUNDS[which]
-    bound = bound_fn(n)
-    spec = ClassSpec(universe, n)
-    graphs = list(gen_class(spec))
-    qs = _q_list(graphs, jobs)
-    report = VerificationReport(theorem_id, spec, len(graphs))
-    labelled = [(emit_graph6(g), q) for g, q in zip(graphs, qs)]
-    for g6, q in labelled:
-        if q > bound:
-            report.violations.append(Violation(g6, q, bound))
-        elif q == bound:
-            report.equality_witnesses.append(g6)
-    report.min_witness, report.max_witness = _extremes(labelled)
-    report.notes["bound"] = bound
-    report.notes["bound_attained"] = bool(report.equality_witnesses)
-    return report
-
-
-def verify_leaf_lemmas(n: int) -> VerificationReport:
-    """Per-leaf checks over every tree of order n: the sigma0 deletion
-    ratio bound, the leaf upper bound on Q, and both exact identities
-    relating a tree to its leaf deletions.
-
-    For a leaf v with support vertex u (its unique neighbour):
-
-    * sigma0(T-N[v]) / sigma0(T-v) <= 1 - 1/(2^(n-2)+1)
-    * Q(T) <= (r Q(T-v) + 1 + Q(T-N[v])) / (1 + r)
-      with r = sigma0(T-v) / sigma0(T-N[v])
-    * sigma0(T) = 2 sigma0(T-N[v]) + sigma0(T-N[u])
-    * Q(T) = (2 sigma0(T-N[v]) / sigma0(T)) (Q(T-v) + Q(T-N[v])) / 2
-             + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
-    """
-    if n < 2:
-        raise ValueError("leaf lemmas need n >= 2")
-    check_cap(n, 12, "verify_leaf_lemmas")
-    spec = ClassSpec("trees", n)
+def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
+    """Checks 4.2-4.4, leaf by leaf, over the trees of ``rows``."""
+    n = spec.n
     report = VerificationReport("lem-4.2/4.3/4.4", spec, 0)
     ratio_cap = 1 - Fraction(1, (1 << (n - 2)) + 1)
-    for tree in gen_class(spec):
-        g6 = emit_graph6(tree)
+    for tree, g6, _ in rows:
         full = tree.full_mask
         pair_t = sigma01(tree)
         q_t = pair_t.q
@@ -400,6 +312,118 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
     return report
 
 
+# ---------------------------------------------------------------------------
+# the catalogue: the named checks of the CLI, as data
+# ---------------------------------------------------------------------------
+
+def _over_forests_and_trees(check: Check) -> list[tuple]:
+    scan = partial(_scan, check)
+    return [(scan, "forests", 1, "forests_max_n"), (scan, "trees", 1, "tree_checks_max_n")]
+
+
+# id -> its report series: (make, family, lowest order, the Limits field
+# capping the order[, the maximum degrees at order n]); make(spec, rows)
+# builds one report from the scored rows of spec
+CATALOGUE = {
+    "3.1": [(_general_lower, "all_graphs", 1, "graphs_max_n")],
+    "3.2": [(partial(_scan, STAR_LOWER), "connected_graphs", 1, "graphs_max_n")],
+    "3.3": [(partial(_scan, TREE_LOWER), "trees", 1, "tree_checks_max_n")],
+    "3.4": [(_max_degree_lower, "bounded_degree_graphs", 2, "degree_checks_max_n", lambda n: (1,))],
+    "3.5": [(_general_lower, "all_graphs", 4, "degree_checks_max_n")],
+    "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, "degree_checks_max_n", lambda n: range(1, n))],
+    "4.1": _over_forests_and_trees(FOREST_BOUNDS["thm41"]),
+    "4.2": [(_leaf_lemmas, "trees", 2, "leaf_lemmas_max_n")],
+    "4.3": [(_leaf_lemmas, "trees", 2, "leaf_lemmas_max_n")],
+    "4.4": [(_leaf_lemmas, "trees", 2, "leaf_lemmas_max_n")],
+    "4.5": _over_forests_and_trees(FOREST_BOUNDS["thm45"]),
+}
+THEOREMS = tuple(CATALOGUE)
+
+# universes read off the all-graphs table of the same order, with the
+# filter gen_graphs applies to give them
+VIEWS = {
+    "connected_graphs": lambda g, spec: is_connected(g),
+    "bounded_degree_graphs": lambda g, spec: max_degree(g) == spec.delta,
+}
+
+
+def _verify(
+    theorem: str, n: int, jobs: int = 1, delta: int | None = None, series: int = 0
+) -> VerificationReport:
+    """One report of catalogue id ``theorem`` (from its series-th universe),
+    with n checked against the orders the catalogue runs it for."""
+    make, family, lowest, cap, *_ = CATALOGUE[theorem][series]
+    if n < lowest:
+        raise ValueError(f"check {theorem} needs n >= {lowest}")
+    check_cap(n, getattr(effective_limits(), cap), f"check {theorem}")
+    spec = ClassSpec(family, n, delta)
+    return make(spec, _score(spec, jobs))
+
+
+def verify_connected_lower(n: int, jobs: int = 1) -> VerificationReport:
+    """Connected graphs on n vertices: Q >= Q(star), equality only at the star."""
+    return _verify("3.2", n, jobs)
+
+
+def verify_general_lower(n: int, jobs: int = 1) -> VerificationReport:
+    """All graphs on n vertices: Q = 0 exactly for the edgeless graph, and
+    (for n >= 4) Q >= Q(star) for every other graph.  Also records the
+    second-smallest Q and its witnesses."""
+    return _verify("3.1", n, jobs)
+
+
+def verify_max_degree_lower(n: int, delta: int, jobs: int = 1) -> VerificationReport:
+    """Graphs on n vertices with maximum degree exactly delta:
+    Q >= min(1/3, Q(star on delta+1 vertices)).
+
+    For delta != 2 the set of graphs attaining the bound must be exactly
+    the star on delta+1 vertices padded with isolated vertices.  For
+    delta = 2 the bound is not attainable (the class minimum is Q of the
+    3-vertex path plus isolated vertices); the observed minimum is
+    reported instead of being treated as a failure.
+    """
+    if not 1 <= delta <= n - 1:
+        raise ValueError(f"need 1 <= delta <= n-1, got delta={delta}, n={n}")
+    if n > Limits.degree_checks_max_n:  # a lower SIGMA_MAX_N is a CapabilityError
+        raise ValueError(f"verify_max_degree_lower is specified for n <= {Limits.degree_checks_max_n}")
+    return _verify("3.6", n, jobs, delta)
+
+
+def verify_tree_lower(n: int, jobs: int = 1) -> VerificationReport:
+    """Trees on n vertices: Q >= Q(star), equality only at the star."""
+    return _verify("3.3", n, jobs)
+
+
+def verify_forest_upper(
+    n: int, which: str, universe: str = "forests", jobs: int = 1
+) -> VerificationReport:
+    """Forests (or just trees) on n vertices against one of the two upper
+    bounds: Q <= (n-1)/3 or Q <= n/4 - 1/6.  Equality witnesses and the
+    class maximum are recorded; neither bound claims uniqueness."""
+    if which not in FOREST_BOUNDS:
+        raise ValueError(f"which must be one of {sorted(FOREST_BOUNDS)}")
+    if universe not in ("forests", "trees"):
+        raise ValueError("universe must be 'forests' or 'trees'")
+    return _verify("4.1" if which == "thm41" else "4.5", n, jobs, series=1 if universe == "trees" else 0)
+
+
+def verify_leaf_lemmas(n: int) -> VerificationReport:
+    """Per-leaf checks over every tree of order n: the sigma0 deletion
+    ratio bound, the leaf upper bound on Q, and both exact identities
+    relating a tree to its leaf deletions.
+
+    For a leaf v with support vertex u (its unique neighbour):
+
+    * sigma0(T-N[v]) / sigma0(T-v) <= 1 - 1/(2^(n-2)+1)
+    * Q(T) <= (r Q(T-v) + 1 + Q(T-N[v])) / (1 + r)
+      with r = sigma0(T-v) / sigma0(T-N[v])
+    * sigma0(T) = 2 sigma0(T-N[v]) + sigma0(T-N[u])
+    * Q(T) = (2 sigma0(T-N[v]) / sigma0(T)) (Q(T-v) + Q(T-N[v])) / 2
+             + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
+    """
+    return _verify("4.2", n)
+
+
 def extremal_scan(
     spec: ClassSpec,
     bound: tuple[str, Fraction] | None = None,
@@ -411,70 +435,40 @@ def extremal_scan(
     one of ">=" or "<="; members breaking the comparison are recorded
     as violations and members attaining the value as equality witnesses.
     """
-    graphs = list(gen_class(spec))
-    qs = _q_list(graphs, jobs)
-    report = VerificationReport("scan", spec, len(graphs))
-    labelled = [(emit_graph6(g), q) for g, q in zip(graphs, qs)]
+    op, ref = bound or (">=", None)
+    report = _scan(Check("scan", op, lambda s: ref), spec, _score(spec, jobs))
     if bound is not None:
-        op, ref = bound
-        if op not in (">=", "<="):
-            raise ValueError("comparison must be '>=' or '<='")
-        for g6, q in labelled:
-            if (op == ">=" and q < ref) or (op == "<=" and q > ref):
-                report.violations.append(Violation(g6, q, ref))
-            elif q == ref:
-                report.equality_witnesses.append(g6)
-        report.notes["bound"] = ref
         report.notes["comparison"] = op
-    report.min_witness, report.max_witness = _extremes(labelled)
     return report
-
-
-# ---------------------------------------------------------------------------
-# catalogue used by the CLI and the scripts
-# ---------------------------------------------------------------------------
-
-THEOREMS = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "4.1", "4.2", "4.3", "4.4", "4.5")
 
 
 def run_theorem(theorem: str, n_max: int, jobs: int = 1) -> list[VerificationReport]:
     """Run one named check for every order up to n_max (clamped to the
-    documented cap of its universe); '--theorem all' concatenates all."""
-    lim = effective_limits()
-    gcap = lim.graphs_max_n
+    documented cap of its universe); 'all' runs the whole catalogue.
 
-    def orders(lo: int, hi: int) -> range:
-        return range(lo, min(n_max, hi) + 1)
-
-    reports: list[VerificationReport] = []
-    if theorem == "3.1":
-        reports += [verify_general_lower(n, jobs) for n in orders(1, gcap)]
-    elif theorem == "3.2":
-        reports += [verify_connected_lower(n, jobs) for n in orders(1, gcap)]
-    elif theorem == "3.3":
-        reports += [verify_tree_lower(n, jobs) for n in orders(1, min(16, lim.trees_max_n))]
-    elif theorem == "3.4":
-        reports += [verify_max_degree_lower(n, 1, jobs) for n in orders(2, min(7, gcap))]
-    elif theorem == "3.5":
-        reports += [verify_general_lower(n, jobs) for n in orders(4, min(7, gcap))]
-    elif theorem == "3.6":
-        for n in orders(2, min(7, gcap)):
-            reports += [verify_max_degree_lower(n, d, jobs) for d in range(1, n)]
-    elif theorem in ("4.1", "4.5"):
-        which = "thm41" if theorem == "4.1" else "thm45"
-        reports += [
-            verify_forest_upper(n, which, "forests", jobs)
-            for n in orders(1, lim.forests_max_n)
-        ]
-        reports += [
-            verify_forest_upper(n, which, "trees", jobs)
-            for n in orders(1, min(16, lim.trees_max_n))
-        ]
-    elif theorem in ("4.2", "4.3", "4.4"):
-        reports += [verify_leaf_lemmas(n) for n in orders(2, 12)]
-    elif theorem == "all":
-        for t in THEOREMS:
-            reports += run_theorem(t, n_max, jobs)
-    else:
+    Each universe is scored once per order, one table at a time, and each
+    distinct report is made once; 'all' still lists one report per check
+    and order, so 3.1/3.5, 3.4/3.6 and 4.2/4.3/4.4 repeat theirs.
+    """
+    if theorem != "all" and theorem not in CATALOGUE:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    return reports
+    lim = effective_limits()
+    plan = [
+        (make, ClassSpec(family, n, d))
+        for t in (THEOREMS if theorem == "all" else (theorem,))
+        for make, family, lowest, cap, *deltas in CATALOGUE[t]
+        for n in range(lowest, min(n_max, getattr(lim, cap)) + 1)
+        for d in (deltas[0](n) if deltas else (None,))
+    ]
+
+    def table_of(spec: ClassSpec) -> ClassSpec:
+        return ClassSpec("all_graphs", spec.n) if spec.family in VIEWS else spec
+
+    reports = {}
+    for table in dict.fromkeys(table_of(spec) for _, spec in plan):
+        rows = _score(table, jobs)
+        for make, spec in dict.fromkeys(s for s in plan if table_of(s[1]) == table):
+            keep = VIEWS.get(spec.family)
+            reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec)] if keep else rows)
+        del rows  # release this table before the next one is built
+    return [reports[step] for step in plan]

@@ -1,9 +1,13 @@
+import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
+import nearindep.verify
 from nearindep.cli import main
+from nearindep.generate import ClassSpec
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -112,6 +116,27 @@ def test_verify_all_within_caps_exits_zero(capsys):
     docs = [json.loads(line) for line in out.splitlines()]
     assert all(d["passed"] for d in docs)
     assert {d["theorem"] for d in docs} >= {"thm-3.2", "cor-3.3", "prop-3.4", "thm-4.1"}
+
+
+def test_verify_all_bytes_and_shared_universes(capsys, monkeypatch):
+    """The whole catalogue to order 6 is pinned byte for byte, and each
+    universe is generated once per order: connected and exact-maximum-degree
+    graphs are read off the all-graphs universe of the same order."""
+    calls: Counter = Counter()
+    real_gen_class = nearindep.verify.gen_class
+
+    def counting_gen_class(spec):
+        calls[spec] += 1
+        return real_gen_class(spec)
+
+    monkeypatch.setattr(nearindep.verify, "gen_class", counting_gen_class)
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "all", "--n-max", "6")
+    assert code == 0 and len(out.splitlines()) == 80
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "75d989bd7490ef240447ee527a431abd119e6e1b74f6dc7a23913ab7ca44f6ca"
+    )
+    families = ("all_graphs", "trees", "forests")
+    assert calls == Counter({ClassSpec(f, n): 1 for f in families for n in range(1, 7)})
 
 
 def test_usage_errors(capsys):

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import nearindep.verify as verify_module
 from nearindep.generate import ClassSpec
 from nearindep.graph6 import parse_graph6
-from nearindep.graphs import is_forest, make_named
+from nearindep.graphs import is_forest, make_named, max_degree
 from nearindep.sigma import q_ratio, star_q
 from nearindep.verify import (
     extremal_scan,
@@ -208,3 +209,140 @@ def test_run_theorem_jobs_deterministic():
     a = [r.to_json() for r in run_theorem("3.2", 5, jobs=1)]
     b = [r.to_json() for r in run_theorem("3.2", 5, jobs=2)]
     assert a == b
+
+
+F = Fraction
+
+
+def _shifted_q(delta):
+    return lambda g: q_ratio(g) + delta
+
+
+# all graphs on 4 vertices with every Q lowered by 1/3: the zero test and
+# the star bound (1/3) both fail, interleaved graph by graph
+GENERAL_4_SHIFTED = [
+    ("C?", F(-1, 3), F(0), "negative ratio"),
+    ("C?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
+    ("CC", F(0), F(0), "zero ratio off the edgeless graph"), ("CC", F(0), F(1, 3), ""),
+    ("CE", F(1, 15), F(1, 3), ""),
+    ("CF", F(0), F(0), "zero ratio off the edgeless graph"), ("CF", F(0), F(1, 3), ""),
+    ("CU", F(7, 24), F(1, 3), ""), ("C]", F(5, 21), F(1, 3), ""),
+]
+
+# (patched names of nearindep.verify, run, violations, equality witnesses, note keys)
+VIOLATION_CASES = {
+    "3.1+3.5": (
+        {"q_ratio": _shifted_q(F(-1, 3))},
+        lambda: verify_general_lower(4),
+        GENERAL_4_SHIFTED,
+        ["CQ"],
+        ["second_smallest", "second_smallest_witnesses", "bound"],
+    ),
+    "3.1": (
+        {"q_ratio": _shifted_q(F(-1, 3))},
+        lambda: verify_general_lower(3),
+        [("B?", F(-1, 3), F(0), "negative ratio"),
+         ("B?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
+         ("BO", F(0), F(0), "zero ratio off the edgeless graph")],
+        [],
+        ["second_smallest", "second_smallest_witnesses"],
+    ),
+    "3.5-catalogue": (
+        {"q_ratio": _shifted_q(F(-1, 3))},
+        lambda: run_theorem("3.5", 4)[0],
+        GENERAL_4_SHIFTED,
+        ["CQ"],
+        ["second_smallest", "second_smallest_witnesses", "bound"],
+    ),
+    "3.2-below": (
+        {"star_q": lambda n: F(1, 2)},
+        lambda: verify_connected_lower(4),
+        [("CF", F(1, 3), F(1, 2), ""),
+         ("CF", F(1, 3), F(1, 2), "star does not attain the bound")],
+        [],
+        ["bound"],
+    ),
+    "3.2-off": (
+        {"is_star_graph": lambda g: g.edge_count() == g.n},
+        lambda: verify_connected_lower(4),
+        [("CF", F(1, 3), F(1, 3), "bound attained by a non-star graph"),
+         ("CV", F(5, 7), F(1, 3), "star does not attain the bound")],
+        ["CF"],
+        ["bound"],
+    ),
+    "3.3-off": (
+        {"is_star_graph": lambda g: max_degree(g) == 2},
+        lambda: verify_tree_lower(6),
+        [("Esa?", F(5, 33), F(5, 33), "bound attained by a non-star tree"),
+         ("Eh_G", F(20, 21), F(5, 33), "star does not attain the bound")],
+        ["Esa?"],
+        ["bound"],
+    ),
+    "3.4-below": (
+        {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1, 2)},
+        lambda: verify_max_degree_lower(4, 1),
+        [("CC", F(1, 3), F(1, 2), ""),
+         ("CC", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
+        [],
+        ["bound", "bound_attained"],
+    ),
+    "3.6-below": (
+        {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1, 2)},
+        lambda: verify_max_degree_lower(5, 3),
+        [("D?w", F(1, 3), F(1, 2), ""),
+         ("D?w", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
+        [],
+        ["bound", "bound_attained"],
+    ),
+    "3.6-delta2": (
+        {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1)},
+        lambda: verify_max_degree_lower(5, 2),
+        [("D?o", F(2, 5), F(1, 2), "")],
+        [],
+        ["bound", "bound_attained", "anomaly"],
+    ),
+    "3.4-off": (
+        {"is_star_graph": lambda g: False},
+        lambda: verify_max_degree_lower(4, 1),
+        [("CC", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
+         ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
+        ["CC"],
+        ["bound", "bound_attained"],
+    ),
+    "3.6-off": (
+        {"is_star_graph": lambda g: False},
+        lambda: verify_max_degree_lower(5, 3),
+        [("D?w", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
+         ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
+        ["D?w"],
+        ["bound", "bound_attained"],
+    ),
+    "4.1": (
+        {"q_ratio": _shifted_q(F(1, 2))},
+        lambda: verify_forest_upper(4, "thm41"),
+        [("Ck", F(9, 8), F(1), ""), ("C`", F(7, 6), F(1), "")],
+        [],
+        ["bound", "bound_attained"],
+    ),
+    "4.5": (
+        {"q_ratio": _shifted_q(F(1, 3))},
+        lambda: verify_forest_upper(5, "thm45", "trees"),
+        [("DkC", F(43, 39), F(13, 12), "")],
+        [],
+        ["bound", "bound_attained"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_CASES))
+def test_violation_paths(monkeypatch, case):
+    """Bounds, Q values or extremal predicates are patched so that every
+    violation branch fires; the violation lists are pinned exactly."""
+    patches, run, violations, witnesses, note_keys = VIOLATION_CASES[case]
+    for name, value in patches.items():
+        monkeypatch.setattr(verify_module, name, value)
+    report = run()
+    assert [(v.graph6, v.lhs, v.rhs, v.context) for v in report.violations] == violations
+    assert report.equality_witnesses == witnesses
+    assert list(report.notes) == note_keys
+    assert not report.passed
