@@ -2,7 +2,8 @@
 
 Each algorithm in this package has a documented cap on the graph order it
 accepts.  The environment variable SIGMA_MAX_N may lower (never raise)
-every cap at once, which is handy for smoke runs on slow machines.
+every cap at once, which is handy for smoke runs on slow machines; any
+value but a non-negative integer is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def effective_limits() -> Limits:
     raw = os.environ.get("SIGMA_MAX_N")
     if raw is None:
         return Limits()
+    if not raw.strip().isdecimal():
+        raise ValueError(f"SIGMA_MAX_N must be a non-negative integer, got {raw!r}")
     cap = int(raw)
     base = Limits()
     return Limits(**{f.name: min(getattr(base, f.name), cap) for f in fields(base)})

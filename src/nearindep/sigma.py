@@ -9,12 +9,21 @@ Three mutually checking routes are implemented:
 
 * a definitional oracle that sweeps all 2^n subsets and histograms the
   number of induced edges (``sigma_distribution_bruteforce``);
-* deletion recursion on a pivot vertex v, using
+* deletion recursion that decomposes (``sigma01_recursive``).  Each
+  surviving-vertex mask loses its isolated vertices (a factor 2 on both
+  counts each) and is split into connected components, folded with the
+  union rule below.  Each connected component is memoised by its mask
+  and solved by deletion on a pivot vertex v:
   sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
   sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
-              + sum over u in N(v) of sigma0(G-N[v]-N[u]),
-  memoised on the surviving-vertex mask (``sigma01_recursive``);
+              + sum over u in N(v) of sigma0(G-N[v]-N[u]).
+  Paths and cycles cost polynomial time, and the work on other graphs
+  grows with how slowly deletions break them apart;
 * a linear-time rooted DP for forests (``sigma01_tree_dp``).
+
+None of the three calls another, so each checks the other two.
+``sigma01`` sends acyclic components to the tree DP and the rest to the
+recursion.
 
 Counts for vertex-disjoint unions combine bilinearly:
 sigma0(G1 u G2) = sigma0(G1) sigma0(G2) and
@@ -101,65 +110,89 @@ def sigma_distribution_bruteforce(g: Graph) -> SigmaDistribution:
     return SigmaDistribution(n, tuple(hist))
 
 
-def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> SigmaPair:
-    """Exact (sigma0, sigma1) by deletion recursion on a pivot vertex.
+def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...],
+           memo: dict[int, tuple[int, int]], rng: random.Random | None) -> tuple[int, int]:
+    """(sigma0, sigma1) of the subgraph induced on ``mask``.
 
-    The pivot is a maximum-degree vertex of the current induced subgraph
-    (ties to the smallest index); any pivot gives the same counts, and
-    passing ``pivot_rng`` picks pivots at random, which the property
-    tests use.  Both memo tables are keyed by the surviving-vertex mask
-    of the original graph and live only for this call.
+    Splits the mask into connected components by a bitmask BFS over
+    ``adj`` and folds them with the union rule.  A singleton component
+    is an isolated vertex: each one doubles both counts.  Any other
+    component is looked up in, or pivoted into, the connected-mask memo.
+    """
+    s0, s1, isolated = 1, 0, 0
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & mask & ~comp
+            comp |= frontier
+        mask ^= comp
+        if not comp & (comp - 1):
+            isolated += 1
+            continue
+        pair = memo.get(comp)
+        if pair is None:
+            pair = memo[comp] = _pivot(comp, adj, closed, memo, rng)
+        c0, c1 = pair
+        s0, s1 = s0 * c0, s1 * c0 + c1 * s0
+    return s0 << isolated, s1 << isolated
+
+
+def _pivot(comp: int, adj: tuple[int, ...], closed: tuple[int, ...],
+           memo: dict[int, tuple[int, int]], rng: random.Random | None) -> tuple[int, int]:
+    """(sigma0, sigma1) of a connected mask by deletion on one pivot v.
+
+    sigma0 = s0(M-v) + s0(M-N[v]) and
+    sigma1 = s1(M-v) + s1(M-N[v]) + sum over u in N(v) of s0(M-N[v]-N[u]).
+    The pivot is a vertex of maximum degree inside the mask, ties to the
+    smallest index, or a uniformly random vertex of the mask under ``rng``.
+    """
+    if rng is None:
+        v, best = -1, -1
+        rest = comp
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            d = (adj[u] & comp).bit_count()
+            if d > best:
+                v, best = u, d
+            rest ^= low
+    else:
+        vs = list(bits(comp))
+        v = vs[rng.randrange(len(vs))]
+    a0, a1 = _solve(comp & ~(1 << v), adj, closed, memo, rng)
+    far = comp & ~closed[v]
+    b0, b1 = _solve(far, adj, closed, memo, rng)
+    s1 = a1 + b1
+    for u in bits(adj[v] & comp):
+        s1 += _solve(far & ~closed[u], adj, closed, memo, rng)[0]
+    return a0 + b0, s1
+
+
+def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> SigmaPair:
+    """Exact (sigma0, sigma1) by deletion recursion that decomposes.
+
+    Every vertex mask the recursion meets is solved in three steps: its
+    isolated vertices are stripped (k of them multiply both counts by
+    2^k), the rest is split into connected components that are folded
+    with the union rule, and each component of two or more vertices is
+    memoised as one (sigma0, sigma1) pair, keyed by its mask.  A
+    component missing from the memo is solved by deletion on a pivot of
+    maximum degree; any pivot gives the same counts, and ``pivot_rng``
+    picks random pivots, which the property tests use.  The memo lives
+    only for this call; the helpers are plain functions, not closures,
+    so no reference cycle keeps it alive after the call returns.  Paths
+    and cycles cost time polynomial in n.
     """
     check_cap(g.n, effective_limits().recursion_max_n, "sigma01_recursive")
     adj = g.adj
     closed = tuple(row | 1 << v for v, row in enumerate(adj))
-    memo0: dict[int, int] = {0: 1}
-    memo1: dict[int, int] = {0: 0}
-
-    def pick(mask: int) -> tuple[int, int]:
-        """Pivot vertex of the induced subgraph plus its masked degree."""
-        if pivot_rng is not None:
-            vs = list(bits(mask))
-            v = vs[pivot_rng.randrange(len(vs))]
-            return v, (adj[v] & mask).bit_count()
-        best_v, best_d = -1, -1
-        for v in bits(mask):
-            d = (adj[v] & mask).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-        return best_v, best_d
-
-    def s0(mask: int) -> int:
-        try:
-            return memo0[mask]
-        except KeyError:
-            pass
-        v, d = pick(mask)
-        if d == 0 and pivot_rng is None:
-            out = 1 << mask.bit_count()
-        else:
-            out = s0(mask & ~(1 << v)) + s0(mask & ~closed[v])
-        memo0[mask] = out
-        return out
-
-    def s1(mask: int) -> int:
-        try:
-            return memo1[mask]
-        except KeyError:
-            pass
-        v, d = pick(mask)
-        if d == 0 and pivot_rng is None:
-            out = 0
-        else:
-            out = s1(mask & ~(1 << v)) + s1(mask & ~closed[v])
-            gone = mask & ~closed[v]
-            for u in bits(adj[v] & mask):
-                out += s0(gone & ~closed[u])
-        memo1[mask] = out
-        return out
-
-    full = g.full_mask
-    return SigmaPair(s0(full), s1(full))
+    s0, s1 = _solve(g.full_mask, adj, closed, {}, pivot_rng)
+    return SigmaPair(s0, s1)
 
 
 def _component_tree_dp(g: Graph, comp: int) -> SigmaPair:
@@ -199,13 +232,17 @@ def _component_tree_dp(g: Graph, comp: int) -> SigmaPair:
     return SigmaPair(a0 + b0, a1 + b1)
 
 
+def _is_tree(g: Graph, comp: int) -> bool:
+    """True iff the connected mask ``comp`` induces a tree in g."""
+    edges = sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2
+    return edges == comp.bit_count() - 1
+
+
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1) of a forest by rooted DP per component."""
     pairs = []
     for comp in connected_components(g):
-        size = comp.bit_count()
-        edges = sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2
-        if edges != size - 1:
+        if not _is_tree(g, comp):
             raise ValueError("sigma01_tree_dp requires acyclic input")
         pairs.append(_component_tree_dp(g, comp))
     return reduce(combine_union, pairs, SigmaPair(1, 0))
@@ -220,20 +257,30 @@ def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:
 
 
 def sigma01(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1): per-component dispatch, then combine.
+    """Exact (sigma0, sigma1): acyclic components by the tree DP, the rest
+    by the deletion recursion.
 
-    Acyclic components go through the tree DP, the rest through the
-    deletion recursion; the result always equals sigma01_recursive(g).
+    One components pass tells trees from the rest.  A forest goes whole to
+    ``sigma01_tree_dp`` and a graph with no acyclic component whole to
+    ``sigma01_recursive``; only a mixed graph is split into two induced
+    subgraphs, whose counts are combined by the union rule.  The result
+    always equals sigma01_recursive(g).
     """
     check_cap(g.n, effective_limits().recursion_max_n, "sigma01")
-    pairs = []
+    forest = cyclic = 0
     for comp in connected_components(g):
-        sub = induced_subgraph(g, comp)
-        if sub.edge_count() == sub.n - 1:
-            pairs.append(sigma01_tree_dp(sub))
+        if _is_tree(g, comp):
+            forest |= comp
         else:
-            pairs.append(sigma01_recursive(sub))
-    return reduce(combine_union, pairs, SigmaPair(1, 0))
+            cyclic |= comp
+    if not cyclic:
+        return sigma01_tree_dp(g)
+    if not forest:
+        return sigma01_recursive(g)
+    return combine_union(
+        sigma01_tree_dp(induced_subgraph(g, forest)),
+        sigma01_recursive(induced_subgraph(g, cyclic)),
+    )
 
 
 def q_ratio(g: Graph) -> Fraction:

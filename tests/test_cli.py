@@ -165,3 +165,12 @@ def test_env_cap_respected(capsys, monkeypatch):
     monkeypatch.setenv("SIGMA_MAX_N", "5")
     code, _, err = run_cli(capsys, "gen", "--class", "graphs", "--n", "6")
     assert code == 2 and "order <= 5" in err
+
+
+@pytest.mark.parametrize("raw", ["-3", "abc"])
+def test_bad_env_cap_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("SIGMA_MAX_N", raw)
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    code, out, err = run_cli(capsys, "compute")
+    assert code == 2 and out == ""
+    assert "SIGMA_MAX_N" in err and repr(raw) in err

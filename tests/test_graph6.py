@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from nearindep.graph6 import Graph6Error, emit_graph6, parse_graph6
-from nearindep.graphs import make_named
+from nearindep.graphs import make_graph, make_named
 from nearindep.limits import CapabilityError
 
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def test_hand_decoded_vectors():
@@ -62,3 +63,27 @@ def test_size_form_caps():
 def test_codec_covers_order_62():
     g = make_named("star", 62)
     assert parse_graph6(emit_graph6(g)) == g
+
+
+@given(st.one_of(st.binary(max_size=80), st.text(max_size=80)))
+def test_parse_fuzz_raises_only_codec_errors(line):
+    try:
+        g = parse_graph6(line)
+    except (Graph6Error, CapabilityError):
+        return
+    text = line.decode("ascii") if isinstance(line, bytes) else line
+    assert emit_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
+
+@given(graphs(max_n=20))
+def test_codec_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    mine = nx.empty_graph(g.n)
+    mine.add_edges_from(g.edges())
+    theirs = nx.to_graph6_bytes(mine, header=False)
+    ours = emit_graph6(g)
+    assert theirs == ours.encode("ascii") + b"\n"
+    h = nx.from_graph6_bytes(ours.encode("ascii"))
+    assert sorted(h.nodes()) == list(range(g.n))
+    assert make_graph(g.n, h.edges()) == g
+    assert parse_graph6(theirs) == g

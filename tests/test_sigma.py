@@ -1,5 +1,7 @@
+import gc
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -151,3 +153,78 @@ def test_sigma_pair_validation():
         SigmaPair(0, 0)
     with pytest.raises(ValueError):
         SigmaPair(1, -1)
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def lucas(n):
+    return fibonacci(n - 1) + fibonacci(n + 1)
+
+
+def cycle(n):
+    return make_graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+# Closed forms: sigma0(P_n) = F_{n+2} and sigma0(C_n) = L_n (Prodinger and
+# Tichy, Fibonacci Quart. 20, 1982); sigma1(P_n) = (n L_n - F_n) / 5, the
+# Fibonacci self-convolution (OEIS A001629), and sigma1(C_n) = n F_{n-2}.
+# test_closed_forms_small checks all four against the subset sweep.
+def path_pair(n):
+    return SigmaPair(fibonacci(n + 2), (n * lucas(n) - fibonacci(n)) // 5)
+
+
+def cycle_pair(n):
+    return SigmaPair(lucas(n), n * fibonacci(n - 2))
+
+
+def test_closed_forms_small():
+    for n in range(1, 12):
+        assert sigma_distribution_bruteforce(make_named("path", n)).pair() == path_pair(n)
+    for n in range(3, 12):
+        assert sigma_distribution_bruteforce(cycle(n)).pair() == cycle_pair(n)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_cycle_closed_form_at_order_64(seed):
+    rng = None if seed is None else random.Random(seed)
+    assert sigma01_recursive(cycle(64), pivot_rng=rng) == SigmaPair(lucas(64), 64 * fibonacci(62))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_path_closed_form_at_order_64(seed):
+    rng = None if seed is None else random.Random(seed)
+    p64 = make_named("path", 64)
+    got = sigma01_recursive(p64, pivot_rng=rng)
+    assert got.sigma0 == fibonacci(66)
+    assert got == sigma01_tree_dp(p64) == path_pair(64)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_union_of_cycles_paths_and_isolated_vertices(seed):
+    parts = [(cycle(5), cycle_pair(5)), (make_named("path", 9), path_pair(9)),
+             (make_named("empty", 3), SigmaPair(8, 0)), (cycle(20), cycle_pair(20)),
+             (make_named("path", 1), path_pair(1)), (make_named("path", 26), path_pair(26))]
+    g = reduce(disjoint_union, [graph for graph, _ in parts])
+    assert g.n == 64
+    want = reduce(combine_union, [pair for _, pair in parts])
+    rng = None if seed is None else random.Random(seed)
+    assert sigma01_recursive(g, pivot_rng=rng) == want
+    assert sigma01(g) == want
+
+
+def test_recursion_leaves_no_cyclic_garbage():
+    g = make_graph(12, [(v, (v + 1) % 12) for v in range(12)] + [(0, 6), (3, 9), (1, 4)])
+    gc.collect()
+    gc.disable()
+    try:
+        sigma01_recursive(g)
+        sigma01_recursive(g, pivot_rng=random.Random(5))
+        sigma01(disjoint_union(g, make_named("path", 4)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
