@@ -77,16 +77,19 @@ def emit_graph6(g: Graph) -> str:
         raise CapabilityError(
             f"graph6 short form encodes order < 63, got {g.n}"
         )
-    out = [chr(63 + g.n)]
+    # Column j holds the pairs (0, j) .. (j - 1, j): the bits of adj[j]
+    # below j, bit i landing at stream position j(j-1)/2 + i.  The padded
+    # stream is one integer, most significant bit first.
+    n, adj = g.n, g.adj
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    top = 6 * nbytes - 1
     val = 0
-    nbits = 0
-    for i, j in pair_order(g.n):
-        val = val << 1 | (g.adj[i] >> j & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(63 + val))
-            val = 0
-            nbits = 0
-    if nbits:
-        out.append(chr(63 + (val << (6 - nbits))))
-    return "".join(out)
+    for j in range(1, n):
+        row = adj[j] & ((1 << j) - 1)
+        base = top - j * (j - 1) // 2
+        while row:
+            low = row & -row
+            val |= 1 << (base - low.bit_length() + 1)
+            row ^= low
+    chunks = [chr(63 + (val >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1)]
+    return chr(63 + n) + "".join(chunks)

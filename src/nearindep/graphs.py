@@ -50,20 +50,25 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative order {self.n}")
-        check_cap(self.n, effective_limits().graph_max_n, "Graph")
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency length {len(self.adj)} != order {self.n}")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        n, adj = self.n, self.adj
+        if n < 0:
+            raise ValueError(f"negative order {n}")
+        check_cap(n, effective_limits().graph_max_n, "Graph")
+        if len(adj) != n:
+            raise ValueError(f"adjacency length {len(adj)} != order {n}")
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
-            if row >> v & 1:
+                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {n}")
+            bit = 1 << v
+            if row & bit:
                 raise ValueError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def full_mask(self) -> VertexMask:
@@ -145,15 +150,17 @@ def connected_components(g: Graph) -> list[VertexMask]:
 
     Components are ordered by their smallest member.
     """
+    adj = g.adj
     remaining = g.full_mask
     out: list[VertexMask] = []
     while remaining:
-        comp = remaining & -remaining
-        frontier = comp
+        comp = frontier = remaining & -remaining
         while frontier:
             grown = 0
-            for v in bits(frontier):
-                grown |= g.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grown & remaining & ~comp
             comp |= frontier
         out.append(comp)

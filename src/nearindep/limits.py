@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 
 class CapabilityError(Exception):
@@ -31,8 +32,18 @@ class Limits:
 
 
 def effective_limits() -> Limits:
-    """Default limits, clamped by SIGMA_MAX_N when the variable is set."""
-    raw = os.environ.get("SIGMA_MAX_N")
+    """Default limits, clamped by SIGMA_MAX_N when the variable is set.
+
+    The variable is read on every call, so a change takes effect at once;
+    only the parsing is memoised, per raw value.
+    """
+    return _limits_for(os.environ.get("SIGMA_MAX_N"))
+
+
+@lru_cache(maxsize=16)
+def _limits_for(raw: str | None) -> Limits:
+    """Limits for one raw SIGMA_MAX_N value; an invalid value raises on
+    every call, because lru_cache does not store exceptions."""
     if raw is None:
         return Limits()
     if not raw.strip().isdecimal():

@@ -40,7 +40,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .graphs import Graph, bits, connected_components, induced_subgraph
 from .limits import check_cap, effective_limits
@@ -195,43 +194,6 @@ def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> Si
     return SigmaPair(s0, s1)
 
 
-def _component_tree_dp(g: Graph, comp: int) -> SigmaPair:
-    """Rooted DP over one tree component of g.
-
-    State per processed subtree: counts of subsets by (root included?,
-    induced edges so far in {0, 1}); merging a child multiplies counts
-    and adds one edge when both merge endpoints are included.  Subsets
-    with two or more edges are dropped.
-    """
-    root = (comp & -comp).bit_length() - 1
-    parent = {root: -1}
-    order = [root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for u in bits(g.adj[v] & comp):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    # (a0, a1, b0, b1): root in with 0/1 edges, root out with 0/1 edges
-    state = {v: (1, 0, 1, 0) for v in order}
-    for v in reversed(order):
-        p = parent[v]
-        if p < 0:
-            continue
-        a0, a1, b0, b1 = state[p]
-        ca0, ca1, cb0, cb1 = state[v]
-        state[p] = (
-            a0 * cb0,
-            a1 * cb0 + a0 * (cb1 + ca0),
-            b0 * (cb0 + ca0),
-            b1 * (cb0 + ca0) + b0 * (cb1 + ca1),
-        )
-    a0, a1, b0, b1 = state[root]
-    return SigmaPair(a0 + b0, a1 + b1)
-
-
 def _is_tree(g: Graph, comp: int) -> bool:
     """True iff the connected mask ``comp`` induces a tree in g."""
     edges = sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2
@@ -239,13 +201,53 @@ def _is_tree(g: Graph, comp: int) -> bool:
 
 
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1) of a forest by rooted DP per component."""
-    pairs = []
-    for comp in connected_components(g):
-        if not _is_tree(g, comp):
-            raise ValueError("sigma01_tree_dp requires acyclic input")
-        pairs.append(_component_tree_dp(g, comp))
-    return reduce(combine_union, pairs, SigmaPair(1, 0))
+    """Exact (sigma0, sigma1) of a forest by rooted DP per component.
+
+    One BFS per component, from its smallest vertex, gives the DP order
+    and checks acyclicity: in a tree the only neighbour of v that the
+    BFS has already seen is v's parent, and any cycle shows up as a
+    second one.  The DP state per vertex counts the subsets of its
+    processed subtree by (v included?, induced edges so far in {0, 1});
+    merging a child multiplies counts and adds one edge when both
+    endpoints are included.  Subsets with two or more edges are dropped,
+    and the components are folded with the union rule.
+    """
+    adj = g.adj
+    n = g.n
+    parent = [-1] * n
+    # a*: v included, b*: v excluded; *0/*1: no edge / one edge induced
+    a0, a1, b0, b1 = [1] * n, [0] * n, [1] * n, [0] * n
+    s0, s1 = 1, 0
+    seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        order = [root]
+        for v in order:  # grows while it is walked: a BFS queue
+            row = adj[v]
+            back = row & seen
+            if back != (1 << parent[v] if v != root else 0):
+                raise ValueError("sigma01_tree_dp requires acyclic input")
+            kids = row ^ back
+            seen |= kids
+            while kids:
+                low = kids & -kids
+                u = low.bit_length() - 1
+                parent[u] = v
+                order.append(u)
+                kids ^= low
+        for v in reversed(order[1:]):
+            p = parent[v]
+            ca0, ca1, cb0, cb1 = a0[v], a1[v], b0[v], b1[v]
+            out0 = cb0 + ca0
+            a1[p] = a1[p] * cb0 + a0[p] * (cb1 + ca0)
+            a0[p] *= cb0
+            b1[p] = b1[p] * out0 + b0[p] * (cb1 + ca1)
+            b0[p] *= out0
+        c0, c1 = a0[root] + b0[root], a1[root] + b1[root]
+        s0, s1 = s0 * c0, s1 * c0 + c1 * s0
+    return SigmaPair(s0, s1)
 
 
 def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:
@@ -260,21 +262,24 @@ def sigma01(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1): acyclic components by the tree DP, the rest
     by the deletion recursion.
 
-    One components pass tells trees from the rest.  A forest goes whole to
-    ``sigma01_tree_dp`` and a graph with no acyclic component whole to
-    ``sigma01_recursive``; only a mixed graph is split into two induced
-    subgraphs, whose counts are combined by the union rule.  The result
-    always equals sigma01_recursive(g).
+    One components pass tells trees from the rest: g is a forest iff it
+    has n - (number of components) edges, and then it goes whole to
+    ``sigma01_tree_dp``.  Otherwise each component is tested on its own;
+    a graph with no acyclic component goes whole to
+    ``sigma01_recursive``, and only a mixed graph is split into two
+    induced subgraphs, whose counts are combined by the union rule.  The
+    result always equals sigma01_recursive(g).
     """
     check_cap(g.n, effective_limits().recursion_max_n, "sigma01")
+    comps = connected_components(g)
+    if g.edge_count() == g.n - len(comps):
+        return sigma01_tree_dp(g)
     forest = cyclic = 0
-    for comp in connected_components(g):
+    for comp in comps:
         if _is_tree(g, comp):
             forest |= comp
         else:
             cyclic |= comp
-    if not cyclic:
-        return sigma01_tree_dp(g)
     if not forest:
         return sigma01_recursive(g)
     return combine_union(

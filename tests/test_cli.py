@@ -57,6 +57,16 @@ def test_gen_trees(capsys):
     assert code == 0 and len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize("family, n, digest", [
+    ("trees", "16", "b85ca0c739da75deb7359b528450b771cfe249e9582d8211345aee13e5e77ca7"),
+    ("forests", "14", "88234319d33ab9c5d61ac26e38c2bdb363513012f6366945c3e137e5792d8ffb"),
+], ids=["trees-16", "forests-14"])
+def test_gen_tree_and_forest_bytes(capsys, family, n, digest):
+    code, out, _ = run_cli(capsys, "gen", "--class", family, "--n", n)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_gen_pipeline_into_compute(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "gen", "--class", "connected", "--n", "5")
     assert code == 0 and len(out.splitlines()) == 21

@@ -2,6 +2,9 @@ import pytest
 
 from nearindep.generate import (
     ClassSpec,
+    _is_center_rooted,
+    _layout_to_graph,
+    _next_rooted_layout,
     gen_class,
     gen_forests,
     gen_graphs,
@@ -20,6 +23,7 @@ from nearindep.graphs import (
     graph_from_pair_mask,
     is_connected,
     is_forest,
+    make_graph,
     max_degree,
 )
 from nearindep.limits import CapabilityError
@@ -52,6 +56,36 @@ def test_trees_match_leaf_extension_oracle():
     for n in (9, 10, 11, 12):
         got = frozenset(forest_certificate(t) for t in gen_trees(n))
         assert got == leaf_extension_tree_certs(n)
+
+
+def filtered_walk(n):
+    """Every canonical rooted level sequence in Beyer-Hedetniemi order,
+    kept when rooted at a centre: the plain walk the jumps must match."""
+    layout = list(range(n))
+    while layout is not None:
+        if _is_center_rooted(layout):
+            yield _layout_to_graph(layout)
+        layout = _next_rooted_layout(layout)
+
+
+def test_tree_stream_equals_filtered_walk():
+    for n in range(1, 16):
+        assert [t.adj for t in gen_trees(n)] == [t.adj for t in filtered_walk(n)], n
+
+
+def test_trees_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 13):
+        theirs = set()
+        for t in nx.nonisomorphic_trees(n):
+            index = {v: i for i, v in enumerate(t.nodes)}
+            theirs.add(forest_certificate(make_graph(n, [(index[u], index[v]) for u, v in t.edges])))
+        ours = [forest_certificate(t) for t in gen_trees(n)]
+        assert len(ours) == len(set(ours)) and set(ours) == theirs, n
+
+
+def test_tree_count_at_the_cap():
+    assert sum(1 for _ in gen_trees(18)) == 123867  # OEIS A000055
 
 
 def test_prufer_decode_is_a_tree():

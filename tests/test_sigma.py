@@ -4,10 +4,12 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given
 
 from nearindep.graphs import (
     disjoint_union,
     graph_from_pair_mask,
+    is_forest,
     make_graph,
     make_named,
 )
@@ -24,7 +26,7 @@ from nearindep.sigma import (
     star_q,
 )
 
-from conftest import random_graph
+from conftest import forests, graphs, random_graph
 
 
 def all_labelled(n):
@@ -75,6 +77,31 @@ def test_tree_dp_matches_recursion_on_all_trees():
     for n in range(1, 11):
         for t in gen_trees(n):
             assert sigma01_tree_dp(t) == sigma01_recursive(t)
+
+
+@given(forests(max_n=16))
+def test_forest_scorers_agree(f):
+    assert sigma01(f) == sigma01_tree_dp(f) == sigma01_recursive(f)
+
+
+def test_tree_dp_rejects_a_cycle_in_a_later_component():
+    p3 = make_named("path", 3)
+    with pytest.raises(ValueError, match="acyclic"):
+        sigma01_tree_dp(disjoint_union(p3, make_named("complete", 3)))
+    # the cycle away from the BFS root, and an even cycle
+    tail = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+    for g in (tail, disjoint_union(p3, cycle(4)), disjoint_union(make_named("empty", 2), cycle(6))):
+        with pytest.raises(ValueError, match="acyclic"):
+            sigma01_tree_dp(g)
+
+
+@given(graphs(max_n=9))
+def test_tree_dp_accepts_exactly_the_forests(g):
+    if is_forest(g):
+        assert sigma01_tree_dp(g) == sigma01_recursive(g)
+    else:
+        with pytest.raises(ValueError, match="acyclic"):
+            sigma01_tree_dp(g)
 
 
 def test_combine_union():
