@@ -13,7 +13,6 @@ import contextlib
 import csv
 import json
 import sys
-from fractions import Fraction
 from typing import Iterator, TextIO
 
 from .generate import ClassSpec, gen_class
@@ -46,7 +45,7 @@ def _input_lines(path: str | None) -> Iterator[str]:
 
 def _record_row(g: Graph) -> dict:
     pair = sigma01(g)
-    q = Fraction(pair.sigma1, pair.sigma0)
+    q = pair.q
     return {
         "graph6": emit_graph6(g),
         "n": g.n,
@@ -109,15 +108,10 @@ def _cmd_gen(args) -> int:
 def _cmd_scan(args) -> int:
     report = extremal_scan(_class_spec(args), jobs=args.jobs)
     doc = report.to_json()
-    if args.objective == "min":
+    if args.objective is not None:
         doc = {k: doc[k] for k in ("family", "n", "delta", "checked")} | {
-            "objective": "min",
-            "witness": doc["min_witness"],
-        }
-    elif args.objective == "max":
-        doc = {k: doc[k] for k in ("family", "n", "delta", "checked")} | {
-            "objective": "max",
-            "witness": doc["max_witness"],
+            "objective": args.objective,
+            "witness": doc[f"{args.objective}_witness"],
         }
     print(json.dumps(doc))
     return 0
@@ -145,17 +139,14 @@ def _report_csv_row(doc: dict) -> dict:
 
 def _cmd_verify(args) -> int:
     reports = run_theorem(args.theorem, args.n_max, jobs=args.jobs)
-    docs = [r.to_json() for r in reports]
-    if args.format == "csv":
-        fieldnames = [
-            "theorem", "family", "n", "delta", "checked", "passed",
-            "violations", "equality_witnesses",
-            "min_graph6", "min_q", "max_graph6", "max_q",
-        ]
-        _emit_rows((_report_csv_row(d) for d in docs), "csv", fieldnames)
-    else:
-        for doc in docs:
-            print(json.dumps(doc))
+    docs = (r.to_json() for r in reports)
+    rows = map(_report_csv_row, docs) if args.format == "csv" else docs
+    fieldnames = [
+        "theorem", "family", "n", "delta", "checked", "passed",
+        "violations", "equality_witnesses",
+        "min_graph6", "min_q", "max_graph6", "max_q",
+    ]
+    _emit_rows(rows, args.format, fieldnames)
     return 0 if all(r.passed for r in reports) else 1
 
 

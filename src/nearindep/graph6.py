@@ -9,7 +9,7 @@ the input bytes exactly; the long and huge size forms are rejected.
 
 from __future__ import annotations
 
-from .graphs import Graph, pair_order
+from .graphs import Graph
 from .limits import CapabilityError
 
 
@@ -51,23 +51,29 @@ def parse_graph6(line: str | bytes) -> Graph:
         )
     if len(payload) > nbytes:
         raise Graph6Error(f"trailing bytes after bit payload", 1 + nbytes)
-    adj = [0] * n
-    pairs = pair_order(n)
+    # The inverse of emit_graph6: the payload is one integer, most
+    # significant bit first.  Column j holds the j bits of the pairs
+    # (0, j) .. (j - 1, j), pair (0, j) highest, so the columns are read
+    # from the last one up, starting just above the padding bits.
+    val = 0
     for b, ch in enumerate(payload):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
+        byte = ord(ch) - 63
+        if not 0 <= byte <= 63:
             raise Graph6Error(f"payload byte {ord(ch)} outside graph6 range", 1 + b)
-        for k in range(6):
-            idx = 6 * b + k
-            bit = val >> (5 - k) & 1
-            if idx >= npairs:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", 1 + b)
-                continue
-            if bit:
-                i, j = pairs[idx]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        val = val << 6 | byte
+    shift = 6 * nbytes - npairs
+    if val & ((1 << shift) - 1):
+        raise Graph6Error("nonzero padding bits", nbytes)
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        col = val >> shift & ((1 << j) - 1)
+        shift += j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
     return Graph(n, tuple(adj))
 
 

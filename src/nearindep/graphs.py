@@ -24,8 +24,6 @@ from .limits import CapabilityError, check_cap, effective_limits
 
 VertexMask = int
 
-NAMED_FAMILIES = ("star", "path", "complete", "empty", "matching_plus_isolated")
-
 
 def bits(mask: VertexMask) -> Iterator[int]:
     """Yield the set bit positions of a mask in increasing order."""
@@ -79,9 +77,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for v in range(self.n) for u in bits(self.adj[v]) if u < v]
@@ -177,13 +172,12 @@ def max_degree(g: Graph) -> int:
 
 
 def is_forest(g: Graph) -> bool:
-    """True iff every connected component has exactly size-1 edges."""
-    for comp in connected_components(g):
-        size = comp.bit_count()
-        edges = sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2
-        if edges != size - 1:
-            return False
-    return True
+    """True iff g is acyclic: it has n - (number of components) edges.
+
+    Every component on k vertices has at least k - 1 edges, with equality
+    exactly for a tree, so the count rule holds iff every component is one.
+    """
+    return g.edge_count() == g.n - len(connected_components(g))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -369,15 +363,12 @@ def forest_certificate(g: Graph) -> tuple:
     the at most two centres); the certificate is the sorted tuple of
     component encodings.  Raises ValueError on cyclic input.
     """
-    certs = []
-    for comp in connected_components(g):
-        size = comp.bit_count()
-        edges = sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2
-        if edges != size - 1:
-            raise ValueError("forest_certificate requires acyclic input")
-        certs.append(min(_rooted_encoding(g, c, comp) for c in _component_centers(g, comp)))
-    certs.sort()
-    return tuple(certs)
+    if not is_forest(g):
+        raise ValueError("forest_certificate requires acyclic input")
+    return tuple(sorted(
+        min(_rooted_encoding(g, c, comp) for c in _component_centers(g, comp))
+        for comp in connected_components(g)
+    ))
 
 
 def tree_certificate(g: Graph) -> tuple:

@@ -22,8 +22,9 @@ Three mutually checking routes are implemented:
 * a linear-time rooted DP for forests (``sigma01_tree_dp``).
 
 None of the three calls another, so each checks the other two.
-``sigma01`` sends acyclic components to the tree DP and the rest to the
-recursion.
+``sigma01`` has two routes: a forest (``graphs.is_forest``) goes to the
+tree DP and any other graph whole to the recursion, which splits it into
+components itself, trees included.
 
 Counts for vertex-disjoint unions combine bilinearly:
 sigma0(G1 u G2) = sigma0(G1) sigma0(G2) and
@@ -41,7 +42,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, bits, connected_components, induced_subgraph
+from .graphs import Graph, bits, is_forest
+# Unused here, but perfbench/tracer.py rebinds these two names in this module.
+from .graphs import connected_components, induced_subgraph  # noqa: F401
 from .limits import check_cap, effective_limits
 
 
@@ -194,12 +197,6 @@ def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> Si
     return SigmaPair(s0, s1)
 
 
-def _is_tree(g: Graph, comp: int) -> bool:
-    """True iff the connected mask ``comp`` induces a tree in g."""
-    edges = sum((g.adj[v] & comp).bit_count() for v in bits(comp)) // 2
-    return edges == comp.bit_count() - 1
-
-
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1) of a forest by rooted DP per component.
 
@@ -259,33 +256,16 @@ def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:
 
 
 def sigma01(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1): acyclic components by the tree DP, the rest
-    by the deletion recursion.
+    """Exact (sigma0, sigma1): a forest by the tree DP, any other graph by
+    the deletion recursion.
 
-    One components pass tells trees from the rest: g is a forest iff it
-    has n - (number of components) edges, and then it goes whole to
-    ``sigma01_tree_dp``.  Otherwise each component is tested on its own;
-    a graph with no acyclic component goes whole to
-    ``sigma01_recursive``, and only a mixed graph is split into two
-    induced subgraphs, whose counts are combined by the union rule.  The
-    result always equals sigma01_recursive(g).
+    ``is_forest`` decides the route.  A graph with a cycle goes whole to
+    ``sigma01_recursive``, which strips its isolated vertices and splits
+    its components, trees included, by itself.  The result always equals
+    sigma01_recursive(g).
     """
     check_cap(g.n, effective_limits().recursion_max_n, "sigma01")
-    comps = connected_components(g)
-    if g.edge_count() == g.n - len(comps):
-        return sigma01_tree_dp(g)
-    forest = cyclic = 0
-    for comp in comps:
-        if _is_tree(g, comp):
-            forest |= comp
-        else:
-            cyclic |= comp
-    if not forest:
-        return sigma01_recursive(g)
-    return combine_union(
-        sigma01_tree_dp(induced_subgraph(g, forest)),
-        sigma01_recursive(induced_subgraph(g, cyclic)),
-    )
+    return sigma01_tree_dp(g) if is_forest(g) else sigma01_recursive(g)
 
 
 def q_ratio(g: Graph) -> Fraction:

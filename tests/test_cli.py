@@ -94,6 +94,20 @@ def test_scan(capsys):
     assert doc["min_witness"]["q_num"] == "4" and doc["min_witness"]["q_den"] == "17"
 
 
+@pytest.mark.parametrize("objective, digest", [
+    (None, "752220fc45cbc43ce4b7682781dc6ab5c943ee7516a3dbacdc2f8e15928d693a"),
+    ("min", "d26aa2c26a33a59a595810d534d424504b71aa58f7280d2f8d1da44f27ef07f4"),
+    ("max", "5995ac8bdf51d3c353067a73c2f3d60b2f6176f7d102b62f77e3b8cb0ae12c9d"),
+], ids=["both", "min", "max"])
+def test_scan_bytes(capsys, objective, digest):
+    argv = ["scan", "--class", "graphs", "--n", "6"]
+    if objective is not None:
+        argv += ["--objective", objective]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "3.2", "--n-max", "5")
     assert code == 0

@@ -53,6 +53,21 @@ def test_parse_errors_carry_offsets():
         parse_graph6("")
 
 
+@pytest.mark.parametrize("line, message, offset", [
+    ("Ax", "nonzero padding bits", 1),
+    ("G????A", "nonzero padding bits", 5),
+    ("D?" + chr(62), "payload byte 62 outside graph6 range", 2),
+    ("G???" + chr(200) + "?", "payload byte 200 outside graph6 range", 4),
+    # a bad byte is reported before nonzero padding in a later byte
+    ("G???" + chr(200) + "A", "payload byte 200 outside graph6 range", 4),
+])
+def test_payload_error_offsets(line, message, offset):
+    with pytest.raises(Graph6Error) as e:
+        parse_graph6(line)
+    assert e.value.offset == offset
+    assert str(e.value) == f"{message} (byte offset {offset})"
+
+
 def test_size_form_caps():
     with pytest.raises(CapabilityError):
         parse_graph6("~??")

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given
 
 from nearindep.graphs import (
     Graph,
@@ -21,7 +22,7 @@ from nearindep.graphs import (
 )
 from nearindep.limits import CapabilityError
 
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def test_make_graph_examples():
@@ -182,6 +183,19 @@ def test_is_forest():
     assert is_forest(make_named("empty", 4))
     assert not is_forest(make_named("complete", 3))
     assert is_forest(disjoint_union(make_named("star", 4), make_named("path", 2)))
+
+
+@given(graphs(min_n=1, max_n=12))  # networkx calls the empty graph pointless
+def test_is_forest_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    assert is_forest(g) == nx.is_forest(h)
+
+
+def test_forest_certificate_rejects_a_cycle_in_a_later_component():
+    with pytest.raises(ValueError, match="acyclic"):
+        forest_certificate(disjoint_union(make_named("path", 3), make_named("complete", 3)))
 
 
 def test_forest_certificate_invariance(rng):

@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given
 
+import nearindep.sigma
 from nearindep.graphs import (
     disjoint_union,
     graph_from_pair_mask,
@@ -119,6 +120,32 @@ def test_sigma01_dispatch():
     assert sigma01(g) == SigmaPair(24, 8)
     assert sigma01(make_named("empty", 0)) == SigmaPair(1, 0)
     assert sigma01(make_named("path", 4)) == SigmaPair(8, 5)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("sigma01 took a route it must not take")
+
+
+def test_sigma01_sends_a_graph_with_a_cycle_whole_to_the_recursion(monkeypatch):
+    g = reduce(disjoint_union, [make_named("path", 3), make_named("complete", 3), make_named("empty", 1)])
+    calls = []
+    real = nearindep.sigma.sigma01_recursive
+    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
+    monkeypatch.setattr(nearindep.sigma, "sigma01_tree_dp", _refuse)
+    monkeypatch.setattr(nearindep.sigma, "induced_subgraph", _refuse)
+    # P3 (5, 2), K3 (4, 3) and K1 (2, 0) folded by the union rule
+    assert sigma01(g) == SigmaPair(40, 46)
+    assert len(calls) == 1 and calls[0] is g
+
+
+def test_sigma01_sends_a_forest_to_the_tree_dp(monkeypatch):
+    f = disjoint_union(make_named("star", 5), make_named("path", 4))
+    calls = []
+    real = nearindep.sigma.sigma01_tree_dp
+    monkeypatch.setattr(nearindep.sigma, "sigma01_tree_dp", lambda h: calls.append(h) or real(h))
+    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
+    assert sigma01(f) == combine_union(SigmaPair(17, 4), SigmaPair(8, 5))
+    assert len(calls) == 1 and calls[0] is f
 
 
 def test_sigma01_equals_recursion_everywhere(rng):
