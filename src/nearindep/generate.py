@@ -15,7 +15,8 @@ n, each forest built as one graph from the shifted tree rows, and
 graph classes on up to eight vertices are built by extending every
 class on n-1 vertices with one new vertex and deduplicating on
 canonical codes; subsets of the extended class are first reduced to
-orbit representatives under its automorphisms.
+orbit representatives under its automorphisms, marked orbit by orbit
+over all 2^n subsets from the generators ``canonical_form`` returns.
 
 Independent labelled-enumeration oracles (Pruefer sequences, leaf
 extension, orbit marking over all labelled graphs) live here too; the
@@ -234,26 +235,36 @@ def gen_forests(n: int) -> Iterator[Graph]:
 # all graphs on <= 8 vertices by vertex extension + canonical dedup
 # ---------------------------------------------------------------------------
 
-def _orbit_min_subsets(n: int, autos: tuple[tuple[int, ...], ...]) -> Iterator[int]:
-    """Subsets of 0..n-1 that are minimal in their orbit under autos."""
-    if len(autos) == 1:
-        yield from range(1 << n)
-        return
-    maps = [a for a in autos if a != tuple(range(n))]
-    for s in range(1 << n):
-        minimal = True
-        for a in maps:
-            img = 0
-            t = s
-            while t:
-                low = t & -t
-                img |= 1 << a[low.bit_length() - 1]
-                t ^= low
-            if img < s:
-                minimal = False
-                break
-        if minimal:
-            yield s
+def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+    """Subsets of 0..n-1 that are minimal in their orbit under the group
+    generated by gens, in increasing order.
+
+    Subsets are walked upwards over a ``bytearray(1 << n)``; the first
+    unmarked one is the least of its orbit, which is then marked whole
+    by closing it under the generators' subset maps.
+    """
+    size = 1 << n
+    maps = []
+    for a in gens:
+        img = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << a[low.bit_length() - 1]
+        maps.append(img)
+    seen = bytearray(size)
+    for s in range(size):
+        if seen[s]:
+            continue
+        yield s
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for img in maps:
+                u = img[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
 
 
 @lru_cache(maxsize=16)
@@ -264,16 +275,17 @@ def _graph_classes(n: int) -> tuple[Graph, ...]:
     attaching one new vertex to a subset of it, so extending every
     (n-1)-class by every subset and deduplicating on canonical codes is
     exhaustive.  Subsets are reduced to orbit representatives under the
-    parent's automorphisms first, which only removes children that are
+    parent's automorphisms first (the group generated by the generators
+    from ``canonical_form``), which only removes children that are
     isomorphic anyway.
     """
     if n == 0:
         return (Graph(0, ()),)
     seen: dict[int, Graph] = {}
     for parent in _graph_classes(n - 1):
-        _, autos = canonical_form(parent)
+        _, gens = canonical_form(parent)
         new_bit = 1 << (n - 1)
-        for s in _orbit_min_subsets(parent.n, autos):
+        for s in _orbit_min_subsets(parent.n, gens):
             adj = [row | (new_bit if s >> v & 1 else 0) for v, row in enumerate(parent.adj)]
             adj.append(s)
             child = Graph(n, tuple(adj))

@@ -10,7 +10,13 @@ Isomorphism handling is exact but deliberately small-order:
 
 * ``canonical_code`` minimises the upper-triangle adjacency bit-string
   over all vertex relabellings by a pruned branch-and-bound search
-  (equal codes <=> isomorphic, for n up to the canonicalisation cap);
+  (equal codes <=> isomorphic, for n up to the canonicalisation cap).
+  ``canonical_form`` also returns generators of the automorphism group:
+  the search extends every column by one bit per level, places twins
+  (vertices with the same neighbours apart from each other) in index
+  order only, with their transpositions as generators, and turns each
+  further minimal leaf into one more generator, so K_n and the empty
+  graph cost n search nodes instead of n! leaves;
 * ``forest_certificate`` is a linear-time canonical form that works for
   forests of any supported order (centre-rooted subtree encoding).
 """
@@ -232,16 +238,25 @@ class CanonicalCode:
 
 
 def canonical_form(g: Graph) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...]]:
-    """Canonical code together with the automorphisms of g.
+    """Canonical code together with a generating set of Aut(g).
 
     The search assigns vertices to positions 0..n-1 in order; placing a
     vertex at position j fixes the j bits of column j, which are exactly
     the next bits of the code, so lexicographic pruning against the best
-    complete code found so far is sound.  Candidates are ordered by
-    column value and then by degree, which makes the first descent
-    nearly minimal and the pruning sharp.  All permutations attaining
-    the minimum are collected; composing any of them with the inverse of
-    the first yields the automorphism group of g.
+    complete code found so far is sound.  A candidate's column grows by
+    one bit per level (its adjacency to the vertex just placed), so no
+    column is rescanned.  Candidates are ordered by column value and then
+    by degree, which makes the first descent nearly minimal and the
+    pruning sharp.
+
+    Twins (u, w with the same neighbours apart from each other) are
+    interchangeable: the transposition (u w) is an automorphism, so only
+    the smallest unplaced member of each twin class is a candidate, and
+    the transpositions of consecutive twins are generators.  Every leaf
+    that attains the minimum then lies in its own coset of the twin
+    group, and composing it with the inverse of the first such leaf
+    gives one more generator.  The identity is never returned, so the
+    trivial group has no generators.
     """
     lim = effective_limits()
     if g.n > lim.canonical_max_n:
@@ -249,68 +264,94 @@ def canonical_form(g: Graph) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...]
             f"canonical_code supports order <= {lim.canonical_max_n}, got {g.n}"
         )
     n = g.n
-    if n <= 1:
-        return CanonicalCode(n, 0), (tuple(range(n)),)
     adj = g.adj
-    deg = [adj[v].bit_count() for v in range(n)]
+    # twin classes, each placed in increasing order: only the class minima
+    # start as candidates, and placing a twin makes the next one a candidate
+    gens: list[tuple[int, ...]] = []
+    succ = [0] * n  # bit of the next member of v's twin class, or 0
+    tail: dict[int, int] = {}  # smallest member of a class -> its largest so far
+    roots = 0
+    for w in range(n):
+        for u, t in tail.items():
+            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
+                succ[t] = 1 << w
+                tail[u] = w
+                swap = list(range(n))
+                swap[t], swap[w] = w, t
+                gens.append(tuple(swap))
+                break
+        else:
+            tail[w] = w
+            roots |= 1 << w
+    # the columns of all vertices are n-bit fields of one int ``vals`` (a
+    # column has at most n - 1 bits): placing w shifts every field left and
+    # sets bit 0 in the fields of w's neighbours
+    spread = [sum(1 << n * v for v in bits(row)) for row in adj]
+    field = (1 << n) - 1
+    key = [row.bit_count() << 4 | w for w, row in enumerate(adj)]  # n <= 16
 
-    best: list[int] | None = None
-    best_perms: list[tuple[int, ...]] = []
+    best = [0] * n
     cols = [0] * n
     placed = [0] * n
-    used = [False] * n
+    leaves: list[tuple[int, ...]] = []
+    leaf_depth = n - 1
+    # The current path equals best on columns 0..agree-1.  A node is only
+    # entered with a prefix no greater than best's, and best only moves to
+    # leaves below the current path, so a node is tight (prefix equal to
+    # best's) iff agree >= depth, and strictly below best otherwise.
+    agree = -1
 
-    def dfs(depth: int) -> None:
-        nonlocal best
-        if depth == n:
-            if best is None or cols < best:
-                best = cols.copy()
-                best_perms.clear()
-                best_perms.append(tuple(placed))
-            elif cols == best:
-                best_perms.append(tuple(placed))
-            return
-        cands = []
-        for w in range(n):
-            if used[w]:
-                continue
-            aw = adj[w]
-            c = 0
-            for i in range(depth):
-                if aw >> placed[i] & 1:
-                    c |= 1 << (depth - 1 - i)
-            cands.append((c, deg[w], w))
-        cands.sort()
-        for c, _, w in cands:
-            if best is not None:
-                stale = False
-                tight = True
-                for i in range(depth):
-                    if cols[i] != best[i]:
-                        tight = False
-                        stale = cols[i] > best[i]
-                        break
-                if stale:
+    def dfs(depth: int, cands: int, vals: int) -> None:
+        nonlocal agree
+        if depth == leaf_depth:
+            # one vertex is left, and placing it completes a leaf
+            w = cands.bit_length() - 1
+            c = vals >> n * w & field
+            if agree >= depth:
+                b = best[depth]
+                if c > b:
                     return
-                if tight and c > best[depth]:
-                    break
+                if c == b:
+                    placed[depth] = w
+                    leaves.append(tuple(placed))
+                    return
             cols[depth] = c
             placed[depth] = w
-            used[w] = True
-            dfs(depth + 1)
-            used[w] = False
+            best[:] = cols
+            leaves[:] = [tuple(placed)]
+            agree = n
+            return
+        order = []
+        rest = cands
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            order.append((vals >> n * w & field) << 8 | key[w])
+            rest ^= low
+        order.sort()
+        for k in order:
+            c = k >> 8
+            w = k & 15
+            if agree >= depth:
+                b = best[depth]
+                if c > b:
+                    break
+                agree = depth + 1 if c == b else depth
+            cols[depth] = c
+            placed[depth] = w
+            dfs(depth + 1, cands ^ 1 << w | succ[w], vals << 1 | spread[w])
 
-    dfs(0)
-    assert best is not None
+    if n:
+        dfs(0, roots, 0)
     code = 0
     for j in range(n):
         code = code << j | best[j]
-    base = best_perms[0]
-    inv = [0] * n
-    for pos, v in enumerate(base):
-        inv[v] = pos
-    autos = tuple(tuple(perm[inv[v]] for v in range(n)) for perm in best_perms)
-    return CanonicalCode(n, code), autos
+    if leaves:
+        inv = [0] * n
+        for pos, v in enumerate(leaves[0]):
+            inv[v] = pos
+        gens.extend(tuple(leaf[inv[v]] for v in range(n)) for leaf in leaves[1:])
+    return CanonicalCode(n, code), tuple(gens)
 
 
 def canonical_code(g: Graph) -> CanonicalCode:

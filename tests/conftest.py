@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -28,6 +29,24 @@ def forests(draw, min_n: int = 1, max_n: int = 10) -> Graph:
 def random_graph(n: int, rng: random.Random) -> Graph:
     npairs = n * (n - 1) // 2
     return graph_from_pair_mask(n, rng.getrandbits(npairs) if npairs else 0)
+
+
+def subset_image(s: int, phi) -> int:
+    """Image of the vertex subset s under the permutation phi."""
+    out = 0
+    for v, w in enumerate(phi):
+        if s >> v & 1:
+            out |= 1 << w
+    return out
+
+
+def brute_force_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """All n! relabellings phi that map every neighbourhood onto the
+    neighbourhood of its image, found without any search."""
+    return {
+        phi for phi in permutations(range(g.n))
+        if all(subset_image(g.adj[v], phi) == g.adj[phi[v]] for v in range(g.n))
+    }
 
 
 @pytest.fixture

@@ -67,6 +67,17 @@ def test_gen_tree_and_forest_bytes(capsys, family, n, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, lines, digest", [
+    ("graphs", 1044, "ee2aa8dcadd4034592b393382bedd8f8f4cc8a3c97506c86b02d75954079572d"),
+    ("connected", 853, "eece8411b56cccaf0ab1d1a162c0b8d85e183681d10841e7f9664d57b15fc7c9"),
+], ids=["graphs-7", "connected-7"])
+def test_gen_graph_bytes(capsys, family, lines, digest):
+    """The class streams keep their representatives and order byte for byte."""
+    code, out, _ = run_cli(capsys, "gen", "--class", family, "--n", "7")
+    assert code == 0 and len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_gen_pipeline_into_compute(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "gen", "--class", "connected", "--n", "5")
     assert code == 0 and len(out.splitlines()) == 21

@@ -5,6 +5,7 @@ from nearindep.generate import (
     _is_center_rooted,
     _layout_to_graph,
     _next_rooted_layout,
+    _orbit_min_subsets,
     gen_class,
     gen_forests,
     gen_graphs,
@@ -18,6 +19,7 @@ from nearindep.generate import (
 )
 from nearindep.graphs import (
     canonical_code,
+    canonical_form,
     connected_components,
     forest_certificate,
     graph_from_pair_mask,
@@ -27,6 +29,8 @@ from nearindep.graphs import (
     max_degree,
 )
 from nearindep.limits import CapabilityError
+
+from conftest import brute_force_automorphisms, subset_image
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]          # n = 1..10
 FOREST_COUNTS = [1, 2, 3, 6, 10, 20, 37, 76]               # n = 1..8
@@ -154,6 +158,19 @@ def test_exhaustiveness_small():
         npairs = n * (n - 1) // 2
         for m in range(1 << npairs):
             assert canonical_code(graph_from_pair_mask(n, m)).code in stream
+
+
+def test_orbit_min_subsets_match_the_brute_force_group():
+    """Orbit marking from the generators keeps exactly the subsets that no
+    automorphism (all n! relabellings tried) maps to a smaller one."""
+    for n in range(7):
+        for g in gen_graphs(n):
+            group = brute_force_automorphisms(g)
+            minima = [
+                s for s in range(1 << n)
+                if all(subset_image(s, phi) >= s for phi in group)
+            ]
+            assert list(_orbit_min_subsets(n, canonical_form(g)[1])) == minima
 
 
 def test_delta_filter():

@@ -1,7 +1,8 @@
 import itertools
+from math import factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from nearindep.graphs import (
     Graph,
@@ -22,7 +23,7 @@ from nearindep.graphs import (
 )
 from nearindep.limits import CapabilityError
 
-from conftest import graphs, random_graph
+from conftest import brute_force_automorphisms, graphs, random_graph
 
 
 def test_make_graph_examples():
@@ -162,15 +163,189 @@ def test_canonical_code_cap():
         canonical_code(make_named("empty", 11))
 
 
+def closure(n: int, gens) -> set[tuple[int, ...]]:
+    """Every element of the group generated by gens, by breadth-first search."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        found = []
+        for p in frontier:
+            for a in gens:
+                img = tuple(a[p[v]] for v in range(n))
+                if img not in group:
+                    group.add(img)
+                    found.append(img)
+        frontier = found
+    return group
+
+
+def packed_code(g, order) -> int:
+    """Column-packed code of g relabelled so that position i holds vertex
+    order[i]: bits (0,1), (0,2), (1,2), (0,3), ..., most significant first."""
+    code = 0
+    for j in range(g.n):
+        for i in range(j):
+            code = code << 1 | g.adj[order[j]] >> order[i] & 1
+    return code
+
+
+def group_order(n: int, gens) -> int:
+    """Order of the group generated by gens, by the Schreier-Sims algorithm:
+    a base b_0, b_1, ... and, for each stabiliser G_i of b_0..b_{i-1}, strong
+    generators and a transversal of the orbit of b_i; |G| is the product of
+    the orbit lengths.  Permutations compose as (a*b)[v] = a[b[v]]."""
+    ident = tuple(range(n))
+
+    def mul(a, b):
+        return tuple(a[x] for x in b)
+
+    def inv(a):
+        out = [0] * n
+        for v, x in enumerate(a):
+            out[x] = v
+        return tuple(out)
+
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    trans: list[dict[int, tuple[int, ...]]] = []
+
+    def new_level(h):
+        base.append(next(v for v in range(n) if h[v] != v))
+        strong.append([])
+        trans.append({})
+
+    def orbit(i):
+        b = base[i]
+        t = {b: ident}
+        queue = [b]
+        for p in queue:
+            for s in strong[i]:
+                if s[p] not in t:
+                    t[s[p]] = mul(s, t[p])
+                    queue.append(s[p])
+        trans[i] = t
+
+    def sift(h, i):
+        for j in range(i, len(base)):
+            x = h[base[j]]
+            if x not in trans[j]:
+                return h, j
+            h = mul(inv(trans[j][x]), h)
+        return h, len(base)
+
+    for h in gens:
+        if h == ident:
+            continue
+        if all(h[b] == b for b in base):
+            new_level(h)
+        for i in range(len(base)):
+            strong[i].append(h)
+            if h[base[i]] != base[i]:
+                break
+    for i in range(len(base)):
+        orbit(i)
+    i = len(base) - 1
+    while i >= 0:
+        redo = None
+        for p, u in list(trans[i].items()):
+            for s in strong[i]:
+                h, j = sift(mul(inv(trans[i][s[p]]), mul(s, u)), i + 1)
+                if h != ident:
+                    redo = (h, j)
+                    break
+            if redo:
+                break
+        if redo is None:
+            i -= 1
+            continue
+        h, j = redo
+        if j == len(base):
+            new_level(h)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            orbit(level)
+        i = j
+    return prod(len(t) for t in trans)
+
+
+def test_group_order_helper_matches_closure(rng):
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            phi = list(range(n))
+            rng.shuffle(phi)
+            gens.append(tuple(phi))
+        assert group_order(n, gens) == len(closure(n, gens))
+
+
 def test_canonical_form_automorphisms(rng):
-    code, autos = canonical_form(make_named("star", 5))
-    assert len(autos) == 24  # the four leaves permute freely
-    for _ in range(25):
-        g = random_graph(rng.randint(1, 6), rng)
-        _, autos = canonical_form(g)
-        assert tuple(range(g.n)) in autos
-        for phi in autos:
+    """The second element is a set of generators, not the group: every
+    one is an automorphism other than the identity."""
+    _, gens = canonical_form(make_named("star", 5))
+    assert len(closure(5, gens)) == 24  # the four leaves permute freely
+    for _ in range(40):
+        g = random_graph(rng.randint(0, 8), rng)
+        _, gens = canonical_form(g)
+        assert tuple(range(g.n)) not in gens
+        for phi in gens:
             assert relabel(g, phi) == g
+
+
+def test_canonical_form_generates_the_whole_group(rng):
+    for _ in range(40):
+        g = random_graph(rng.randint(0, 6), rng)
+        assert closure(g.n, canonical_form(g)[1]) == brute_force_automorphisms(g)
+
+
+def test_canonical_form_groups_of_complete_and_empty_graphs():
+    for n in range(7):
+        for family in ("complete", "empty"):
+            _, gens = canonical_form(make_named(family, n))
+            assert len(gens) == max(n - 1, 0)
+            assert len(closure(n, gens)) == factorial(n)
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=6))
+def test_canonical_code_is_the_minimum_over_all_relabellings(g):
+    least = min(packed_code(g, order) for order in itertools.permutations(range(g.n)))
+    assert canonical_code(g).code == least
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(10, outer + spokes + inner)
+
+
+K55 = make_graph(10, [(u, v) for u in range(5) for v in range(5, 10)])
+
+
+@pytest.mark.parametrize("g, order, least", [
+    (make_named("complete", 10), factorial(10), range(10)),
+    (make_named("empty", 10), factorial(10), range(10)),
+    (make_named("star", 10), factorial(9), [*range(1, 10), 0]),
+    (K55, 2 * factorial(5) ** 2, range(10)),
+    (make_graph(10, [(i, (i + 1) % 10) for i in range(10)]), 20, None),
+    (_petersen(), 120, None),
+], ids=["K10", "empty10", "star10", "K5,5", "C10", "petersen"])
+def test_canonical_form_at_the_cap(g, order, least, rng):
+    """Order 10 is the canonical cap; highly symmetric graphs there come
+    back with their whole group.  ``least`` is a relabelling known to
+    attain the minimum: the independent set of the leaves or of one side
+    first (K_n is all ones and the empty graph 0 under any order)."""
+    code, gens = canonical_form(g)
+    assert group_order(10, gens) == order
+    if order == factorial(10):
+        assert len(gens) <= 9
+        assert code.code == (1 << g.edge_count()) - 1  # all ones, or 0
+    if least is not None:
+        assert code.code == packed_code(g, list(least))
+    perm = list(range(10))
+    rng.shuffle(perm)
+    assert canonical_form(relabel(g, perm))[0] == code
 
 
 def test_relabel_validates():
