@@ -11,37 +11,32 @@ Comput. 15, 1986), jumps over each run of off-centre rootings instead of
 stepping through it: at n = 18 it visits 129,231 sequences for 123,867
 trees, where the plain walk visits all 1,721,159 rooted trees.
 Forests are multisets of trees assembled over the integer partitions of
-n, each forest built as one graph from the shifted tree rows, and
-graph classes on up to eight vertices are built by extending every
-class on n-1 vertices with one new vertex and deduplicating on
-canonical codes; subsets of the extended class are first reduced to
-orbit representatives under its automorphisms, marked orbit by orbit
-over all 2^n subsets from the generators ``canonical_form`` returns.
+n, each forest built as one graph from the shifted tree rows.
 
-Independent labelled-enumeration oracles (Pruefer sequences, leaf
-extension, orbit marking over all labelled graphs) live here too; the
-test-suite checks every stream against them on small orders.
+Graph classes on up to eight vertices come from canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+A class on n-1 vertices is extended by a new vertex v joined to one
+subset per orbit of its automorphism group (orbits marked over all
+2^(n-1) subsets from generators carried over from the order below).  The
+child is kept only if v is the vertex a canonical-deletion rule would
+remove: v must have the largest (degree, triangles) key, refined once by
+its neighbours' keys, and on a tie it must share an automorphism orbit
+with the tied vertex the canonical labelling places last.  Each class is
+then found exactly once; ``canonical_form`` runs only on kept children
+and on ties.  Every class is emitted in its canonical labelling, the
+graph spelled by its canonical code, in increasing code order, so the
+output depends only on the set of classes and not on how it was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import Iterator
 
-from .graphs import (
-    Graph,
-    canonical_form,
-    forest_certificate,
-    graph_from_pair_mask,
-    is_connected,
-    is_forest,
-    make_graph,
-    max_degree,
-    pair_order,
-)
-from .limits import CapabilityError, check_cap, effective_limits
+from .graphs import Graph, bits, canonical_form, is_connected, max_degree
+from .limits import check_cap, effective_limits
 
 FAMILIES = ("trees", "forests", "all_graphs", "connected_graphs", "bounded_degree_graphs")
 
@@ -232,7 +227,7 @@ def gen_forests(n: int) -> Iterator[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# all graphs on <= 8 vertices by vertex extension + canonical dedup
+# all graphs on <= 8 vertices by canonical augmentation
 # ---------------------------------------------------------------------------
 
 def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[int]:
@@ -267,32 +262,112 @@ def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[in
                     stack.append(u)
 
 
-@lru_cache(maxsize=16)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on n vertices, sorted by canonical code.
+def _orbit_of(w: int, gens: tuple[tuple[int, ...], ...]) -> int:
+    """Mask of the orbit of vertex w under the group generated by gens."""
+    orbit = 1 << w
+    stack = [w]
+    while stack:
+        x = stack.pop()
+        for a in gens:
+            y = a[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                stack.append(y)
+    return orbit
 
-    Every class on n vertices arises from some class on n-1 vertices by
-    attaching one new vertex to a subset of it, so extending every
-    (n-1)-class by every subset and deduplicating on canonical codes is
-    exhaustive.  Subsets are reduced to orbit representatives under the
-    parent's automorphisms first (the group generated by the generators
-    from ``canonical_form``), which only removes children that are
-    isomorphic anyway.
+
+def _deletion_ties(adj: list[int], rivals: int) -> int | None:
+    """Mask of the vertices whose key equals that of the new vertex
+    v = len(adj) - 1, v included, or None if some vertex has a larger key.
+
+    The key is (degree, triangles at x), refined once by the sorted keys
+    of the neighbours; ``rivals`` are the old vertices of v's degree.
+    """
+    keys = [
+        row.bit_count() << 16 | sum((adj[y] & row).bit_count() for y in bits(row)) >> 1
+        for row in adj
+    ]
+    v = len(adj) - 1
+    ties = 0
+    for x in bits(rivals):
+        if keys[x] > keys[v]:
+            return None
+        if keys[x] == keys[v]:
+            ties |= 1 << x
+    out = 1 << v
+    if ties:
+        mine = sorted(keys[y] for y in bits(adj[v]))
+        for x in bits(ties):
+            theirs = sorted(keys[y] for y in bits(adj[x]))
+            if theirs > mine:
+                return None
+            if theirs == mine:
+                out |= 1 << x
+    return out
+
+
+@lru_cache(maxsize=16)
+def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]:
+    """All isomorphism classes on n vertices, with generators of their
+    automorphism groups, sorted by canonical code.
+
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): every class on n vertices is some class on
+    n - 1 vertices plus a vertex v = n - 1 joined to a subset s, taken
+    once per orbit of the parent's automorphism group.  A child is kept
+    only if v lies in the orbit that a canonical-deletion rule picks, so
+    it is found from exactly one (parent, orbit) pair and no dedup is
+    needed.  The rule wants the largest key, (degree, triangles at x)
+    refined once by the sorted keys of the neighbours; most children fail
+    it on degree alone and never reach ``canonical_form``.  If v is the
+    only vertex with the largest key it is kept.  On a tie, v is kept iff
+    it shares an Aut(child)-orbit with the tied vertex the canonical
+    labelling places last.
+
+    Every kept class is emitted in its canonical labelling, so each graph
+    is the one spelled by its canonical code, and the same set of classes
+    gives the same tuple whatever found it.  Its generators are conjugated
+    into that labelling to seed the next order.
     """
     if n == 0:
-        return (Graph(0, ()),)
-    seen: dict[int, Graph] = {}
-    for parent in _graph_classes(n - 1):
-        _, gens = canonical_form(parent)
-        new_bit = 1 << (n - 1)
-        for s in _orbit_min_subsets(parent.n, gens):
-            adj = [row | (new_bit if s >> v & 1 else 0) for v, row in enumerate(parent.adj)]
+        return ((Graph(0, ()), ()),)
+    v = n - 1
+    new_bit = 1 << v
+    found = []
+    for parent, parent_gens in _graph_classes(v):
+        padj = parent.adj
+        # above[k]: old vertices of degree > k; exact[k]: of degree k
+        exact = [0] * (v + 1)
+        for x, row in enumerate(padj):
+            exact[row.bit_count()] |= 1 << x
+        above = [0] * (v + 1)
+        for k in range(v - 1, -1, -1):
+            above[k] = above[k + 1] | exact[k + 1]
+        for s in _orbit_min_subsets(v, parent_gens):
+            k = s.bit_count()
+            # an old vertex of degree > k, or of degree k and joined to v,
+            # outranks v
+            if above[k] | exact[k] & s:
+                continue
+            rivals = exact[k] & ~s | (exact[k - 1] & s if k else 0)
+            adj = [row | new_bit if s >> x & 1 else row for x, row in enumerate(padj)]
             adj.append(s)
-            child = Graph(n, tuple(adj))
-            code = canonical_form(child)[0].code
-            if code not in seen:
-                seen[code] = child
-    return tuple(seen[c] for c in sorted(seen))
+            ties = _deletion_ties(adj, rivals) if rivals else new_bit
+            if ties is None:
+                continue
+            code, gens, order = canonical_form(Graph(n, tuple(adj)))
+            if ties != new_bit:
+                last = next(x for x in reversed(order) if ties >> x & 1)
+                if not _orbit_of(last, gens) >> v & 1:
+                    continue
+            inv = [0] * n
+            for pos, x in enumerate(order):
+                inv[x] = pos
+            rows = [sum(1 << inv[y] for y in bits(adj[x])) for x in order]
+            conj = tuple(tuple(inv[a[x]] for x in order) for a in gens)
+            found.append((code.code, Graph(n, tuple(rows)), conj))
+    found.sort(key=lambda item: item[0])
+    return tuple((g, gens) for _, g, gens in found)
 
 
 def gen_graphs(
@@ -303,7 +378,7 @@ def gen_graphs(
     check_cap(n, effective_limits().graphs_max_n, "gen_graphs")
     if n < 0:
         raise ValueError(f"negative order {n}")
-    for g in _graph_classes(n):
+    for g, _ in _graph_classes(n):
         if connected_only and not is_connected(g):
             continue
         if delta is not None and max_degree(g) != delta:
@@ -322,102 +397,3 @@ def gen_class(spec: ClassSpec) -> Iterator[Graph]:
     if spec.family == "connected_graphs":
         return gen_graphs(spec.n, connected_only=True)
     return gen_graphs(spec.n, delta=spec.delta)
-
-
-# ---------------------------------------------------------------------------
-# independent oracles for the test-suite
-# ---------------------------------------------------------------------------
-
-def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
-    """Labelled tree on n >= 2 vertices from a Pruefer sequence."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    ptr = 0
-    leaf = -1
-    for x in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            leaf = -1
-            ptr += 1
-    last = [v for v in range(n) if degree[v] == 1][-2:]
-    edges.append((last[0], last[1]))
-    return make_graph(n, edges)
-
-
-def prufer_tree_certs(n: int) -> frozenset:
-    """Certificates of all tree classes on n vertices via the n^(n-2)
-    labelled Pruefer decodings (oracle; practical for n <= 8)."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    if n == 1:
-        return frozenset({forest_certificate(make_graph(1, []))})
-    certs = {
-        forest_certificate(prufer_decode(n, seq))
-        for seq in product(range(n), repeat=n - 2)
-    }
-    return frozenset(certs)
-
-
-def leaf_extension_tree_certs(n: int) -> frozenset:
-    """Certificates of all tree classes on n vertices by attaching one
-    leaf to every vertex of every (n-1)-class (independent oracle)."""
-    reps: dict[tuple, Graph] = {forest_certificate(make_graph(1, [])): make_graph(1, [])}
-    for k in range(2, n + 1):
-        nxt: dict[tuple, Graph] = {}
-        for tree in reps.values():
-            for v in range(tree.n):
-                child = make_graph(k, tree.edges() + [(v, k - 1)])
-                cert = forest_certificate(child)
-                if cert not in nxt:
-                    nxt[cert] = child
-        reps = nxt
-    return frozenset(reps)
-
-
-def labelled_class_count(n: int, keep=None) -> int:
-    """Isomorphism classes among all 2^C(n,2) labelled graphs, counted by
-    marking whole permutation orbits (no canonical codes involved).
-
-    ``keep`` is an optional class-invariant predicate on a representative
-    (e.g. connectivity).  Practical for n <= 6.
-    """
-    npairs = len(pair_order(n))
-    index = {pq: k for k, pq in enumerate(pair_order(n))}
-    perm_maps = []
-    for p in permutations(range(n)):
-        perm_maps.append(
-            tuple(index[min(p[i], p[j]), max(p[i], p[j])] for (i, j) in pair_order(n))
-        )
-    seen = bytearray(1 << npairs)
-    count = 0
-    for m in range(1 << npairs):
-        if seen[m]:
-            continue
-        if keep is None or keep(graph_from_pair_mask(n, m)):
-            count += 1
-        for pm in perm_maps:
-            img = 0
-            t = m
-            while t:
-                low = t & -t
-                img |= 1 << pm[low.bit_length() - 1]
-                t ^= low
-            seen[img] = 1
-    return count
-
-
-def labelled_connected_count(n: int) -> int:
-    return labelled_class_count(n, keep=is_connected)
-
-
-def labelled_forest_count(n: int) -> int:
-    return labelled_class_count(n, keep=is_forest)

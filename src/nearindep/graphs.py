@@ -11,8 +11,10 @@ Isomorphism handling is exact but deliberately small-order:
 * ``canonical_code`` minimises the upper-triangle adjacency bit-string
   over all vertex relabellings by a pruned branch-and-bound search
   (equal codes <=> isomorphic, for n up to the canonicalisation cap).
-  ``canonical_form`` also returns generators of the automorphism group:
-  the search extends every column by one bit per level, places twins
+  ``canonical_form`` also returns generators of the automorphism group
+  and the canonical labelling, the vertex order that spells the code
+  (relabelling by it gives the one graph with that column code): the
+  search extends every column by one bit per level, places twins
   (vertices with the same neighbours apart from each other) in index
   order only, with their transpositions as generators, and turns each
   further minimal leaf into one more generator, so K_n and the empty
@@ -204,22 +206,6 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """The fixed order of vertex pairs used for labelled-graph bitmasks:
-    (0,1), (0,2), (1,2), (0,3), ... (same column order as graph6)."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def graph_from_pair_mask(n: int, mask: int) -> Graph:
-    """Labelled graph from a bitmask over pair_order(n); bit 0 = pair (0,1)."""
-    adj = [0] * n
-    for k, (i, j) in enumerate(pair_order(n)):
-        if mask >> k & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
-
-
 # ---------------------------------------------------------------------------
 # canonical codes (exact, permutation branch-and-bound)
 # ---------------------------------------------------------------------------
@@ -237,8 +223,10 @@ class CanonicalCode:
     code: int
 
 
-def canonical_form(g: Graph) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...]]:
-    """Canonical code together with a generating set of Aut(g).
+def canonical_form(
+    g: Graph,
+) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Canonical code, a generating set of Aut(g) and the canonical labelling.
 
     The search assigns vertices to positions 0..n-1 in order; placing a
     vertex at position j fixes the j bits of column j, which are exactly
@@ -257,6 +245,12 @@ def canonical_form(g: Graph) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...]
     group, and composing it with the inverse of the first such leaf
     gives one more generator.  The identity is never returned, so the
     trivial group has no generators.
+
+    The labelling is the first minimal leaf: ``order[i]`` is the vertex
+    placed at position i, so relabelling v to the position of v gives the
+    graph whose own column code is the canonical code.  Any two minimal
+    leaves differ by an automorphism, so the vertex at a given position
+    is determined up to Aut(g).
     """
     lim = effective_limits()
     if g.n > lim.canonical_max_n:
@@ -351,7 +345,7 @@ def canonical_form(g: Graph) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...]
         for pos, v in enumerate(leaves[0]):
             inv[v] = pos
         gens.extend(tuple(leaf[inv[v]] for v in range(n)) for leaf in leaves[1:])
-    return CanonicalCode(n, code), tuple(gens)
+    return CanonicalCode(n, code), tuple(gens), leaves[0] if leaves else ()
 
 
 def canonical_code(g: Graph) -> CanonicalCode:

@@ -4,7 +4,9 @@ from itertools import permutations
 import pytest
 from hypothesis import strategies as st
 
-from nearindep.graphs import Graph, graph_from_pair_mask, make_graph
+from nearindep.graphs import Graph, make_graph
+
+from oracles import graph_from_pair_mask
 
 
 @st.composite

@@ -14,15 +14,12 @@ from nearindep.generate import (
     gen_forests,
     gen_graphs,
     gen_trees,
-    labelled_connected_count,
-    prufer_tree_certs,
 )
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import (
     canonical_code,
     disjoint_union,
     forest_certificate,
-    graph_from_pair_mask,
     make_graph,
     make_named,
     relabel,
@@ -48,6 +45,7 @@ from nearindep.verify import (
 )
 
 from conftest import random_graph
+from oracles import graph_from_pair_mask, labelled_connected_count, prufer_tree_certs
 
 
 @contextmanager

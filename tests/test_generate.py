@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nearindep.generate import (
@@ -5,37 +7,42 @@ from nearindep.generate import (
     _is_center_rooted,
     _layout_to_graph,
     _next_rooted_layout,
+    _graph_classes,
     _orbit_min_subsets,
     gen_class,
     gen_forests,
     gen_graphs,
     gen_trees,
-    labelled_class_count,
-    labelled_connected_count,
-    labelled_forest_count,
-    leaf_extension_tree_certs,
-    prufer_decode,
-    prufer_tree_certs,
 )
 from nearindep.graphs import (
     canonical_code,
     canonical_form,
     connected_components,
     forest_certificate,
-    graph_from_pair_mask,
     is_connected,
     is_forest,
     make_graph,
     max_degree,
 )
 from nearindep.limits import CapabilityError
+from nearindep.sigma import q_ratio
 
 from conftest import brute_force_automorphisms, subset_image
+from oracles import (
+    graph_from_pair_mask,
+    labelled_class_count,
+    labelled_connected_count,
+    labelled_forest_count,
+    leaf_extension_tree_certs,
+    packed_code,
+    prufer_decode,
+    prufer_tree_certs,
+)
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]          # n = 1..10
 FOREST_COUNTS = [1, 2, 3, 6, 10, 20, 37, 76]               # n = 1..8
-GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]             # n = 0..7
-CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]              # n = 1..7
+GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]      # n = 0..8, OEIS A000088
+CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]       # n = 1..8, OEIS A001349
 
 
 def test_tree_counts():
@@ -131,7 +138,7 @@ def test_forests_distinct_and_acyclic():
 
 
 def test_graph_class_counts():
-    assert [sum(1 for _ in gen_graphs(n)) for n in range(0, 8)] == GRAPH_COUNTS
+    assert [sum(1 for _ in gen_graphs(n)) for n in range(0, 9)] == GRAPH_COUNTS
 
 
 def test_graph_counts_match_labelled_oracle():
@@ -141,7 +148,7 @@ def test_graph_counts_match_labelled_oracle():
 
 
 def test_connected_counts():
-    got = [sum(1 for _ in gen_graphs(n, connected_only=True)) for n in range(1, 8)]
+    got = [sum(1 for _ in gen_graphs(n, connected_only=True)) for n in range(1, 9)]
     assert got == CONNECTED_COUNTS
 
 
@@ -160,17 +167,78 @@ def test_exhaustiveness_small():
             assert canonical_code(graph_from_pair_mask(n, m)).code in stream
 
 
+@pytest.mark.parametrize("family, digest", [
+    ("all_graphs", "8f1517d5973fe03c2d9e0af4695960fb5bb6237ba257dce849b53ef3ee3b6c65"),
+    ("connected_graphs", "8e2b4b2e28c4be0676ae58b10a30513be2a4c531bb32d12cd69529a80314a85d"),
+])
+def test_code_and_q_sequence_is_pinned(family, digest):
+    """The (canonical code, Q) sequence of each graph stream, n <= 7, in
+    stream order.  It does not depend on which representative a class
+    gets, so it pins the generator's output independently of its method."""
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for g in gen_class(ClassSpec(family, n)):
+            q = q_ratio(g)
+            h.update(f"{n} {canonical_code(g).code} {q.numerator}/{q.denominator}\n".encode("ascii"))
+    assert h.hexdigest() == digest
+
+
+def graph_streams(n_max: int):
+    """Every graph universe (all, connected, each exact maximum degree)."""
+    for n in range(n_max + 1):
+        yield ClassSpec("all_graphs", n)
+        yield ClassSpec("connected_graphs", n)
+        for delta in range(n):
+            yield ClassSpec("bounded_degree_graphs", n, delta)
+
+
+def test_graph_streams_emit_each_class_spelled_by_its_code():
+    """Each class comes in its canonical labelling: the graph's own
+    column-packed code is its canonical code, so it is the one graph that
+    code spells.  Codes strictly increase along every stream."""
+    for spec in graph_streams(7):
+        codes = []
+        for g in gen_class(spec):
+            code = canonical_code(g).code
+            assert packed_code(g, range(g.n)) == code, spec
+            codes.append(code)
+        assert all(a < b for a, b in zip(codes, codes[1:])), spec
+
+
+def test_graph_streams_match_the_networkx_atlas():
+    """The code set of every graph stream equals that of the atlas of all
+    1,253 graphs on at most 7 vertices."""
+    nx = pytest.importorskip("networkx")
+    atlas = []
+    for h in nx.graph_atlas_g():
+        index = {v: i for i, v in enumerate(h.nodes)}
+        atlas.append(make_graph(len(index), [(index[u], index[v]) for u, v in h.edges]))
+    assert len(atlas) == 1253
+    for spec in graph_streams(7):
+        keep = {
+            "all_graphs": lambda g: True,
+            "connected_graphs": is_connected,
+            "bounded_degree_graphs": lambda g: max_degree(g) == spec.delta,
+        }[spec.family]
+        theirs = {canonical_code(g).code for g in atlas if g.n == spec.n and keep(g)}
+        assert {canonical_code(g).code for g in gen_class(spec)} == theirs, spec
+
+
 def test_orbit_min_subsets_match_the_brute_force_group():
     """Orbit marking from the generators keeps exactly the subsets that no
-    automorphism (all n! relabellings tried) maps to a smaller one."""
+    automorphism (all n! relabellings tried) maps to a smaller one.  That
+    holds for the generators ``canonical_form`` returns and for those the
+    generator carries from one order to the next, conjugated into each
+    class's canonical labelling."""
     for n in range(7):
-        for g in gen_graphs(n):
+        for g, carried in _graph_classes(n):
             group = brute_force_automorphisms(g)
             minima = [
                 s for s in range(1 << n)
                 if all(subset_image(s, phi) >= s for phi in group)
             ]
             assert list(_orbit_min_subsets(n, canonical_form(g)[1])) == minima
+            assert list(_orbit_min_subsets(n, carried)) == minima
 
 
 def test_delta_filter():

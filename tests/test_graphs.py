@@ -12,7 +12,6 @@ from nearindep.graphs import (
     connected_components,
     disjoint_union,
     forest_certificate,
-    graph_from_pair_mask,
     induced_subgraph,
     is_forest,
     make_graph,
@@ -24,6 +23,7 @@ from nearindep.graphs import (
 from nearindep.limits import CapabilityError
 
 from conftest import brute_force_automorphisms, graphs, random_graph
+from oracles import graph_from_code, graph_from_pair_mask, packed_code
 
 
 def test_make_graph_examples():
@@ -179,16 +179,6 @@ def closure(n: int, gens) -> set[tuple[int, ...]]:
     return group
 
 
-def packed_code(g, order) -> int:
-    """Column-packed code of g relabelled so that position i holds vertex
-    order[i]: bits (0,1), (0,2), (1,2), (0,3), ..., most significant first."""
-    code = 0
-    for j in range(g.n):
-        for i in range(j):
-            code = code << 1 | g.adj[order[j]] >> order[i] & 1
-    return code
-
-
 def group_order(n: int, gens) -> int:
     """Order of the group generated by gens, by the Schreier-Sims algorithm:
     a base b_0, b_1, ... and, for each stabiliser G_i of b_0..b_{i-1}, strong
@@ -282,11 +272,11 @@ def test_group_order_helper_matches_closure(rng):
 def test_canonical_form_automorphisms(rng):
     """The second element is a set of generators, not the group: every
     one is an automorphism other than the identity."""
-    _, gens = canonical_form(make_named("star", 5))
+    _, gens, _ = canonical_form(make_named("star", 5))
     assert len(closure(5, gens)) == 24  # the four leaves permute freely
     for _ in range(40):
         g = random_graph(rng.randint(0, 8), rng)
-        _, gens = canonical_form(g)
+        _, gens, _ = canonical_form(g)
         assert tuple(range(g.n)) not in gens
         for phi in gens:
             assert relabel(g, phi) == g
@@ -301,7 +291,7 @@ def test_canonical_form_generates_the_whole_group(rng):
 def test_canonical_form_groups_of_complete_and_empty_graphs():
     for n in range(7):
         for family in ("complete", "empty"):
-            _, gens = canonical_form(make_named(family, n))
+            _, gens, _ = canonical_form(make_named(family, n))
             assert len(gens) == max(n - 1, 0)
             assert len(closure(n, gens)) == factorial(n)
 
@@ -311,6 +301,19 @@ def test_canonical_form_groups_of_complete_and_empty_graphs():
 def test_canonical_code_is_the_minimum_over_all_relabellings(g):
     least = min(packed_code(g, order) for order in itertools.permutations(range(g.n)))
     assert canonical_code(g).code == least
+
+
+@settings(max_examples=80)
+@given(graphs(max_n=8))
+def test_canonical_labelling_spells_the_code(g):
+    """Relabelling by the returned labelling (position i holds vertex
+    order[i]) gives the graph spelled by the canonical code."""
+    code, _, order = canonical_form(g)
+    assert sorted(order) == list(range(g.n))
+    inv = [0] * g.n
+    for pos, v in enumerate(order):
+        inv[v] = pos
+    assert relabel(g, inv) == graph_from_code(g.n, code.code)
 
 
 def _petersen():
@@ -336,7 +339,7 @@ def test_canonical_form_at_the_cap(g, order, least, rng):
     back with their whole group.  ``least`` is a relabelling known to
     attain the minimum: the independent set of the leaves or of one side
     first (K_n is all ones and the empty graph 0 under any order)."""
-    code, gens = canonical_form(g)
+    code, gens, _ = canonical_form(g)
     assert group_order(10, gens) == order
     if order == factorial(10):
         assert len(gens) <= 9

@@ -9,7 +9,6 @@ from hypothesis import given
 import nearindep.sigma
 from nearindep.graphs import (
     disjoint_union,
-    graph_from_pair_mask,
     is_forest,
     make_graph,
     make_named,
@@ -28,6 +27,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs, random_graph
+from oracles import graph_from_pair_mask
 
 
 def all_labelled(n):

@@ -223,10 +223,10 @@ def _shifted_q(delta):
 GENERAL_4_SHIFTED = [
     ("C?", F(-1, 3), F(0), "negative ratio"),
     ("C?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
-    ("CC", F(0), F(0), "zero ratio off the edgeless graph"), ("CC", F(0), F(1, 3), ""),
-    ("CE", F(1, 15), F(1, 3), ""),
+    ("C@", F(0), F(0), "zero ratio off the edgeless graph"), ("C@", F(0), F(1, 3), ""),
+    ("CB", F(1, 15), F(1, 3), ""),
     ("CF", F(0), F(0), "zero ratio off the edgeless graph"), ("CF", F(0), F(1, 3), ""),
-    ("CU", F(7, 24), F(1, 3), ""), ("C]", F(5, 21), F(1, 3), ""),
+    ("CL", F(7, 24), F(1, 3), ""), ("C]", F(5, 21), F(1, 3), ""),
 ]
 
 # (patched names of nearindep.verify, run, violations, equality witnesses, note keys)
@@ -235,7 +235,7 @@ VIOLATION_CASES = {
         {"q_ratio": _shifted_q(F(-1, 3))},
         lambda: verify_general_lower(4),
         GENERAL_4_SHIFTED,
-        ["CQ"],
+        ["CK"],
         ["second_smallest", "second_smallest_witnesses", "bound"],
     ),
     "3.1": (
@@ -243,7 +243,7 @@ VIOLATION_CASES = {
         lambda: verify_general_lower(3),
         [("B?", F(-1, 3), F(0), "negative ratio"),
          ("B?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
-         ("BO", F(0), F(0), "zero ratio off the edgeless graph")],
+         ("BG", F(0), F(0), "zero ratio off the edgeless graph")],
         [],
         ["second_smallest", "second_smallest_witnesses"],
     ),
@@ -251,7 +251,7 @@ VIOLATION_CASES = {
         {"q_ratio": _shifted_q(F(-1, 3))},
         lambda: run_theorem("3.5", 4)[0],
         GENERAL_4_SHIFTED,
-        ["CQ"],
+        ["CK"],
         ["second_smallest", "second_smallest_witnesses", "bound"],
     ),
     "3.2-below": (
@@ -266,7 +266,7 @@ VIOLATION_CASES = {
         {"is_star_graph": lambda g: g.edge_count() == g.n},
         lambda: verify_connected_lower(4),
         [("CF", F(1, 3), F(1, 3), "bound attained by a non-star graph"),
-         ("CV", F(5, 7), F(1, 3), "star does not attain the bound")],
+         ("CN", F(5, 7), F(1, 3), "star does not attain the bound")],
         ["CF"],
         ["bound"],
     ),
@@ -281,40 +281,40 @@ VIOLATION_CASES = {
     "3.4-below": (
         {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1, 2)},
         lambda: verify_max_degree_lower(4, 1),
-        [("CC", F(1, 3), F(1, 2), ""),
-         ("CC", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
+        [("C@", F(1, 3), F(1, 2), ""),
+         ("C@", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
         [],
         ["bound", "bound_attained"],
     ),
     "3.6-below": (
         {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1, 2)},
         lambda: verify_max_degree_lower(5, 3),
-        [("D?w", F(1, 3), F(1, 2), ""),
-         ("D?w", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
+        [("D?[", F(1, 3), F(1, 2), ""),
+         ("D?[", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
         [],
         ["bound", "bound_attained"],
     ),
     "3.6-delta2": (
         {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1)},
         lambda: verify_max_degree_lower(5, 2),
-        [("D?o", F(2, 5), F(1, 2), "")],
+        [("D?K", F(2, 5), F(1, 2), "")],
         [],
         ["bound", "bound_attained", "anomaly"],
     ),
     "3.4-off": (
         {"is_star_graph": lambda g: False},
         lambda: verify_max_degree_lower(4, 1),
-        [("CC", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
+        [("C@", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
          ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
-        ["CC"],
+        ["C@"],
         ["bound", "bound_attained"],
     ),
     "3.6-off": (
         {"is_star_graph": lambda g: False},
         lambda: verify_max_degree_lower(5, 3),
-        [("D?w", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
+        [("D?[", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
          ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
-        ["D?w"],
+        ["D?["],
         ["bound", "bound_attained"],
     ),
     "4.1": (
