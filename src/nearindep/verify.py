@@ -28,7 +28,10 @@ The catalogue of named checks (the ``--theorem`` ids of the CLI):
 * 4.5  forests: Q <= n/4 - 1/6, tight at order 2.
 
 A bound check is a ``Check`` record, applied by the one scan loop
-(``_scan``) to a scored table of (graph, graph6, Q) rows.
+(``_scan``) to a scored table of (graph, Q) rows.  A graph6 string is
+emitted only for a graph that a report names.  The leaf checks count
+every deletion of a tree from one set of rooted branch states
+(``leaf_deletion_counts``) instead of solving each deleted subgraph.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Callable
 
 from .generate import ClassSpec, gen_class
 from .graph6 import emit_graph6
 from .graphs import (
     Graph,
-    closed_neighborhood,
+    bits,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -54,7 +58,9 @@ from .sigma import q_ratio, sigma01, star_q
 
 ONE_THIRD = Fraction(1, 3)
 
-Row = tuple[Graph, str, Fraction]  # one scored member of a universe: (graph, graph6, Q)
+Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q)
+Pair = tuple[int, int]  # (sigma0, sigma1) of one graph
+State = tuple[int, int, int, int]  # a rooted branch: (a0, a1, b0, b1), see _graft
 
 
 @dataclass(frozen=True)
@@ -184,41 +190,51 @@ FOREST_BOUNDS = {
 
 
 def _score(spec: ClassSpec, jobs: int = 1) -> list[Row]:
-    """Every member of the universe with its graph6 string and Q, in
-    generation order; Q optionally over worker processes."""
+    """Every member of the universe with its Q, in generation order; Q
+    optionally over worker processes."""
     graphs = list(gen_class(spec))
     if jobs > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             qs = list(ex.map(q_ratio, graphs, chunksize=max(1, len(graphs) // (4 * jobs))))
     else:
         qs = [q_ratio(g) for g in graphs]
-    return list(zip(graphs, map(emit_graph6, graphs), qs))
+    return list(zip(graphs, qs))
 
 
-def _scan(check: Check, spec: ClassSpec, rows: list[Row]) -> VerificationReport:
+def _scan(
+    check: Check, spec: ClassSpec, rows: list[Row], at: list[int] | None = None
+) -> VerificationReport:
     """The one loop comparing Q with a bound: ``check`` over the scored
-    rows of ``spec``, plus the extremal witnesses."""
+    rows of ``spec``, plus the extremal witnesses.  ``at``, if given,
+    receives the row index of each violation, in step with them (the
+    count of rows for a missing extremal graph)."""
     report = VerificationReport(check.theorem_id, spec, len(rows))
     if rows:
-        report.min_witness = min(rows, key=lambda r: r[2])[1:]
-        report.max_witness = max(rows, key=lambda r: r[2])[1:]
+        lo, hi = min(rows, key=itemgetter(1)), max(rows, key=itemgetter(1))
+        report.min_witness = emit_graph6(lo[0]), lo[1]
+        report.max_witness = emit_graph6(hi[0]), hi[1]
     bound = check.bound(spec)
     if bound is None:
         return report
-    for g, g6, q in rows:
+    for i, (g, q) in enumerate(rows):
         if check.exempt and check.exempt(g):
             continue
         if (q < bound) if check.op == ">=" else (q > bound):
-            report.violations.append(Violation(g6, q, bound))
+            report.violations.append(Violation(emit_graph6(g), q, bound))
         elif q == bound:
+            g6 = emit_graph6(g)
             report.equality_witnesses.append(g6)
             if check.extremal and not check.extremal(g, spec):
                 report.violations.append(Violation(g6, q, bound, check.off))
+        if at is not None:
+            at += [i] * (len(report.violations) - len(at))
     if check.extremal:
-        first = next(((g6, q) for g, g6, q in rows if check.extremal(g, spec)), None)
+        first = next(((g, q) for g, q in rows if check.extremal(g, spec)), None)
         if first is None or first[1] != bound:
-            g6, q = first or ("", Fraction(0))
+            g6, q = (emit_graph6(first[0]), first[1]) if first else ("", Fraction(0))
             report.violations.append(Violation(g6, q, bound, check.miss))
+            if at is not None:
+                at.append(len(rows))
     report.notes["bound"] = bound
     if check.note_attained:
         report.notes["bound_attained"] = bool(report.equality_witnesses)
@@ -228,27 +244,29 @@ def _scan(check: Check, spec: ClassSpec, rows: list[Row]) -> VerificationReport:
 def _general_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     """Checks 3.1 and 3.5: the star bound, the zero-iff-edgeless test and
     the second-smallest Q."""
-    report = _scan(GENERAL_LOWER, spec, rows)
+    at: list[int] = []
+    report = _scan(GENERAL_LOWER, spec, rows, at)
     if spec.n < 4:
         report.theorem_id = "thm-3.1"
     zero, found = Fraction(0), []
-    for g, g6, q in rows:
+    for i, (g, q) in enumerate(rows):
         empty = g.edge_count() == 0
-        if q < 0:
-            found.append(Violation(g6, q, zero, "negative ratio"))
-        if empty and q != 0:
-            found.append(Violation(g6, q, zero, "edgeless graph with nonzero ratio"))
-        if not empty and q == 0:
-            found.append(Violation(g6, q, zero, "zero ratio off the edgeless graph"))
+        for context, fails in (
+            ("negative ratio", q < 0),
+            ("edgeless graph with nonzero ratio", empty and q != 0),
+            ("zero ratio off the edgeless graph", not empty and q == 0),
+        ):
+            if fails:
+                found.append((i, Violation(emit_graph6(g), q, zero, context)))
     if found:  # graph by graph, the zero test's violations come first
-        position = {g6: i for i, (_, g6, _) in enumerate(rows)}
-        report.violations = sorted(found + report.violations, key=lambda v: position[v.graph6])
-    nonzero = [(g6, q) for g, g6, q in rows if g.edge_count()]
+        found += zip(at, report.violations)
+        report.violations = [v for _, v in sorted(found, key=itemgetter(0))]
+    nonzero = [(g, q) for g, q in rows if g.edge_count()]
     if nonzero:
         second = min(q for _, q in nonzero)
         report.notes = {
             "second_smallest": second,
-            "second_smallest_witnesses": [g6 for g6, q in nonzero if q == second],
+            "second_smallest_witnesses": [emit_graph6(g) for g, q in nonzero if q == second],
         } | report.notes
     return report
 
@@ -269,46 +287,138 @@ def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     return report
 
 
+# ---------------------------------------------------------------------------
+# the leaf lemmas: every deletion of a tree from its rooted branches
+# ---------------------------------------------------------------------------
+
+LEAF: State = (1, 0, 1, 0)  # a single vertex as a rooted branch
+
+
+def _graft(root: State, branch: State) -> State:
+    """The rooted state ``root`` with ``branch`` hung from its root.
+
+    A state counts the subsets of a rooted tree by (root included in a*,
+    excluded in b*; induced edges 0 or 1), as in ``sigma01_tree_dp``.
+    Read as polynomials mod x^2, where x marks one induced edge, grafting
+    multiplies a by (b + x a0) of the branch and b by (b + a) of it.
+    """
+    a0, a1, b0, b1 = root
+    ca0, ca1, cb0, cb1 = branch
+    out0 = cb0 + ca0
+    return a0 * cb0, a1 * cb0 + a0 * (cb1 + ca0), b0 * out0, b1 * out0 + b0 * (cb1 + ca1)
+
+
+def _prune(whole: State, branch: State) -> State:
+    """The inverse of ``_graft``: ``whole`` with ``branch`` cut from its
+    root.  Each factor of the graft has a constant term of at least 1, so
+    both polynomial divisions are exact."""
+    a0, a1, b0, b1 = whole
+    ca0, ca1, cb0, cb1 = branch
+    out0 = cb0 + ca0
+    ra0, rb0 = a0 // cb0, b0 // out0
+    return ra0, (a1 - ra0 * (cb1 + ca0)) // cb0, rb0, (b1 - rb0 * (cb1 + ca1)) // out0
+
+
+def leaf_deletion_counts(tree: Graph) -> list[tuple[int, Pair, Pair, Pair]]:
+    """(v, sigma of T-v, sigma of T-N[v], sigma of T-N[u]) for every leaf
+    v of a tree on n >= 1 vertices, in vertex order, with u the support
+    vertex of v and each sigma a (sigma0, sigma1) pair.
+
+    One BFS from vertex 0 gives, for every vertex z, ``down[z]``: the
+    branch at z away from its BFS parent, built bottom-up by ``_graft``.
+    Top-down, the whole tree rooted at each vertex follows, and ``up[z]``,
+    the branch at the parent away from z, is that whole tree at the
+    parent with down[z] cut away by ``_prune``.  That is O(n) per tree.
+
+    At the support vertex u, the whole tree rooted there has parts
+    A (u included) and B (u excluded), and the leaf v contributes the
+    factors 1 + x to A and 2 to B.  So T-N[v] = T-u-v counts B / 2,
+    T-v counts A / (1 + x) + B / 2, and T-N[u] counts the product of the
+    excluded parts of the branches at u.  Plain loops, no closures and no
+    recursion, like ``sigma01_tree_dp``.
+    """
+    adj = tree.adj
+    n = tree.n
+    parent = [-1] * n
+    order = [0]
+    seen = 1
+    for v in order:  # grows while it is walked: a BFS queue
+        kids = adj[v] & ~seen
+        seen |= kids
+        while kids:
+            low = kids & -kids
+            z = low.bit_length() - 1
+            parent[z] = v
+            order.append(z)
+            kids ^= low
+    if len(order) != n or tree.edge_count() != n - 1:
+        raise ValueError("leaf_deletion_counts requires a tree")
+    down = [LEAF] * n
+    for z in reversed(order[1:]):
+        down[parent[z]] = _graft(down[parent[z]], down[z])
+    up, whole = [LEAF] * n, [LEAF] * n
+    whole[0] = down[0]
+    for z in order[1:]:  # a parent comes before its children
+        up[z] = _prune(whole[parent[z]], down[z])
+        whole[z] = _graft(down[z], up[z])
+    out = []
+    minus_nu: dict[int, Pair] = {}
+    for v in range(n):
+        if tree.degree(v) != 1:
+            continue
+        u = adj[v].bit_length() - 1
+        if u not in minus_nu:
+            nu0, nu1 = 1, 0
+            for y in bits(adj[u]):
+                _, _, yb0, yb1 = down[y] if parent[y] == u else up[u]
+                nu0, nu1 = nu0 * yb0, nu1 * yb0 + nu0 * yb1
+            minus_nu[u] = nu0, nu1
+        a0, a1, b0, b1 = whole[u]
+        nv0, nv1 = b0 >> 1, b1 >> 1
+        out.append((v, (a0 + nv0, a1 - a0 + nv1), (nv0, nv1), minus_nu[u]))
+    return out
+
+
+def leaf_lemma_failures(
+    n: int, t: Pair, minus_v: Pair, minus_nv: Pair, minus_nu: Pair
+) -> list[tuple[Fraction, Fraction, str]]:
+    """(lhs, rhs, lemma) for each of the lemmas 4.2-4.4 that one leaf of a
+    tree of order n breaks, given the (sigma0, sigma1) pairs of T, T-v,
+    T-N[v] and T-N[u].
+
+    Each test is an integer identity or inequality; the Fractions are
+    built only for a failure, with the values of the rational forms in
+    ``verify_leaf_lemmas``.
+    """
+    (t0, t1), (v0, v1), (nv0, nv1), (nu0, nu1) = t, minus_v, minus_nv, minus_nu
+    out = []
+    num = 1 << (n - 2)
+    if nv0 * (num + 1) > v0 * num:
+        out.append((Fraction(nv0, v0), Fraction(num, num + 1), "lemma-4.2"))
+    if t1 * (nv0 + v0) > t0 * (v1 + nv0 + nv1):
+        out.append((Fraction(t1, t0), Fraction(v1 + nv0 + nv1, nv0 + v0), "lemma-4.3"))
+    if t0 != 2 * nv0 + nu0:
+        out.append((Fraction(t0), Fraction(2 * nv0 + nu0), "lemma-4.4 sigma0"))
+    split = nv0 * v1 + nv1 * v0 + nu0 * (v0 + v1)
+    if t1 * v0 != split:
+        out.append((Fraction(t1, t0), Fraction(split, v0 * t0), "lemma-4.4 ratio"))
+    return out
+
+
 def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
-    """Checks 4.2-4.4, leaf by leaf, over the trees of ``rows``."""
-    n = spec.n
+    """Checks 4.2-4.4, leaf by leaf, over the trees of ``rows``: sigma of
+    each tree from ``sigma01``, so that 4.4 compares two independent
+    counts, and sigma of its leaf deletions from ``leaf_deletion_counts``."""
     report = VerificationReport("lem-4.2/4.3/4.4", spec, 0)
-    ratio_cap = 1 - Fraction(1, (1 << (n - 2)) + 1)
-    for tree, g6, _ in rows:
-        full = tree.full_mask
+    for tree, _ in rows:
         pair_t = sigma01(tree)
-        q_t = pair_t.q
-        for v in range(n):
-            if tree.degree(v) != 1:
-                continue
-            u = tree.adj[v].bit_length() - 1
-            minus_v = induced_subgraph(tree, full & ~(1 << v))
-            minus_nv = induced_subgraph(tree, full & ~closed_neighborhood(tree, v))
-            minus_nu = induced_subgraph(tree, full & ~closed_neighborhood(tree, u))
-            p_v, p_nv, p_nu = sigma01(minus_v), sigma01(minus_nv), sigma01(minus_nu)
+        t = pair_t.sigma0, pair_t.sigma1
+        g6 = ""
+        for v, *deletions in leaf_deletion_counts(tree):
             report.checked += 1
-            ctx = f"leaf {v}"
-
-            ratio = Fraction(p_nv.sigma0, p_v.sigma0)
-            if ratio > ratio_cap:
-                report.violations.append(Violation(g6, ratio, ratio_cap, f"lemma-4.2 {ctx}"))
-
-            r = Fraction(p_v.sigma0, p_nv.sigma0)
-            leaf_bound = (r * p_v.q + 1 + p_nv.q) / (1 + r)
-            if q_t > leaf_bound:
-                report.violations.append(Violation(g6, q_t, leaf_bound, f"lemma-4.3 {ctx}"))
-
-            lhs44 = Fraction(pair_t.sigma0)
-            rhs44 = Fraction(2 * p_nv.sigma0 + p_nu.sigma0)
-            if lhs44 != rhs44:
-                report.violations.append(Violation(g6, lhs44, rhs44, f"lemma-4.4 sigma0 {ctx}"))
-
-            decomposed = (
-                Fraction(2 * p_nv.sigma0, pair_t.sigma0) * (p_v.q + p_nv.q) / 2
-                + Fraction(p_nu.sigma0, pair_t.sigma0) * (1 + p_v.q)
-            )
-            if q_t != decomposed:
-                report.violations.append(Violation(g6, q_t, decomposed, f"lemma-4.4 ratio {ctx}"))
+            for lhs, rhs, lemma in leaf_lemma_failures(spec.n, t, *deletions):
+                g6 = g6 or emit_graph6(tree)
+                report.violations.append(Violation(g6, lhs, rhs, f"{lemma} leaf {v}"))
     return report
 
 
@@ -420,6 +530,12 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
     * sigma0(T) = 2 sigma0(T-N[v]) + sigma0(T-N[u])
     * Q(T) = (2 sigma0(T-N[v]) / sigma0(T)) (Q(T-v) + Q(T-N[v])) / 2
              + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
+
+    The counts of T come from ``sigma01`` and those of the three
+    deletions from ``leaf_deletion_counts``, so the identities compare
+    two independent methods.  Each line is tested as the integer form
+    of ``leaf_lemma_failures``; a violation reports the rational sides
+    above.
     """
     return _verify("4.2", n)
 

@@ -2,13 +2,23 @@
 
 Labelled enumerations (Pruefer sequences, leaf extension, orbit marking
 over all 2^C(n,2) labelled graphs) that check the isomorph-free streams
-of ``nearindep.generate`` on small orders without canonical codes, and
-the column-packed code of a fixed labelling.
+of ``nearindep.generate`` on small orders without canonical codes, the
+column-packed code of a fixed labelling, and the leaf deletions of a tree
+solved one induced subgraph at a time.
 """
 
 from itertools import permutations, product
 
-from nearindep.graphs import Graph, forest_certificate, is_connected, is_forest, make_graph
+from nearindep.graphs import (
+    Graph,
+    closed_neighborhood,
+    forest_certificate,
+    induced_subgraph,
+    is_connected,
+    is_forest,
+    make_graph,
+)
+from nearindep.sigma import sigma01
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -144,3 +154,19 @@ def packed_code(g: Graph, order) -> int:
         for i in range(j):
             code = code << 1 | g.adj[order[j]] >> order[i] & 1
     return code
+
+
+def leaf_deletion_counts(tree: Graph) -> list[tuple]:
+    """(v, sigma of T-v, sigma of T-N[v], sigma of T-N[u]) for every leaf v
+    of a tree, u its support vertex, each sigma a (sigma0, sigma1) pair:
+    one ``induced_subgraph`` and one ``sigma01`` per deleted set."""
+    full = tree.full_mask
+    out = []
+    for v in range(tree.n):
+        if tree.degree(v) != 1:
+            continue
+        u = tree.adj[v].bit_length() - 1
+        kept = (full & ~(1 << v), full & ~closed_neighborhood(tree, v), full & ~closed_neighborhood(tree, u))
+        pairs = [sigma01(induced_subgraph(tree, mask)) for mask in kept]
+        out.append((v, *((p.sigma0, p.sigma1) for p in pairs)))
+    return out

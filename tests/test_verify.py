@@ -1,15 +1,22 @@
+import gc
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nearindep.verify as verify_module
-from nearindep.generate import ClassSpec
-from nearindep.graph6 import parse_graph6
-from nearindep.graphs import is_forest, make_named, max_degree
-from nearindep.sigma import q_ratio, star_q
+from nearindep.generate import ClassSpec, gen_trees
+from nearindep.graph6 import emit_graph6, parse_graph6
+from nearindep.graphs import is_forest, make_graph, make_named, max_degree
+from nearindep.sigma import SigmaPair, q_ratio, sigma01, star_q
 from nearindep.verify import (
     extremal_scan,
     is_star_graph,
+    leaf_deletion_counts,
+    leaf_lemma_failures,
     run_theorem,
     strip_isolated,
     verify_connected_lower,
@@ -19,6 +26,8 @@ from nearindep.verify import (
     verify_max_degree_lower,
     verify_tree_lower,
 )
+
+import oracles
 
 
 def test_connected_lower_small():
@@ -346,3 +355,173 @@ def test_violation_paths(monkeypatch, case):
     assert report.equality_witnesses == witnesses
     assert list(report.notes) == note_keys
     assert not report.passed
+
+
+# sigma01 perturbed on the trees of order n only: each mutant breaks one
+# side of the leaf identities; (sha256 of the reports' JSON for n = 2..8,
+# violations by lemma), recorded when the deletions were solved one
+# induced subgraph at a time, as tests/oracles.py still does
+LEAF_LEMMA_MUTANTS = {
+    "s0+1": (
+        lambda p: SigmaPair(p.sigma0 + 1, p.sigma1),
+        "890359ee3ee6e927a9ae45bb27374048bfd37502bdabbfa93c82828310a73cd1",
+        {"lemma-4.4 sigma0": 183},
+    ),
+    "s0-1": (
+        lambda p: SigmaPair(p.sigma0 - 1, p.sigma1),
+        "b47e94a16f7f530cd9452df915704dd362d549eaa0b52f4f02c4517a8733d60a",
+        {"lemma-4.3": 2, "lemma-4.4 sigma0": 183},
+    ),
+    "s1+1": (
+        lambda p: SigmaPair(p.sigma0, p.sigma1 + 1),
+        "45b0039c49f0aa47bae06b9b82332d7319ad6305d5bf26ca5c7ee2fe31ddbc80",
+        {"lemma-4.3": 2, "lemma-4.4 ratio": 183},
+    ),
+    "s1*2": (
+        lambda p: SigmaPair(p.sigma0, 2 * p.sigma1),
+        "9ae5ab4c2ae3a3631d71bc526801587140a8df267de76bd5f95c5cecba21b496",
+        {"lemma-4.3": 153, "lemma-4.4 ratio": 183},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(LEAF_LEMMA_MUTANTS))
+def test_leaf_lemma_violation_paths(monkeypatch, mutant):
+    perturb, digest, by_lemma = LEAF_LEMMA_MUTANTS[mutant]
+    docs, found = [], Counter()
+    for n in range(2, 9):
+        monkeypatch.setattr(
+            verify_module, "sigma01", lambda g, n=n: perturb(sigma01(g)) if g.n == n else sigma01(g)
+        )
+        report = verify_module._verify("4.2", n)
+        docs.append(report.to_json())
+        found.update(v.context.rsplit(" leaf ", 1)[0] for v in report.violations)
+    assert dict(found) == by_lemma
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_leaf_deletion_counts_match_subgraph_oracle():
+    leaves = 0
+    for n in range(1, 11):
+        for tree in gen_trees(n):
+            got = leaf_deletion_counts(tree)
+            assert got == oracles.leaf_deletion_counts(tree)
+            leaves += len(got)
+    assert leaves == sum(r.checked for r in map(verify_leaf_lemmas, range(2, 11)))
+
+
+@st.composite
+def labelled_trees(draw, max_n: int = 16):
+    n = draw(st.integers(2, max_n))
+    return oracles.prufer_decode(n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))))
+
+
+@given(labelled_trees())
+def test_leaf_deletion_counts_on_labelled_trees(tree):
+    assert leaf_deletion_counts(tree) == oracles.leaf_deletion_counts(tree)
+
+
+def test_leaf_deletion_counts_reject_non_trees():
+    cycle = make_graph(5, [(v, (v + 1) % 5) for v in range(5)])
+    for g in (cycle, make_named("empty", 2)):
+        with pytest.raises(ValueError):
+            leaf_deletion_counts(g)
+    assert leaf_deletion_counts(make_named("empty", 1)) == []
+
+
+def test_leaf_deletion_counts_leave_no_cyclic_garbage():
+    tree = oracles.prufer_decode(12, (3, 3, 7, 0, 11, 7, 7, 2, 9, 0))
+    gc.collect()
+    gc.disable()
+    try:
+        leaf_deletion_counts(tree)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def fraction_leaf_failures(n, t, minus_v, minus_nv, minus_nu):
+    """The leaf lemmas as the rational comparisons written out in
+    ``verify_leaf_lemmas``, term by term."""
+    q = lambda p: Fraction(p[1], p[0])  # noqa: E731
+    ratio_cap = 1 - Fraction(1, (1 << (n - 2)) + 1)
+    q_t, out = q(t), []
+    ratio = Fraction(minus_nv[0], minus_v[0])
+    if ratio > ratio_cap:
+        out.append((ratio, ratio_cap, "lemma-4.2"))
+    r = Fraction(minus_v[0], minus_nv[0])
+    leaf_bound = (r * q(minus_v) + 1 + q(minus_nv)) / (1 + r)
+    if q_t > leaf_bound:
+        out.append((q_t, leaf_bound, "lemma-4.3"))
+    lhs44, rhs44 = Fraction(t[0]), Fraction(2 * minus_nv[0] + minus_nu[0])
+    if lhs44 != rhs44:
+        out.append((lhs44, rhs44, "lemma-4.4 sigma0"))
+    decomposed = (
+        Fraction(2 * minus_nv[0], t[0]) * (q(minus_v) + q(minus_nv)) / 2
+        + Fraction(minus_nu[0], t[0]) * (1 + q(minus_v))
+    )
+    if q_t != decomposed:
+        out.append((q_t, decomposed, "lemma-4.4 ratio"))
+    return out
+
+
+@st.composite
+def leaf_pairs(draw):
+    """(n, T, T-v, T-N[v], T-N[u]) as (sigma0, sigma1) lists, optionally
+    placed on, or one off, the boundary of one of the four tests."""
+    n = draw(st.integers(2, 16))
+    t, v, nv, nu = ([draw(st.integers(1, 10**6)), draw(st.integers(0, 10**6))] for _ in range(4))
+    off, k = draw(st.integers(-1, 1)), draw(st.integers(1, 50))
+    tie = draw(st.sampled_from(("none", "4.2", "4.3", "4.4 sigma0", "4.4 ratio")))
+    if tie == "4.2":
+        num = 1 << (n - 2)
+        v[0], nv[0] = k * (num + 1), max(1, k * num + off)
+    elif tie == "4.3":
+        t[0], t[1] = k * (nv[0] + v[0]), k * (v[1] + nv[0] + nv[1]) + off
+    elif tie == "4.4 sigma0":
+        t[0] = 2 * nv[0] + nu[0] + off
+    elif tie == "4.4 ratio":
+        v[1] = k * v[0]
+        t[1] = (nv[0] * v[1] + nv[1] * v[0] + nu[0] * (v[0] + v[1])) // v[0] + off
+    return n, *map(tuple, (t, v, nv, nu))
+
+
+@given(leaf_pairs())
+def test_leaf_lemma_predicates_match_fractions(case):
+    assert leaf_lemma_failures(*case) == fraction_leaf_failures(*case)
+
+
+@pytest.mark.parametrize("case, fired", [
+    # the 3-path at an end: T = (5, 2), T-v = the 2-path, T-N[v] = one vertex
+    ((3, (5, 2), (3, 1), (2, 0), (1, 0)), []),  # 4.2 holds with equality
+    ((3, (5, 2), (3, 1), (3, 0), (1, 0)), ["lemma-4.2", "lemma-4.4 sigma0", "lemma-4.4 ratio"]),
+    ((3, (5, 3), (3, 1), (2, 0), (1, 0)), ["lemma-4.4 ratio"]),  # 4.3 holds with equality
+    ((3, (5, 4), (3, 1), (2, 0), (1, 0)), ["lemma-4.3", "lemma-4.4 ratio"]),
+    ((3, (6, 2), (3, 1), (2, 0), (1, 0)), ["lemma-4.4 sigma0"]),  # the ratio test ignores t0
+])
+def test_leaf_lemma_predicates_examples(case, fired):
+    got = leaf_lemma_failures(*case)
+    assert [lemma for _, _, lemma in got] == fired
+    assert got == fraction_leaf_failures(*case)
+
+
+def _graph6_strings(report) -> int:
+    return (
+        (report.min_witness is not None) + (report.max_witness is not None)
+        + len(report.equality_witnesses) + sum(bool(v.graph6) for v in report.violations)
+        + len(report.notes.get("second_smallest_witnesses", ()))
+    )
+
+
+@pytest.mark.parametrize("theorem, n_max", [("4.1", 12), ("all", 6)])
+def test_graph6_emitted_only_for_reported_graphs(monkeypatch, theorem, n_max):
+    calls = Counter()
+
+    def counting_emit(g):
+        calls["emit"] += 1
+        return emit_graph6(g)
+
+    monkeypatch.setattr(verify_module, "emit_graph6", counting_emit)
+    reports = run_theorem(theorem, n_max)
+    distinct = {id(r): r for r in reports}.values()  # 'all' lists shared reports more than once
+    assert calls["emit"] == sum(map(_graph6_strings, distinct)) > 0
