@@ -38,27 +38,29 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
 
 
 def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
-    """Labelled tree on n >= 2 vertices from a Pruefer sequence."""
+    """Labelled tree on n >= 2 vertices from a Pruefer sequence.
+
+    Each entry x of the sequence is joined to the smallest leaf left,
+    which is then removed; the last edge joins the final leaf to n - 1.
+    ``ptr`` only moves up: when x becomes a leaf below it, x is the
+    smallest leaf and is joined next.  This is a bijection between the
+    n^(n-2) sequences and the labelled trees on n vertices.
+    """
     degree = [1] * n
     for x in seq:
         degree[x] += 1
+    ptr = degree.index(1)
+    leaf = ptr
     edges = []
-    ptr = 0
-    leaf = -1
     for x in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
         edges.append((leaf, x))
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
         else:
-            leaf = -1
-            ptr += 1
-    last = [v for v in range(n) if degree[v] == 1][-2:]
-    edges.append((last[0], last[1]))
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return make_graph(n, edges)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -102,6 +103,17 @@ def test_tree_count_at_the_cap():
 def test_prufer_decode_is_a_tree():
     t = prufer_decode(6, (3, 3, 0, 1))
     assert t.n == 6 and is_forest(t) and is_connected(t)
+
+
+def test_prufer_decode_is_the_bijection_networkx_uses():
+    nx = pytest.importorskip("networkx")
+    for n in range(2, 7):
+        trees = set()
+        for seq in product(range(n), repeat=n - 2):
+            edges = frozenset(frozenset(e) for e in prufer_decode(n, seq).edges())
+            assert edges == frozenset(frozenset(e) for e in nx.from_prufer_sequence(list(seq)).edges()), seq
+            trees.add(edges)
+        assert len(trees) == n ** (n - 2)  # Cayley: every labelled tree, once
 
 
 def test_forest_counts():

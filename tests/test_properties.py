@@ -57,6 +57,12 @@ def test_recursion_is_pivot_independent(g, seed):
     assert sigma01_recursive(g, pivot_rng=random.Random(seed)) == sigma01_recursive(g)
 
 
+@given(graphs(max_n=12), st.integers(0, 2**32 - 1))
+def test_random_pivot_sigma0_matches_the_subset_sweep(g, seed):
+    got = sigma01_recursive(g, pivot_rng=random.Random(seed)).sigma0
+    assert got == sigma_distribution_bruteforce(g).sigma0
+
+
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
 def test_sigma_is_isomorphism_invariant(g, rnd):
     perm = list(range(g.n))

@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -188,12 +189,29 @@ def test_oracle_equivalence_exhaustive_small():
             assert sigma_distribution_bruteforce(g).pair() == sigma01_recursive(g)
 
 
-def test_pivot_independence(rng):
+@pytest.fixture
+def solve0_rngs(monkeypatch):
+    """The ``pivot_rng`` of every call into the sigma0-only side recursion."""
+    seen = []
+    real = nearindep.sigma._solve0
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(nearindep.sigma, "_solve0", spy)
+    return seen
+
+
+def test_pivot_independence(rng, solve0_rngs):
     for _ in range(60):
         g = random_graph(rng.randint(0, 8), rng)
         reference = sigma01_recursive(g)
         r = random.Random(rng.getrandbits(32))
+        del solve0_rngs[:]
         assert sigma01_recursive(g, pivot_rng=r) == reference
+        assert all(seen is r for seen in solve0_rngs)
+        assert bool(solve0_rngs) == (g.edge_count() > 0)
 
 
 def test_edge_removal_can_raise_q():
@@ -244,22 +262,24 @@ def test_closed_forms_small():
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_cycle_closed_form_at_order_64(seed):
+def test_cycle_closed_form_at_order_64(seed, solve0_rngs):
     rng = None if seed is None else random.Random(seed)
     assert sigma01_recursive(cycle(64), pivot_rng=rng) == SigmaPair(lucas(64), 64 * fibonacci(62))
+    assert solve0_rngs and all(seen is rng for seen in solve0_rngs)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_path_closed_form_at_order_64(seed):
+def test_path_closed_form_at_order_64(seed, solve0_rngs):
     rng = None if seed is None else random.Random(seed)
     p64 = make_named("path", 64)
     got = sigma01_recursive(p64, pivot_rng=rng)
+    assert solve0_rngs and all(seen is rng for seen in solve0_rngs)
     assert got.sigma0 == fibonacci(66)
     assert got == sigma01_tree_dp(p64) == path_pair(64)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
-def test_union_of_cycles_paths_and_isolated_vertices(seed):
+def test_union_of_cycles_paths_and_isolated_vertices(seed, solve0_rngs):
     parts = [(cycle(5), cycle_pair(5)), (make_named("path", 9), path_pair(9)),
              (make_named("empty", 3), SigmaPair(8, 0)), (cycle(20), cycle_pair(20)),
              (make_named("path", 1), path_pair(1)), (make_named("path", 26), path_pair(26))]
@@ -268,17 +288,61 @@ def test_union_of_cycles_paths_and_isolated_vertices(seed):
     want = reduce(combine_union, [pair for _, pair in parts])
     rng = None if seed is None else random.Random(seed)
     assert sigma01_recursive(g, pivot_rng=rng) == want
+    assert solve0_rngs and all(seen is rng for seen in solve0_rngs)
     assert sigma01(g) == want
 
 
-def test_recursion_leaves_no_cyclic_garbage():
+def grid(k):
+    return make_graph(k * k, [(v, v + 1) for v in range(k * k) if v % k < k - 1]
+                      + [(v, v + k) for v in range(k * k - k)])
+
+
+def grid_transfer_matrix(k):
+    """(sigma0, sigma1) of the k x k grid, row by row: a state is the
+    subset chosen in the last row and the edges induced so far (0 or 1);
+    rows inducing two or more edges are never states."""
+    rows = {s: (s & s >> 1).bit_count() for s in range(1 << k) if (s & s >> 1).bit_count() <= 1}
+    states = Counter({(s, e): 1 for s, e in rows.items()})
+    for _ in range(k - 1):
+        nxt = Counter()
+        for (a, e), c in states.items():
+            for b, inner in rows.items():
+                total = e + inner + (a & b).bit_count()
+                if total <= 1:
+                    nxt[b, total] += c
+        states = nxt
+    return SigmaPair(*(sum(c for (_, e), c in states.items() if e == want) for want in (0, 1)))
+
+
+def test_grid_transfer_matrix_matches_the_subset_sweep():
+    for k in range(1, 5):
+        assert grid_transfer_matrix(k) == sigma_distribution_bruteforce(grid(k)).pair()
+
+
+GRID_COUNTS = {
+    6: SigmaPair(5_598_861, 29_134_076),
+    7: SigmaPair(1_280_128_950, 9_039_552_112),
+    8: SigmaPair(660_647_962_955, 6_084_192_150_856),
+}
+
+
+@pytest.mark.parametrize("k, seed", [(6, None), (6, 1), (6, 2), (7, None), (7, 1), (7, 2), (8, None)])
+def test_grid_counts_match_the_transfer_matrix(k, seed):
+    assert grid_transfer_matrix(k) == GRID_COUNTS[k]
+    rng = None if seed is None else random.Random(seed)
+    assert sigma01_recursive(grid(k), pivot_rng=rng) == GRID_COUNTS[k]
+
+
+def test_recursion_leaves_no_cyclic_garbage(solve0_rngs):
     g = make_graph(12, [(v, (v + 1) % 12) for v in range(12)] + [(0, 6), (3, 9), (1, 4)])
+    r = random.Random(5)
     gc.collect()
     gc.disable()
     try:
         sigma01_recursive(g)
-        sigma01_recursive(g, pivot_rng=random.Random(5))
+        sigma01_recursive(g, pivot_rng=r)
         sigma01(disjoint_union(g, make_named("path", 4)))
         assert gc.collect() == 0
+        assert None in solve0_rngs and r in solve0_rngs
     finally:
         gc.enable()
