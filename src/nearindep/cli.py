@@ -106,7 +106,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = extremal_scan(_class_spec(args), jobs=args.jobs)
+    report = extremal_scan(_class_spec(args))
     doc = report.to_json()
     if args.objective is not None:
         doc = {k: doc[k] for k in ("family", "n", "delta", "checked")} | {
@@ -138,7 +138,7 @@ def _report_csv_row(doc: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_theorem(args.theorem, args.n_max, jobs=args.jobs)
+    reports = run_theorem(args.theorem, args.n_max)
     docs = (r.to_json() for r in reports)
     rows = map(_report_csv_row, docs) if args.format == "csv" else docs
     fieldnames = [
@@ -183,13 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="extremal Q over a class")
     add_class(p)
     p.add_argument("--objective", choices=("min", "max"), default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, metavar="K",
+                   help="accepted and ignored; scans run in one process")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="run the named bound checks up to an order")
     p.add_argument("--theorem", required=True, choices=THEOREMS + ("all",))
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, metavar="K",
+                   help="accepted and ignored; scans run in one process")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(func=_cmd_verify)
 

@@ -33,12 +33,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph, bits, canonical_form, is_connected, max_degree
 from .limits import check_cap, effective_limits
 
 FAMILIES = ("trees", "forests", "all_graphs", "connected_graphs", "bounded_degree_graphs")
+
+# The families read off the classes of all graphs of one order, each with
+# the test a class passes to belong, given the family's delta.
+VIEWS: dict[str, Callable[[Graph, int | None], bool]] = {
+    "connected_graphs": lambda g, delta: is_connected(g),
+    "bounded_degree_graphs": lambda g, delta: max_degree(g) == delta,
+}
 
 
 @dataclass(frozen=True)
@@ -378,12 +385,11 @@ def gen_graphs(
     check_cap(n, effective_limits().graphs_max_n, "gen_graphs")
     if n < 0:
         raise ValueError(f"negative order {n}")
+    views = (("connected_graphs", connected_only), ("bounded_degree_graphs", delta is not None))
+    keep = [VIEWS[family] for family, on in views if on]
     for g, _ in _graph_classes(n):
-        if connected_only and not is_connected(g):
-            continue
-        if delta is not None and max_degree(g) != delta:
-            continue
-        yield g
+        if all(test(g, delta) for test in keep):
+            yield g
 
 
 def gen_class(spec: ClassSpec) -> Iterator[Graph]:

@@ -22,11 +22,14 @@ Three mutually checking routes are implemented:
   first rule only, its own memo of counts) instead of spawning pairs.
   Paths and cycles cost polynomial time, and the work on other graphs
   grows with how slowly deletions break them apart;
-* a linear-time rooted DP for forests (``sigma01_tree_dp``).
+* a linear-time rooted DP for forests (``sigma01_tree_dp``).  One BFS
+  walk per component (``_rooted_branches``) gives the order and parents
+  and folds ``_graft`` over them; the leaf checks of ``verify`` reroot
+  the same branch states with ``_prune``.
 
 None of the three calls another, so each checks the other two.
-``sigma01`` has two routes: a forest (``graphs.is_forest``) goes to the
-tree DP and any other graph whole to the recursion, which splits it into
+``sigma01`` tries the tree DP, whose walk stops at the first cycle, and
+sends a graph with a cycle whole to the recursion, which splits it into
 components itself, trees included.
 
 Counts for vertex-disjoint unions combine bilinearly:
@@ -45,7 +48,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, bits, is_forest
+from .graphs import Graph, bits
 # Unused here, but perfbench/tracer.py rebinds these two names in this module.
 from .graphs import connected_components, induced_subgraph  # noqa: F401
 from .limits import check_cap, effective_limits
@@ -251,52 +254,86 @@ def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> Si
     return SigmaPair(s0, s1)
 
 
+State = tuple[int, int, int, int]  # a rooted branch: (a0, a1, b0, b1), see _graft
+LEAF: State = (1, 0, 1, 0)  # a single vertex as a rooted branch
+
+
+def _graft(root: State, branch: State) -> State:
+    """The rooted state ``root`` with ``branch`` hung from its root.
+
+    A state counts the subsets of a rooted tree by (root included in a*,
+    excluded in b*; induced edges 0 or 1); subsets with two or more edges
+    are dropped.  Read as polynomials mod x^2, where x marks one induced
+    edge, grafting multiplies a by (b + x a0) of the branch and b by
+    (b + a) of it.
+    """
+    a0, a1, b0, b1 = root
+    ca0, ca1, cb0, cb1 = branch
+    out0 = cb0 + ca0
+    return a0 * cb0, a1 * cb0 + a0 * (cb1 + ca0), b0 * out0, b1 * out0 + b0 * (cb1 + ca1)
+
+
+def _prune(whole: State, branch: State) -> State:
+    """The inverse of ``_graft``: ``whole`` with ``branch`` cut from its
+    root.  Each factor of the graft has a constant term of at least 1, so
+    both polynomial divisions are exact."""
+    a0, a1, b0, b1 = whole
+    ca0, ca1, cb0, cb1 = branch
+    out0 = cb0 + ca0
+    ra0, rb0 = a0 // cb0, b0 // out0
+    return ra0, (a1 - ra0 * (cb1 + ca0)) // cb0, rb0, (b1 - rb0 * (cb1 + ca1)) // out0
+
+
+def _rooted_branches(adj: tuple[int, ...], root: int, parent: list[int], down: list[State]) -> list[int] | None:
+    """The BFS order of the component of ``root``, or None at its first
+    back edge.
+
+    In a tree the only neighbour of v that the BFS has already seen is
+    v's parent, so a second one closes a cycle.  The walk sets parent[z]
+    for every z but the root, and the fold then grafts bottom-up, so that
+    down[z] is the branch at z away from its parent.  ``down`` must hold
+    LEAF for every vertex of the component.
+    """
+    seen = 1 << root
+    order = [root]
+    for v in order:  # grows while it is walked: a BFS queue
+        row = adj[v]
+        back = row & seen
+        if back != (1 << parent[v] if v != root else 0):
+            return None
+        kids = row ^ back
+        seen |= kids
+        while kids:
+            low = kids & -kids
+            z = low.bit_length() - 1
+            parent[z] = v
+            order.append(z)
+            kids ^= low
+    for z in reversed(order[1:]):
+        p = parent[z]
+        down[p] = _graft(down[p], down[z])
+    return order
+
+
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1) of a forest by rooted DP per component.
 
-    One BFS per component, from its smallest vertex, gives the DP order
-    and checks acyclicity: in a tree the only neighbour of v that the
-    BFS has already seen is v's parent, and any cycle shows up as a
-    second one.  The DP state per vertex counts the subsets of its
-    processed subtree by (v included?, induced edges so far in {0, 1});
-    merging a child multiplies counts and adds one edge when both
-    endpoints are included.  Subsets with two or more edges are dropped,
-    and the components are folded with the union rule.
+    Each component is walked from its smallest vertex by
+    ``_rooted_branches``, which folds ``_graft`` over it and stops at the
+    first cycle; the root's state counts the component, and the
+    components are folded with the union rule.  Raises ValueError on a
+    graph with a cycle.
     """
-    adj = g.adj
     n = g.n
-    parent = [-1] * n
-    # a*: v included, b*: v excluded; *0/*1: no edge / one edge induced
-    a0, a1, b0, b1 = [1] * n, [0] * n, [1] * n, [0] * n
+    parent, down = [-1] * n, [LEAF] * n
     s0, s1 = 1, 0
-    seen = 0
     for root in range(n):
-        if seen >> root & 1:
+        if parent[root] >= 0:  # walked already, from a smaller root
             continue
-        seen |= 1 << root
-        order = [root]
-        for v in order:  # grows while it is walked: a BFS queue
-            row = adj[v]
-            back = row & seen
-            if back != (1 << parent[v] if v != root else 0):
-                raise ValueError("sigma01_tree_dp requires acyclic input")
-            kids = row ^ back
-            seen |= kids
-            while kids:
-                low = kids & -kids
-                u = low.bit_length() - 1
-                parent[u] = v
-                order.append(u)
-                kids ^= low
-        for v in reversed(order[1:]):
-            p = parent[v]
-            ca0, ca1, cb0, cb1 = a0[v], a1[v], b0[v], b1[v]
-            out0 = cb0 + ca0
-            a1[p] = a1[p] * cb0 + a0[p] * (cb1 + ca0)
-            a0[p] *= cb0
-            b1[p] = b1[p] * out0 + b0[p] * (cb1 + ca1)
-            b0[p] *= out0
-        c0, c1 = a0[root] + b0[root], a1[root] + b1[root]
+        if _rooted_branches(g.adj, root, parent, down) is None:
+            raise ValueError("sigma01_tree_dp requires acyclic input")
+        a0, a1, b0, b1 = down[root]
+        c0, c1 = a0 + b0, a1 + b1
         s0, s1 = s0 * c0, s1 * c0 + c1 * s0
     return SigmaPair(s0, s1)
 
@@ -313,13 +350,17 @@ def sigma01(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1): a forest by the tree DP, any other graph by
     the deletion recursion.
 
-    ``is_forest`` decides the route.  A graph with a cycle goes whole to
+    The tree DP is tried first, and its walk is the forest test: at the
+    first cycle it raises, and the graph goes whole to
     ``sigma01_recursive``, which strips its isolated vertices and splits
     its components, trees included, by itself.  The result always equals
     sigma01_recursive(g).
     """
     check_cap(g.n, effective_limits().recursion_max_n, "sigma01")
-    return sigma01_tree_dp(g) if is_forest(g) else sigma01_recursive(g)
+    try:
+        return sigma01_tree_dp(g)
+    except ValueError:
+        return sigma01_recursive(g)
 
 
 def q_ratio(g: Graph) -> Fraction:

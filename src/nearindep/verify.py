@@ -31,36 +31,28 @@ A bound check is a ``Check`` record, applied by the one scan loop
 (``_scan``) to a scored table of (graph, Q) rows.  A graph6 string is
 emitted only for a graph that a report names.  The leaf checks count
 every deletion of a tree from one set of rooted branch states
-(``leaf_deletion_counts``) instead of solving each deleted subgraph.
+(``leaf_deletion_counts``), the tree DP's own, instead of solving each
+deleted subgraph.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 from typing import Callable
 
-from .generate import ClassSpec, gen_class
+from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
-from .graphs import (
-    Graph,
-    bits,
-    induced_subgraph,
-    is_connected,
-    mask_of,
-    max_degree,
-)
+from .graphs import Graph, bits, induced_subgraph, mask_of, max_degree
 from .limits import Limits, check_cap, effective_limits
-from .sigma import q_ratio, sigma01, star_q
+from .sigma import LEAF, _graft, _prune, _rooted_branches, q_ratio, sigma01, star_q
 
 ONE_THIRD = Fraction(1, 3)
 
 Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q)
 Pair = tuple[int, int]  # (sigma0, sigma1) of one graph
-State = tuple[int, int, int, int]  # a rooted branch: (a0, a1, b0, b1), see _graft
 
 
 @dataclass(frozen=True)
@@ -189,16 +181,9 @@ FOREST_BOUNDS = {
 }
 
 
-def _score(spec: ClassSpec, jobs: int = 1) -> list[Row]:
-    """Every member of the universe with its Q, in generation order; Q
-    optionally over worker processes."""
-    graphs = list(gen_class(spec))
-    if jobs > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            qs = list(ex.map(q_ratio, graphs, chunksize=max(1, len(graphs) // (4 * jobs))))
-    else:
-        qs = [q_ratio(g) for g in graphs]
-    return list(zip(graphs, qs))
+def _score(spec: ClassSpec) -> list[Row]:
+    """Every member of the universe with its Q, in generation order."""
+    return [(g, q_ratio(g)) for g in gen_class(spec)]
 
 
 def _scan(
@@ -291,41 +276,14 @@ def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
 # the leaf lemmas: every deletion of a tree from its rooted branches
 # ---------------------------------------------------------------------------
 
-LEAF: State = (1, 0, 1, 0)  # a single vertex as a rooted branch
-
-
-def _graft(root: State, branch: State) -> State:
-    """The rooted state ``root`` with ``branch`` hung from its root.
-
-    A state counts the subsets of a rooted tree by (root included in a*,
-    excluded in b*; induced edges 0 or 1), as in ``sigma01_tree_dp``.
-    Read as polynomials mod x^2, where x marks one induced edge, grafting
-    multiplies a by (b + x a0) of the branch and b by (b + a) of it.
-    """
-    a0, a1, b0, b1 = root
-    ca0, ca1, cb0, cb1 = branch
-    out0 = cb0 + ca0
-    return a0 * cb0, a1 * cb0 + a0 * (cb1 + ca0), b0 * out0, b1 * out0 + b0 * (cb1 + ca1)
-
-
-def _prune(whole: State, branch: State) -> State:
-    """The inverse of ``_graft``: ``whole`` with ``branch`` cut from its
-    root.  Each factor of the graft has a constant term of at least 1, so
-    both polynomial divisions are exact."""
-    a0, a1, b0, b1 = whole
-    ca0, ca1, cb0, cb1 = branch
-    out0 = cb0 + ca0
-    ra0, rb0 = a0 // cb0, b0 // out0
-    return ra0, (a1 - ra0 * (cb1 + ca0)) // cb0, rb0, (b1 - rb0 * (cb1 + ca1)) // out0
-
-
 def leaf_deletion_counts(tree: Graph) -> list[tuple[int, Pair, Pair, Pair]]:
     """(v, sigma of T-v, sigma of T-N[v], sigma of T-N[u]) for every leaf
     v of a tree on n >= 1 vertices, in vertex order, with u the support
     vertex of v and each sigma a (sigma0, sigma1) pair.
 
-    One BFS from vertex 0 gives, for every vertex z, ``down[z]``: the
-    branch at z away from its BFS parent, built bottom-up by ``_graft``.
+    The tree DP's walk from vertex 0 (``sigma._rooted_branches``) gives,
+    for every vertex z, ``down[z]``: the branch at z away from its BFS
+    parent, built bottom-up by ``_graft``, and it rejects a cycle.
     Top-down, the whole tree rooted at each vertex follows, and ``up[z]``,
     the branch at the parent away from z, is that whole tree at the
     parent with down[z] cut away by ``_prune``.  That is O(n) per tree.
@@ -335,27 +293,14 @@ def leaf_deletion_counts(tree: Graph) -> list[tuple[int, Pair, Pair, Pair]]:
     factors 1 + x to A and 2 to B.  So T-N[v] = T-u-v counts B / 2,
     T-v counts A / (1 + x) + B / 2, and T-N[u] counts the product of the
     excluded parts of the branches at u.  Plain loops, no closures and no
-    recursion, like ``sigma01_tree_dp``.
+    recursion.
     """
     adj = tree.adj
     n = tree.n
-    parent = [-1] * n
-    order = [0]
-    seen = 1
-    for v in order:  # grows while it is walked: a BFS queue
-        kids = adj[v] & ~seen
-        seen |= kids
-        while kids:
-            low = kids & -kids
-            z = low.bit_length() - 1
-            parent[z] = v
-            order.append(z)
-            kids ^= low
-    if len(order) != n or tree.edge_count() != n - 1:
+    parent, down = [-1] * n, [LEAF] * n
+    order = _rooted_branches(adj, 0, parent, down) if n else None
+    if order is None or len(order) != n:
         raise ValueError("leaf_deletion_counts requires a tree")
-    down = [LEAF] * n
-    for z in reversed(order[1:]):
-        down[parent[z]] = _graft(down[parent[z]], down[z])
     up, whole = [LEAF] * n, [LEAF] * n
     whole[0] = down[0]
     for z in order[1:]:  # a parent comes before its children
@@ -407,8 +352,9 @@ def leaf_lemma_failures(
 
 def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     """Checks 4.2-4.4, leaf by leaf, over the trees of ``rows``: sigma of
-    each tree from ``sigma01``, so that 4.4 compares two independent
-    counts, and sigma of its leaf deletions from ``leaf_deletion_counts``."""
+    each tree from ``sigma01`` and sigma of its leaf deletions from
+    ``leaf_deletion_counts``.  Both fold the tree DP's ``_graft``, so 4.4
+    tests the rerooting and the leaf factors, not the graft itself."""
     report = VerificationReport("lem-4.2/4.3/4.4", spec, 0)
     for tree, _ in rows:
         pair_t = sigma01(tree)
@@ -449,17 +395,7 @@ CATALOGUE = {
 }
 THEOREMS = tuple(CATALOGUE)
 
-# universes read off the all-graphs table of the same order, with the
-# filter gen_graphs applies to give them
-VIEWS = {
-    "connected_graphs": lambda g, spec: is_connected(g),
-    "bounded_degree_graphs": lambda g, spec: max_degree(g) == spec.delta,
-}
-
-
-def _verify(
-    theorem: str, n: int, jobs: int = 1, delta: int | None = None, series: int = 0
-) -> VerificationReport:
+def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> VerificationReport:
     """One report of catalogue id ``theorem`` (from its series-th universe),
     with n checked against the orders the catalogue runs it for."""
     make, family, lowest, cap, *_ = CATALOGUE[theorem][series]
@@ -467,22 +403,22 @@ def _verify(
         raise ValueError(f"check {theorem} needs n >= {lowest}")
     check_cap(n, getattr(effective_limits(), cap), f"check {theorem}")
     spec = ClassSpec(family, n, delta)
-    return make(spec, _score(spec, jobs))
+    return make(spec, _score(spec))
 
 
-def verify_connected_lower(n: int, jobs: int = 1) -> VerificationReport:
+def verify_connected_lower(n: int) -> VerificationReport:
     """Connected graphs on n vertices: Q >= Q(star), equality only at the star."""
-    return _verify("3.2", n, jobs)
+    return _verify("3.2", n)
 
 
-def verify_general_lower(n: int, jobs: int = 1) -> VerificationReport:
+def verify_general_lower(n: int) -> VerificationReport:
     """All graphs on n vertices: Q = 0 exactly for the edgeless graph, and
     (for n >= 4) Q >= Q(star) for every other graph.  Also records the
     second-smallest Q and its witnesses."""
-    return _verify("3.1", n, jobs)
+    return _verify("3.1", n)
 
 
-def verify_max_degree_lower(n: int, delta: int, jobs: int = 1) -> VerificationReport:
+def verify_max_degree_lower(n: int, delta: int) -> VerificationReport:
     """Graphs on n vertices with maximum degree exactly delta:
     Q >= min(1/3, Q(star on delta+1 vertices)).
 
@@ -496,17 +432,15 @@ def verify_max_degree_lower(n: int, delta: int, jobs: int = 1) -> VerificationRe
         raise ValueError(f"need 1 <= delta <= n-1, got delta={delta}, n={n}")
     if n > Limits.degree_checks_max_n:  # a lower SIGMA_MAX_N is a CapabilityError
         raise ValueError(f"verify_max_degree_lower is specified for n <= {Limits.degree_checks_max_n}")
-    return _verify("3.6", n, jobs, delta)
+    return _verify("3.6", n, delta)
 
 
-def verify_tree_lower(n: int, jobs: int = 1) -> VerificationReport:
+def verify_tree_lower(n: int) -> VerificationReport:
     """Trees on n vertices: Q >= Q(star), equality only at the star."""
-    return _verify("3.3", n, jobs)
+    return _verify("3.3", n)
 
 
-def verify_forest_upper(
-    n: int, which: str, universe: str = "forests", jobs: int = 1
-) -> VerificationReport:
+def verify_forest_upper(n: int, which: str, universe: str = "forests") -> VerificationReport:
     """Forests (or just trees) on n vertices against one of the two upper
     bounds: Q <= (n-1)/3 or Q <= n/4 - 1/6.  Equality witnesses and the
     class maximum are recorded; neither bound claims uniqueness."""
@@ -514,7 +448,7 @@ def verify_forest_upper(
         raise ValueError(f"which must be one of {sorted(FOREST_BOUNDS)}")
     if universe not in ("forests", "trees"):
         raise ValueError("universe must be 'forests' or 'trees'")
-    return _verify("4.1" if which == "thm41" else "4.5", n, jobs, series=1 if universe == "trees" else 0)
+    return _verify("4.1" if which == "thm41" else "4.5", n, series=1 if universe == "trees" else 0)
 
 
 def verify_leaf_lemmas(n: int) -> VerificationReport:
@@ -532,19 +466,18 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
              + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
 
     The counts of T come from ``sigma01`` and those of the three
-    deletions from ``leaf_deletion_counts``, so the identities compare
-    two independent methods.  Each line is tested as the integer form
-    of ``leaf_lemma_failures``; a violation reports the rational sides
-    above.
+    deletions from ``leaf_deletion_counts``.  Both are built by the same
+    ``_graft`` fold of the tree DP, so the identities are not an
+    independent check of that fold: they test the rerooting by
+    ``_prune`` and the leaf factors.  The tests compare the deletions
+    with counts of the deleted subgraphs.  Each line is tested as the
+    integer form of ``leaf_lemma_failures``; a violation reports the
+    rational sides above.
     """
     return _verify("4.2", n)
 
 
-def extremal_scan(
-    spec: ClassSpec,
-    bound: tuple[str, Fraction] | None = None,
-    jobs: int = 1,
-) -> VerificationReport:
+def extremal_scan(spec: ClassSpec, bound: tuple[str, Fraction] | None = None) -> VerificationReport:
     """Generic extremal search over one universe.
 
     ``bound`` is an optional pair (comparison, value) with comparison
@@ -552,13 +485,13 @@ def extremal_scan(
     as violations and members attaining the value as equality witnesses.
     """
     op, ref = bound or (">=", None)
-    report = _scan(Check("scan", op, lambda s: ref), spec, _score(spec, jobs))
+    report = _scan(Check("scan", op, lambda s: ref), spec, _score(spec))
     if bound is not None:
         report.notes["comparison"] = op
     return report
 
 
-def run_theorem(theorem: str, n_max: int, jobs: int = 1) -> list[VerificationReport]:
+def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
     """Run one named check for every order up to n_max (clamped to the
     documented cap of its universe); 'all' runs the whole catalogue.
 
@@ -582,9 +515,9 @@ def run_theorem(theorem: str, n_max: int, jobs: int = 1) -> list[VerificationRep
 
     reports = {}
     for table in dict.fromkeys(table_of(spec) for _, spec in plan):
-        rows = _score(table, jobs)
+        rows = _score(table)
         for make, spec in dict.fromkeys(s for s in plan if table_of(s[1]) == table):
             keep = VIEWS.get(spec.family)
-            reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec)] if keep else rows)
+            reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec.delta)] if keep else rows)
         del rows  # release this table before the next one is built
     return [reports[step] for step in plan]

@@ -69,10 +69,35 @@ def test_payload_error_offsets(line, message, offset):
 
 
 def test_size_form_caps():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(Graph6Error, match="truncated long size form") as e:
         parse_graph6("~??")
+    assert e.value.offset == 3
+    with pytest.raises(Graph6Error, match="short form spells"):
+        parse_graph6("~?" + chr(63) + chr(63 + 62))  # order 62 in the long form
     with pytest.raises(CapabilityError):
-        emit_graph6(make_named("empty", 63))
+        parse_graph6("~~??????")  # the huge form
+    with pytest.raises(CapabilityError):
+        parse_graph6("~?@@")  # order 65
+
+
+def test_long_form_order_cap_follows_sigma_max_n(monkeypatch):
+    line = emit_graph6(make_named("empty", 64))
+    assert line.startswith("~?@?")
+    monkeypatch.setenv("SIGMA_MAX_N", "63")
+    with pytest.raises(CapabilityError):
+        parse_graph6(line)
+
+
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_long_form_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    for p in (0.0, 0.1, 0.5, 1.0):
+        h = nx.gnp_random_graph(n, p, seed=n)
+        theirs = nx.to_graph6_bytes(h, header=False)
+        g = parse_graph6(theirs)
+        assert g == make_graph(n, h.edges())
+        assert emit_graph6(g).encode("ascii") + b"\n" == theirs
+        assert make_graph(n, nx.from_graph6_bytes(emit_graph6(g).encode("ascii")).edges()) == g
 
 
 def test_codec_covers_order_62():

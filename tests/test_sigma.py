@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given
 
+import nearindep.graphs
 import nearindep.sigma
 from nearindep.graphs import (
     disjoint_union,
@@ -129,13 +130,15 @@ def _refuse(*args, **kwargs):
 
 def test_sigma01_sends_a_graph_with_a_cycle_whole_to_the_recursion(monkeypatch):
     g = reduce(disjoint_union, [make_named("path", 3), make_named("complete", 3), make_named("empty", 1)])
-    calls = []
-    real = nearindep.sigma.sigma01_recursive
+    calls, tried = [], []
+    real, real_dp = nearindep.sigma.sigma01_recursive, nearindep.sigma.sigma01_tree_dp
     monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
-    monkeypatch.setattr(nearindep.sigma, "sigma01_tree_dp", _refuse)
+    monkeypatch.setattr(nearindep.sigma, "sigma01_tree_dp", lambda h: tried.append(h) or real_dp(h))
     monkeypatch.setattr(nearindep.sigma, "induced_subgraph", _refuse)
     # P3 (5, 2), K3 (4, 3) and K1 (2, 0) folded by the union rule
     assert sigma01(g) == SigmaPair(40, 46)
+    # the tree DP is tried once and stops at the triangle
+    assert len(tried) == 1 and tried[0] is g
     assert len(calls) == 1 and calls[0] is g
 
 
@@ -147,6 +150,33 @@ def test_sigma01_sends_a_forest_to_the_tree_dp(monkeypatch):
     monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
     assert sigma01(f) == combine_union(SigmaPair(17, 4), SigmaPair(8, 5))
     assert len(calls) == 1 and calls[0] is f
+
+
+def test_sigma01_when_the_walk_meets_the_cycle_last():
+    """The tree DP folds whole components before it reaches the cycle; the
+    fall-back to the recursion must discard that work."""
+    tail_cycle = make_graph(10, [(v, v + 1) for v in range(9)] + [(9, 6)])  # path into a C4
+    graphs_with_late_cycles = [
+        reduce(disjoint_union, [make_named("star", 4), make_named("path", 5), make_named("empty", 2),
+                                make_named("complete", 3)]),
+        disjoint_union(make_named("path", 6), cycle(5)),
+        tail_cycle,
+        make_graph(16, [(v, v + 1) for v in range(15)] + [(15, 13)]),  # a long path ending in a triangle
+    ]
+    for g in graphs_with_late_cycles:
+        assert not is_forest(g)
+        with pytest.raises(ValueError, match="acyclic"):
+            sigma01_tree_dp(g)
+        want = sigma_distribution_bruteforce(g).pair()
+        assert sigma01(g) == sigma01_recursive(g) == want
+
+
+def test_sigma01_on_a_forest_splits_no_components(monkeypatch):
+    f = reduce(disjoint_union, [make_named("star", 5), make_named("path", 4), make_named("empty", 3)])
+    monkeypatch.setattr(nearindep.graphs, "connected_components", _refuse)
+    monkeypatch.setattr(nearindep.sigma, "connected_components", _refuse)
+    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
+    assert sigma01(f) == sigma_distribution_bruteforce(f).pair()
 
 
 def test_sigma01_equals_recursion_everywhere(rng):

@@ -214,12 +214,6 @@ def test_run_theorem_catalogue():
         run_theorem("9.9", 4)
 
 
-def test_run_theorem_jobs_deterministic():
-    a = [r.to_json() for r in run_theorem("3.2", 5, jobs=1)]
-    b = [r.to_json() for r in run_theorem("3.2", 5, jobs=2)]
-    assert a == b
-
-
 F = Fraction
 
 
@@ -423,8 +417,11 @@ def test_leaf_deletion_counts_on_labelled_trees(tree):
 
 def test_leaf_deletion_counts_reject_non_trees():
     cycle = make_graph(5, [(v, (v + 1) % 5) for v in range(5)])
-    for g in (cycle, make_named("empty", 2)):
-        with pytest.raises(ValueError):
+    # a path whose far end closes a triangle, and a tree beside an isolated vertex
+    lollipop = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
+    star_plus_one = make_graph(5, [(0, 1), (0, 2), (0, 3)])
+    for g in (cycle, make_named("empty", 2), make_named("empty", 0), lollipop, star_plus_one):
+        with pytest.raises(ValueError, match="requires a tree"):
             leaf_deletion_counts(g)
     assert leaf_deletion_counts(make_named("empty", 1)) == []
 
