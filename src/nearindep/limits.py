@@ -19,15 +19,13 @@ class CapabilityError(Exception):
 
 @dataclass(frozen=True)
 class Limits:
-    graph_max_n: int = 64        # adjacency bitmasks fit one machine word
-    recursion_max_n: int = 64    # memo keys are vertex bitmasks
+    graph_max_n: int = 64        # every Graph, so sigma01 too; bitmasks fit one machine word
     oracle_max_n: int = 25       # 2^n subset sweep
     canonical_max_n: int = 10    # permutation search
     trees_max_n: int = 18
     forests_max_n: int = 14
     graphs_max_n: int = 8        # 12346 classes at n = 8
-    tree_checks_max_n: int = 16  # tree universes of checks 3.3, 4.1 and 4.5
-    leaf_lemmas_max_n: int = 12  # per-leaf checks 4.2-4.4
+    tree_checks_max_n: int = 16  # tree universes of checks 3.3 and 4.1-4.5
     degree_checks_max_n: int = 7  # checks 3.4, 3.5 and 3.6
 
 

@@ -247,7 +247,6 @@ def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> Si
     so no reference cycle keeps them alive after the call returns.
     Paths and cycles cost time polynomial in n.
     """
-    check_cap(g.n, effective_limits().recursion_max_n, "sigma01_recursive")
     adj = g.adj
     closed = tuple(row | 1 << v for v, row in enumerate(adj))
     s0, s1 = _solve(g.full_mask, adj, closed, {}, {}, pivot_rng)
@@ -354,9 +353,9 @@ def sigma01(g: Graph) -> SigmaPair:
     first cycle it raises, and the graph goes whole to
     ``sigma01_recursive``, which strips its isolated vertices and splits
     its components, trees included, by itself.  The result always equals
-    sigma01_recursive(g).
+    sigma01_recursive(g).  Neither route has a cap of its own: ``Graph``
+    enforces ``Limits.graph_max_n`` on every graph when it is built.
     """
-    check_cap(g.n, effective_limits().recursion_max_n, "sigma01")
     try:
         return sigma01_tree_dp(g)
     except ValueError:

@@ -29,10 +29,9 @@ The catalogue of named checks (the ``--theorem`` ids of the CLI):
 
 A bound check is a ``Check`` record, applied by the one scan loop
 (``_scan``) to a scored table of (graph, Q) rows.  A graph6 string is
-emitted only for a graph that a report names.  The leaf checks count
-every deletion of a tree from one set of rooted branch states
-(``leaf_deletion_counts``), the tree DP's own, instead of solving each
-deleted subgraph.
+emitted only for a graph that a report names.  The leaf checks count a
+tree and every deletion of it from one set of rooted branch states
+(``leaf_deletion_counts``), the tree DP's own, in one walk.
 """
 
 from __future__ import annotations
@@ -47,7 +46,9 @@ from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
 from .graphs import Graph, bits, induced_subgraph, mask_of, max_degree
 from .limits import Limits, check_cap, effective_limits
-from .sigma import LEAF, _graft, _prune, _rooted_branches, q_ratio, sigma01, star_q
+from .sigma import LEAF, _graft, _prune, _rooted_branches, q_ratio, star_q
+# Unused here, but perfbench/tracer.py rebinds this name in this module.
+from .sigma import sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
 
@@ -276,14 +277,16 @@ def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
 # the leaf lemmas: every deletion of a tree from its rooted branches
 # ---------------------------------------------------------------------------
 
-def leaf_deletion_counts(tree: Graph) -> list[tuple[int, Pair, Pair, Pair]]:
-    """(v, sigma of T-v, sigma of T-N[v], sigma of T-N[u]) for every leaf
-    v of a tree on n >= 1 vertices, in vertex order, with u the support
-    vertex of v and each sigma a (sigma0, sigma1) pair.
+def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair, Pair]]]:
+    """(sigma of T, leaves) for a tree T on n >= 1 vertices, each sigma a
+    (sigma0, sigma1) pair: leaves holds (v, sigma of T-v, sigma of T-N[v],
+    sigma of T-N[u]) for every leaf v, in vertex order, u its support vertex.
 
     The tree DP's walk from vertex 0 (``sigma._rooted_branches``) gives,
     for every vertex z, ``down[z]``: the branch at z away from its BFS
-    parent, built bottom-up by ``_graft``, and it rejects a cycle.
+    parent, built bottom-up by ``_graft``, and it rejects a cycle.  The
+    root state down[0] = (a0, a1, b0, b1) counts T as (a0 + b0, a1 + b1),
+    as in ``sigma01_tree_dp``.
     Top-down, the whole tree rooted at each vertex follows, and ``up[z]``,
     the branch at the parent away from z, is that whole tree at the
     parent with down[z] cut away by ``_prune``.  That is O(n) per tree.
@@ -321,7 +324,8 @@ def leaf_deletion_counts(tree: Graph) -> list[tuple[int, Pair, Pair, Pair]]:
         a0, a1, b0, b1 = whole[u]
         nv0, nv1 = b0 >> 1, b1 >> 1
         out.append((v, (a0 + nv0, a1 - a0 + nv1), (nv0, nv1), minus_nu[u]))
-    return out
+    a0, a1, b0, b1 = down[0]
+    return (a0 + b0, a1 + b1), out
 
 
 def leaf_lemma_failures(
@@ -352,15 +356,14 @@ def leaf_lemma_failures(
 
 def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     """Checks 4.2-4.4, leaf by leaf, over the trees of ``rows``: sigma of
-    each tree from ``sigma01`` and sigma of its leaf deletions from
-    ``leaf_deletion_counts``.  Both fold the tree DP's ``_graft``, so 4.4
-    tests the rerooting and the leaf factors, not the graft itself."""
+    each tree and of its leaf deletions from one ``leaf_deletion_counts``
+    walk.  Sigma of T is its root state, the tree DP's ``_graft`` fold, so
+    4.4 tests the rerooting and the leaf factors, not the graft itself."""
     report = VerificationReport("lem-4.2/4.3/4.4", spec, 0)
     for tree, _ in rows:
-        pair_t = sigma01(tree)
-        t = pair_t.sigma0, pair_t.sigma1
+        t, leaves = leaf_deletion_counts(tree)
         g6 = ""
-        for v, *deletions in leaf_deletion_counts(tree):
+        for v, *deletions in leaves:
             report.checked += 1
             for lhs, rhs, lemma in leaf_lemma_failures(spec.n, t, *deletions):
                 g6 = g6 or emit_graph6(tree)
@@ -388,9 +391,9 @@ CATALOGUE = {
     "3.5": [(_general_lower, "all_graphs", 4, "degree_checks_max_n")],
     "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, "degree_checks_max_n", lambda n: range(1, n))],
     "4.1": _over_forests_and_trees(FOREST_BOUNDS["thm41"]),
-    "4.2": [(_leaf_lemmas, "trees", 2, "leaf_lemmas_max_n")],
-    "4.3": [(_leaf_lemmas, "trees", 2, "leaf_lemmas_max_n")],
-    "4.4": [(_leaf_lemmas, "trees", 2, "leaf_lemmas_max_n")],
+    "4.2": [(_leaf_lemmas, "trees", 2, "tree_checks_max_n")],
+    "4.3": [(_leaf_lemmas, "trees", 2, "tree_checks_max_n")],
+    "4.4": [(_leaf_lemmas, "trees", 2, "tree_checks_max_n")],
     "4.5": _over_forests_and_trees(FOREST_BOUNDS["thm45"]),
 }
 THEOREMS = tuple(CATALOGUE)
@@ -465,14 +468,14 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
     * Q(T) = (2 sigma0(T-N[v]) / sigma0(T)) (Q(T-v) + Q(T-N[v])) / 2
              + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
 
-    The counts of T come from ``sigma01`` and those of the three
-    deletions from ``leaf_deletion_counts``.  Both are built by the same
-    ``_graft`` fold of the tree DP, so the identities are not an
-    independent check of that fold: they test the rerooting by
-    ``_prune`` and the leaf factors.  The tests compare the deletions
-    with counts of the deleted subgraphs.  Each line is tested as the
-    integer form of ``leaf_lemma_failures``; a violation reports the
-    rational sides above.
+    The counts of T and of the three deletions come from one
+    ``leaf_deletion_counts`` walk: T's are the root state of the tree
+    DP's ``_graft`` fold, the deletions' are rerooted from it.  So the
+    identities are not an independent check of that fold: they test the
+    rerooting by ``_prune`` and the leaf factors.  The tests compare T
+    and the deletions with counts of T and of the deleted subgraphs.
+    Each line is tested as the integer form of ``leaf_lemma_failures``;
+    a violation reports the rational sides above.
     """
     return _verify("4.2", n)
 

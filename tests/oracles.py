@@ -18,7 +18,7 @@ from nearindep.graphs import (
     is_forest,
     make_graph,
 )
-from nearindep.sigma import sigma01
+from nearindep.sigma import sigma01, sigma01_recursive
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -37,8 +37,9 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
-    """Labelled tree on n >= 2 vertices from a Pruefer sequence.
+def prufer_neighbours(n: int, seq: tuple[int, ...]) -> list[list[int]]:
+    """The neighbour lists of the labelled tree on n >= 2 vertices that a
+    Pruefer sequence encodes.
 
     Each entry x of the sequence is joined to the smallest leaf left,
     which is then removed; the last edge joins the final leaf to n - 1.
@@ -51,28 +52,73 @@ def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
         degree[x] += 1
     ptr = degree.index(1)
     leaf = ptr
-    edges = []
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for x in seq:
-        edges.append((leaf, x))
+        nbrs[leaf].append(x)
+        nbrs[x].append(leaf)
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
         else:
             ptr = degree.index(1, ptr + 1)
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return make_graph(n, edges)
+    nbrs[leaf].append(n - 1)
+    nbrs[n - 1].append(leaf)
+    return nbrs
+
+
+def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
+    """The labelled tree of ``prufer_neighbours`` as a ``Graph``."""
+    nbrs = prufer_neighbours(n, seq)
+    return make_graph(n, [(v, u) for v, row in enumerate(nbrs) for u in row if v < u])
+
+
+def neighbour_lists_certificate(nbrs: list[list[int]]) -> tuple:
+    """``forest_certificate`` of a tree given as neighbour lists, built
+    without a ``Graph``.
+
+    Leaves are stripped layer by layer, and each stripped vertex hangs
+    its encoding (the sorted tuple of its own children's encodings) on
+    the one neighbour still present.  The last layer holds the centres;
+    of two, each is encoded as rooted with the other as a child, and the
+    smaller encoding is kept, as ``forest_certificate`` does.
+    """
+    degree = [len(row) for row in nbrs]
+    kids: list[list[tuple]] = [[] for _ in nbrs]
+    alive = [True] * len(nbrs)
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(nbrs)
+    while left > 2:
+        left -= len(layer)
+        for v in layer:
+            alive[v] = False
+        nxt = []
+        for v in layer:
+            code = tuple(sorted(kids[v]))
+            for u in nbrs[v]:
+                if alive[u]:
+                    kids[u].append(code)
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    if len(layer) == 1:
+        return (tuple(sorted(kids[layer[0]])),)
+    a, b = layer
+    enc_a, enc_b = tuple(sorted(kids[a])), tuple(sorted(kids[b]))
+    return (min(tuple(sorted(kids[a] + [enc_b])), tuple(sorted(kids[b] + [enc_a]))),)
 
 
 def prufer_tree_certs(n: int) -> frozenset:
     """Certificates of all tree classes on n vertices via the n^(n-2)
-    labelled Pruefer decodings (oracle; practical for n <= 8)."""
+    labelled Pruefer decodings (oracle; practical for n <= 8).  Each
+    decoding goes straight to neighbour lists, with no ``Graph`` built."""
     if n < 1:
         raise ValueError("n >= 1")
     if n == 1:
-        return frozenset({forest_certificate(make_graph(1, []))})
+        return frozenset({neighbour_lists_certificate([[]])})
     certs = {
-        forest_certificate(prufer_decode(n, seq))
+        neighbour_lists_certificate(prufer_neighbours(n, seq))
         for seq in product(range(n), repeat=n - 2)
     }
     return frozenset(certs)
@@ -158,10 +204,12 @@ def packed_code(g: Graph, order) -> int:
     return code
 
 
-def leaf_deletion_counts(tree: Graph) -> list[tuple]:
-    """(v, sigma of T-v, sigma of T-N[v], sigma of T-N[u]) for every leaf v
-    of a tree, u its support vertex, each sigma a (sigma0, sigma1) pair:
-    one ``induced_subgraph`` and one ``sigma01`` per deleted set."""
+def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
+    """(sigma of T, leaves), leaves holding (v, sigma of T-v, sigma of
+    T-N[v], sigma of T-N[u]) for every leaf v of a tree, u its support
+    vertex, each sigma a (sigma0, sigma1) pair: T by the deletion
+    recursion, which never walks the tree DP's fold, and one
+    ``induced_subgraph`` and one ``sigma01`` per deleted set."""
     full = tree.full_mask
     out = []
     for v in range(tree.n):
@@ -171,4 +219,5 @@ def leaf_deletion_counts(tree: Graph) -> list[tuple]:
         kept = (full & ~(1 << v), full & ~closed_neighborhood(tree, v), full & ~closed_neighborhood(tree, u))
         pairs = [sigma01(induced_subgraph(tree, mask)) for mask in kept]
         out.append((v, *((p.sigma0, p.sigma1) for p in pairs)))
-    return out
+    t = sigma01_recursive(tree)
+    return (t.sigma0, t.sigma1), out

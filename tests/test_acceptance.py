@@ -162,12 +162,15 @@ def test_criterion_6_forest_upper_bounds():
 
 
 def test_criterion_7_leaf_lemmas():
-    with criterion(7, "per-leaf ratio bound and identities on all trees n<=12"):
-        for n in range(2, 13):
+    with criterion(7, "per-leaf ratio bound and identities on all trees n<=16"):
+        leaves = all_trees = 0
+        for n in range(2, 17):
             report = verify_leaf_lemmas(n)
             assert report.passed, (n, report.violations[:3])
             trees = sum(1 for _ in gen_trees(n))
             assert report.checked >= 2 * trees  # every tree has >= 2 leaves
+            leaves, all_trees = leaves + report.checked, all_trees + trees
+        assert (leaves, all_trees) == (244_692, 32_507)
 
 
 def test_criterion_8_randomized_property_suites():

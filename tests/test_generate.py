@@ -35,8 +35,10 @@ from oracles import (
     labelled_connected_count,
     labelled_forest_count,
     leaf_extension_tree_certs,
+    neighbour_lists_certificate,
     packed_code,
     prufer_decode,
+    prufer_neighbours,
     prufer_tree_certs,
 )
 
@@ -103,6 +105,14 @@ def test_tree_count_at_the_cap():
 def test_prufer_decode_is_a_tree():
     t = prufer_decode(6, (3, 3, 0, 1))
     assert t.n == 6 and is_forest(t) and is_connected(t)
+
+
+def test_neighbour_list_certificates_match_forest_certificate():
+    for n in range(2, 7):
+        for seq in product(range(n), repeat=n - 2):
+            want = forest_certificate(prufer_decode(n, seq))
+            assert neighbour_lists_certificate(prufer_neighbours(n, seq)) == want, seq
+    assert prufer_tree_certs(1) == {forest_certificate(make_graph(1, []))}
 
 
 def test_prufer_decode_is_the_bijection_networkx_uses():

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import nearindep.sigma as sigma_module
 import nearindep.verify as verify_module
 from nearindep.generate import ClassSpec, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import is_forest, make_graph, make_named, max_degree
-from nearindep.sigma import SigmaPair, q_ratio, sigma01, star_q
+from nearindep.sigma import q_ratio, sigma01, star_q
 from nearindep.verify import (
     extremal_scan,
     is_star_graph,
@@ -351,28 +352,29 @@ def test_violation_paths(monkeypatch, case):
     assert not report.passed
 
 
-# sigma01 perturbed on the trees of order n only: each mutant breaks one
-# side of the leaf identities; (sha256 of the reports' JSON for n = 2..8,
-# violations by lemma), recorded when the deletions were solved one
-# induced subgraph at a time, as tests/oracles.py still does
+# the pair of T from leaf_deletion_counts perturbed on the trees of order
+# n only: each mutant breaks one side of the leaf identities; (sha256 of
+# the reports' JSON for n = 2..8, violations by lemma), recorded when the
+# deletions were solved one induced subgraph at a time, as
+# tests/oracles.py still does
 LEAF_LEMMA_MUTANTS = {
     "s0+1": (
-        lambda p: SigmaPair(p.sigma0 + 1, p.sigma1),
+        lambda s0, s1: (s0 + 1, s1),
         "890359ee3ee6e927a9ae45bb27374048bfd37502bdabbfa93c82828310a73cd1",
         {"lemma-4.4 sigma0": 183},
     ),
     "s0-1": (
-        lambda p: SigmaPair(p.sigma0 - 1, p.sigma1),
+        lambda s0, s1: (s0 - 1, s1),
         "b47e94a16f7f530cd9452df915704dd362d549eaa0b52f4f02c4517a8733d60a",
         {"lemma-4.3": 2, "lemma-4.4 sigma0": 183},
     ),
     "s1+1": (
-        lambda p: SigmaPair(p.sigma0, p.sigma1 + 1),
+        lambda s0, s1: (s0, s1 + 1),
         "45b0039c49f0aa47bae06b9b82332d7319ad6305d5bf26ca5c7ee2fe31ddbc80",
         {"lemma-4.3": 2, "lemma-4.4 ratio": 183},
     ),
     "s1*2": (
-        lambda p: SigmaPair(p.sigma0, 2 * p.sigma1),
+        lambda s0, s1: (s0, 2 * s1),
         "9ae5ab4c2ae3a3631d71bc526801587140a8df267de76bd5f95c5cecba21b496",
         {"lemma-4.3": 153, "lemma-4.4 ratio": 183},
     ),
@@ -384,9 +386,12 @@ def test_leaf_lemma_violation_paths(monkeypatch, mutant):
     perturb, digest, by_lemma = LEAF_LEMMA_MUTANTS[mutant]
     docs, found = [], Counter()
     for n in range(2, 9):
-        monkeypatch.setattr(
-            verify_module, "sigma01", lambda g, n=n: perturb(sigma01(g)) if g.n == n else sigma01(g)
-        )
+
+        def mutant_counts(g, n=n):
+            t, leaves = leaf_deletion_counts(g)
+            return (perturb(*t) if g.n == n else t), leaves
+
+        monkeypatch.setattr(verify_module, "leaf_deletion_counts", mutant_counts)
         report = verify_module._verify("4.2", n)
         docs.append(report.to_json())
         found.update(v.context.rsplit(" leaf ", 1)[0] for v in report.violations)
@@ -400,7 +405,7 @@ def test_leaf_deletion_counts_match_subgraph_oracle():
         for tree in gen_trees(n):
             got = leaf_deletion_counts(tree)
             assert got == oracles.leaf_deletion_counts(tree)
-            leaves += len(got)
+            leaves += len(got[1])
     assert leaves == sum(r.checked for r in map(verify_leaf_lemmas, range(2, 11)))
 
 
@@ -423,7 +428,23 @@ def test_leaf_deletion_counts_reject_non_trees():
     for g in (cycle, make_named("empty", 2), make_named("empty", 0), lollipop, star_plus_one):
         with pytest.raises(ValueError, match="requires a tree"):
             leaf_deletion_counts(g)
-    assert leaf_deletion_counts(make_named("empty", 1)) == []
+    assert leaf_deletion_counts(make_named("empty", 1)) == ((2, 0), [])
+
+
+def test_leaf_lemmas_walk_each_tree_twice(monkeypatch):
+    """Each tree is walked once to score it and once for its own counts
+    and those of its leaf deletions; ``sigma01`` does not walk it again."""
+    calls = Counter()
+    for module in (sigma_module, verify_module):
+
+        def counting_walk(*args, real=module._rooted_branches):
+            calls["walk"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "_rooted_branches", counting_walk)
+    reports = run_theorem("4.4", 12)
+    trees = sum(1 for n in range(2, 13) for _ in gen_trees(n))
+    assert calls["walk"] == 2 * trees == 1972 and all(r.passed for r in reports)
 
 
 def test_leaf_deletion_counts_leave_no_cyclic_garbage():
