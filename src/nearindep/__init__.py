@@ -7,24 +7,17 @@ from .graphs import (
     CanonicalCode,
     Graph,
     canonical_code,
-    closed_neighborhood,
     connected_components,
-    disjoint_union,
-    forest_certificate,
     induced_subgraph,
     is_connected,
-    is_forest,
     make_graph,
     make_named,
     max_degree,
-    relabel,
-    tree_certificate,
 )
 from .limits import CapabilityError, Limits, effective_limits
 from .sigma import (
     SigmaDistribution,
     SigmaPair,
-    combine_union,
     q_ratio,
     sigma01,
     sigma01_recursive,
@@ -61,34 +54,27 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "canonical_code",
-    "closed_neighborhood",
-    "combine_union",
     "connected_components",
-    "disjoint_union",
     "effective_limits",
     "emit_graph6",
     "extremal_scan",
-    "forest_certificate",
     "gen_class",
     "gen_forests",
     "gen_graphs",
     "gen_trees",
     "induced_subgraph",
     "is_connected",
-    "is_forest",
     "make_graph",
     "make_named",
     "max_degree",
     "parse_graph6",
     "q_ratio",
-    "relabel",
     "run_theorem",
     "sigma01",
     "sigma01_recursive",
     "sigma01_tree_dp",
     "sigma_distribution_bruteforce",
     "star_q",
-    "tree_certificate",
     "verify_connected_lower",
     "verify_forest_upper",
     "verify_general_lower",

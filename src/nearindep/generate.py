@@ -63,6 +63,8 @@ class ClassSpec:
             raise ValueError("delta is required for bounded_degree_graphs and invalid otherwise")
         if self.n < 0:
             raise ValueError(f"negative order {self.n}")
+        if self.delta is not None and self.delta < 0:
+            raise ValueError(f"negative maximum degree {self.delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +379,33 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
     return tuple((g, gens) for _, g, gens in found)
 
 
-def gen_graphs(
-    n: int, connected_only: bool = False, delta: int | None = None
-) -> Iterator[Graph]:
-    """One representative per isomorphism class on n vertices, optionally
-    restricted to connected graphs and/or to maximum degree exactly delta."""
+def gen_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class on n vertices, each in its
+    canonical labelling, in increasing canonical-code order.
+
+    This is the one stream of graph classes: the connected and the
+    bounded-degree universes are its views, filtered by ``gen_class``
+    with the tests in ``VIEWS``.
+    """
     check_cap(n, effective_limits().graphs_max_n, "gen_graphs")
     if n < 0:
         raise ValueError(f"negative order {n}")
-    views = (("connected_graphs", connected_only), ("bounded_degree_graphs", delta is not None))
-    keep = [VIEWS[family] for family, on in views if on]
     for g, _ in _graph_classes(n):
-        if all(test(g, delta) for test in keep):
-            yield g
+        yield g
 
 
 def gen_class(spec: ClassSpec) -> Iterator[Graph]:
-    """Stream the universe named by a ClassSpec."""
+    """Stream the universe named by a ClassSpec.
+
+    Trees and forests have generators of their own.  Every graph family
+    streams the classes of ``gen_graphs`` that pass the family's test in
+    ``VIEWS``, so ``VIEWS`` alone decides membership, as in
+    ``verify.run_theorem``.
+    """
     if spec.family == "trees":
         return gen_trees(spec.n)
     if spec.family == "forests":
         return gen_forests(spec.n)
-    if spec.family == "all_graphs":
-        return gen_graphs(spec.n)
-    if spec.family == "connected_graphs":
-        return gen_graphs(spec.n, connected_only=True)
-    return gen_graphs(spec.n, delta=spec.delta)
+    graphs = gen_graphs(spec.n)
+    keep = VIEWS.get(spec.family)
+    return graphs if keep is None else (g for g in graphs if keep(g, spec.delta))

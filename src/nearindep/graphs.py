@@ -6,21 +6,19 @@ bitmasks: ``adj[v]`` is the open neighbourhood of v.  Vertex subsets
 0..n-1, which keeps induced subgraphs, closed-neighbourhood deletions
 and memoisation keys cheap.
 
-Isomorphism handling is exact but deliberately small-order:
+Isomorphism handling is exact but deliberately small-order.
 
-* ``canonical_code`` minimises the upper-triangle adjacency bit-string
-  over all vertex relabellings by a pruned branch-and-bound search
-  (equal codes <=> isomorphic, for n up to the canonicalisation cap).
-  ``canonical_form`` also returns generators of the automorphism group
-  and the canonical labelling, the vertex order that spells the code
-  (relabelling by it gives the one graph with that column code): the
-  search extends every column by one bit per level, places twins
-  (vertices with the same neighbours apart from each other) in index
-  order only, with their transpositions as generators, and turns each
-  further minimal leaf into one more generator, so K_n and the empty
-  graph cost n search nodes instead of n! leaves;
-* ``forest_certificate`` is a linear-time canonical form that works for
-  forests of any supported order (centre-rooted subtree encoding).
+``canonical_code`` minimises the upper-triangle adjacency bit-string
+over all vertex relabellings by a pruned branch-and-bound search
+(equal codes <=> isomorphic, for n up to the canonicalisation cap).
+``canonical_form`` also returns generators of the automorphism group
+and the canonical labelling, the vertex order that spells the code
+(relabelling by it gives the one graph with that column code): the
+search extends every column by one bit per level, places twins
+(vertices with the same neighbours apart from each other) in index
+order only, with their transpositions as generators, and turns each
+further minimal leaf into one more generator, so K_n and the empty
+graph cost n search nodes instead of n! leaves.
 """
 
 from __future__ import annotations
@@ -141,13 +139,6 @@ def induced_subgraph(g: Graph, keep: VertexMask) -> Graph:
     return Graph(len(kept), adj)
 
 
-def closed_neighborhood(g: Graph, v: int) -> VertexMask:
-    """N[v] = N(v) together with v itself."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for order {g.n}")
-    return g.adj[v] | 1 << v
-
-
 def connected_components(g: Graph) -> list[VertexMask]:
     """Partition of the vertices into maximal connected masks.
 
@@ -177,33 +168,6 @@ def is_connected(g: Graph) -> bool:
 
 def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g.adj), default=0)
-
-
-def is_forest(g: Graph) -> bool:
-    """True iff g is acyclic: it has n - (number of components) edges.
-
-    Every component on k vertices has at least k - 1 edges, with equality
-    exactly for a tree, so the count rule holds iff every component is one.
-    """
-    return g.edge_count() == g.n - len(connected_components(g))
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; vertices of h are shifted after those of g."""
-    shift = g.n
-    adj = g.adj + tuple(row << shift for row in h.adj)
-    return Graph(g.n + h.n, adj)
-
-
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Relabel so that old vertex v becomes perm[v]."""
-    p = list(perm)
-    if sorted(p) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of the vertices")
-    adj = [0] * g.n
-    for v in range(g.n):
-        adj[p[v]] = mask_of(p[u] for u in bits(g.adj[v]))
-    return Graph(g.n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -351,63 +315,3 @@ def canonical_form(
 def canonical_code(g: Graph) -> CanonicalCode:
     """Deterministic complete isomorphism invariant for small orders."""
     return canonical_form(g)[0]
-
-
-# ---------------------------------------------------------------------------
-# forest certificates (centre-rooted subtree encoding, any supported order)
-# ---------------------------------------------------------------------------
-
-def _component_centers(g: Graph, comp: VertexMask) -> list[int]:
-    """Centres of a tree component, by iterated leaf stripping."""
-    size = comp.bit_count()
-    if size <= 2:
-        return list(bits(comp))
-    degs = {v: (g.adj[v] & comp).bit_count() for v in bits(comp)}
-    alive = comp
-    layer = [v for v, d in degs.items() if d <= 1]
-    remaining = size
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive &= ~(1 << v)
-            remaining -= 1
-            for u in bits(g.adj[v] & alive):
-                degs[u] -= 1
-                if degs[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    return list(bits(alive))
-
-
-def _rooted_encoding(g: Graph, root: int, comp: VertexMask) -> tuple:
-    """Nested-tuple encoding of the component rooted at ``root``;
-    children are sorted, so equal encodings <=> rooted isomorphism."""
-
-    def enc(v: int, parent: int) -> tuple:
-        kids = [enc(u, v) for u in bits(g.adj[v] & comp) if u != parent]
-        kids.sort()
-        return tuple(kids)
-
-    return enc(root, -1)
-
-
-def forest_certificate(g: Graph) -> tuple:
-    """Complete isomorphism invariant for forests of any supported order.
-
-    Each tree component is encoded rooted at its centre (minimum over
-    the at most two centres); the certificate is the sorted tuple of
-    component encodings.  Raises ValueError on cyclic input.
-    """
-    if not is_forest(g):
-        raise ValueError("forest_certificate requires acyclic input")
-    return tuple(sorted(
-        min(_rooted_encoding(g, c, comp) for c in _component_centers(g, comp))
-        for comp in connected_components(g)
-    ))
-
-
-def tree_certificate(g: Graph) -> tuple:
-    """Certificate of a single tree (connected acyclic graph)."""
-    if g.n == 0 or not is_connected(g):
-        raise ValueError("tree_certificate requires a connected graph")
-    return forest_certificate(g)

@@ -337,14 +337,6 @@ def sigma01_tree_dp(g: Graph) -> SigmaPair:
     return SigmaPair(s0, s1)
 
 
-def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:
-    """Counts of a vertex-disjoint union from the counts of its parts."""
-    return SigmaPair(
-        a.sigma0 * b.sigma0,
-        a.sigma1 * b.sigma0 + b.sigma1 * a.sigma0,
-    )
-
-
 def sigma01(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1): a forest by the tree DP, any other graph by
     the deletion recursion.

@@ -497,6 +497,7 @@ def extremal_scan(spec: ClassSpec, bound: tuple[str, Fraction] | None = None) ->
 def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
     """Run one named check for every order up to n_max (clamped to the
     documented cap of its universe); 'all' runs the whole catalogue.
+    A negative n_max is a ValueError.
 
     Each universe is scored once per order, one table at a time, and each
     distinct report is made once; 'all' still lists one report per check
@@ -504,6 +505,8 @@ def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
     """
     if theorem != "all" and theorem not in CATALOGUE:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    if n_max < 0:
+        raise ValueError(f"negative order bound n_max={n_max}")
     lim = effective_limits()
     plan = [
         (make, ClassSpec(family, n, d))

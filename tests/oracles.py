@@ -5,20 +5,73 @@ over all 2^C(n,2) labelled graphs) that check the isomorph-free streams
 of ``nearindep.generate`` on small orders without canonical codes, the
 column-packed code of a fixed labelling, and the leaf deletions of a tree
 solved one induced subgraph at a time.
+
+The forest certificate lives here too: ``forest_certificate`` is a
+complete isomorphism invariant for forests of any supported order (the
+sorted centre-rooted encodings of the components, built by leaf
+stripping in ``neighbour_lists_certificate``), which the tests use to
+tell tree and forest classes apart without canonical codes.  So do the
+graph helpers only the tests need (``closed_neighborhood``,
+``is_forest``, ``disjoint_union``, ``relabel``) and ``combine_union``,
+the union rule of the counts as a function.
 """
 
 from itertools import permutations, product
+from typing import Iterable
 
 from nearindep.graphs import (
     Graph,
-    closed_neighborhood,
-    forest_certificate,
+    VertexMask,
+    bits,
+    connected_components,
     induced_subgraph,
     is_connected,
-    is_forest,
     make_graph,
+    mask_of,
 )
-from nearindep.sigma import sigma01, sigma01_recursive
+from nearindep.sigma import SigmaPair, sigma01, sigma01_recursive
+
+
+def closed_neighborhood(g: Graph, v: int) -> VertexMask:
+    """N[v] = N(v) together with v itself."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for order {g.n}")
+    return g.adj[v] | 1 << v
+
+
+def is_forest(g: Graph) -> bool:
+    """True iff g is acyclic: it has n - (number of components) edges.
+
+    Every component on k vertices has at least k - 1 edges, with equality
+    exactly for a tree, so the count rule holds iff every component is one.
+    """
+    return g.edge_count() == g.n - len(connected_components(g))
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Disjoint union; vertices of h are shifted after those of g."""
+    shift = g.n
+    adj = g.adj + tuple(row << shift for row in h.adj)
+    return Graph(g.n + h.n, adj)
+
+
+def relabel(g: Graph, perm: Iterable[int]) -> Graph:
+    """Relabel so that old vertex v becomes perm[v]."""
+    p = list(perm)
+    if sorted(p) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertices")
+    adj = [0] * g.n
+    for v in range(g.n):
+        adj[p[v]] = mask_of(p[u] for u in bits(g.adj[v]))
+    return Graph(g.n, tuple(adj))
+
+
+def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:
+    """Counts of a vertex-disjoint union from the counts of its parts."""
+    return SigmaPair(
+        a.sigma0 * b.sigma0,
+        a.sigma1 * b.sigma0 + b.sigma1 * a.sigma0,
+    )
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -74,14 +127,15 @@ def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
 
 
 def neighbour_lists_certificate(nbrs: list[list[int]]) -> tuple:
-    """``forest_certificate`` of a tree given as neighbour lists, built
-    without a ``Graph``.
+    """Certificate of a tree given as neighbour lists: the 1-tuple of its
+    encoding rooted at a centre, built without a ``Graph``.
 
-    Leaves are stripped layer by layer, and each stripped vertex hangs
-    its encoding (the sorted tuple of its own children's encodings) on
-    the one neighbour still present.  The last layer holds the centres;
-    of two, each is encoded as rooted with the other as a child, and the
-    smaller encoding is kept, as ``forest_certificate`` does.
+    A rooted encoding is the sorted tuple of the children's encodings, so
+    equal encodings <=> rooted isomorphism.  Leaves are stripped layer by
+    layer, and each stripped vertex hangs its encoding on the one
+    neighbour still present.  The last layer holds the centres; of two,
+    each is encoded as rooted with the other as a child, and the smaller
+    encoding is kept.
     """
     degree = [len(row) for row in nbrs]
     kids: list[list[tuple]] = [[] for _ in nbrs]
@@ -107,6 +161,19 @@ def neighbour_lists_certificate(nbrs: list[list[int]]) -> tuple:
     a, b = layer
     enc_a, enc_b = tuple(sorted(kids[a])), tuple(sorted(kids[b]))
     return (min(tuple(sorted(kids[a] + [enc_b])), tuple(sorted(kids[b] + [enc_a]))),)
+
+
+def forest_certificate(g: Graph) -> tuple:
+    """Complete isomorphism invariant for forests of any supported order:
+    the sorted ``neighbour_lists_certificate`` encodings of the tree
+    components.  Raises ValueError on cyclic input."""
+    if not is_forest(g):
+        raise ValueError("forest_certificate requires acyclic input")
+    encodings = []
+    for comp in connected_components(g):
+        tree = induced_subgraph(g, comp)
+        encodings += neighbour_lists_certificate([list(bits(row)) for row in tree.adj])
+    return tuple(sorted(encodings))
 
 
 def prufer_tree_certs(n: int) -> frozenset:

@@ -11,22 +11,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from nearindep.generate import (
-    gen_forests,
-    gen_graphs,
+    ClassSpec,
+    gen_class,
     gen_trees,
 )
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import (
     canonical_code,
-    disjoint_union,
-    forest_certificate,
     make_graph,
     make_named,
-    relabel,
 )
 from nearindep.sigma import (
     SigmaPair,
-    combine_union,
     q_ratio,
     sigma01,
     sigma01_recursive,
@@ -45,7 +41,15 @@ from nearindep.verify import (
 )
 
 from conftest import random_graph
-from oracles import graph_from_pair_mask, labelled_connected_count, prufer_tree_certs
+from oracles import (
+    combine_union,
+    disjoint_union,
+    forest_certificate,
+    graph_from_pair_mask,
+    labelled_connected_count,
+    prufer_tree_certs,
+    relabel,
+)
 
 
 @contextmanager
@@ -212,7 +216,7 @@ def test_criterion_9_enumeration_counts():
             got = frozenset(forest_certificate(t) for t in gen_trees(n))
             assert got == prufer_tree_certs(n)
 
-        connected = [sum(1 for _ in gen_graphs(n, connected_only=True)) for n in range(1, 7)]
+        connected = [sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) for n in range(1, 7)]
         assert connected == [1, 1, 2, 6, 21, 112]
         for n in range(1, 7):
             assert connected[n - 1] == labelled_connected_count(n)

@@ -196,6 +196,16 @@ def test_input_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+def test_negative_bounds_exit_2(capsys):
+    """A negative order bound or maximum degree is a usage error, not an
+    empty run: nothing is printed and the exit code is 2."""
+    for theorem in ("3.1", "all"):
+        code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--n-max", "-3")
+        assert code == 2 and out == "" and "n_max" in err
+    code, out, err = run_cli(capsys, "gen", "--class", "graphs", "--n", "4", "--delta", "-1")
+    assert code == 2 and out == "" and "maximum degree" in err
+
+
 def test_env_cap_respected(capsys, monkeypatch):
     monkeypatch.setenv("SIGMA_MAX_N", "5")
     code, _, err = run_cli(capsys, "gen", "--class", "graphs", "--n", "6")

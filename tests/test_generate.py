@@ -19,9 +19,7 @@ from nearindep.graphs import (
     canonical_code,
     canonical_form,
     connected_components,
-    forest_certificate,
     is_connected,
-    is_forest,
     make_graph,
     max_degree,
 )
@@ -30,15 +28,15 @@ from nearindep.sigma import q_ratio
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
+    forest_certificate,
     graph_from_pair_mask,
+    is_forest,
     labelled_class_count,
     labelled_connected_count,
     labelled_forest_count,
     leaf_extension_tree_certs,
-    neighbour_lists_certificate,
     packed_code,
     prufer_decode,
-    prufer_neighbours,
     prufer_tree_certs,
 )
 
@@ -107,14 +105,6 @@ def test_prufer_decode_is_a_tree():
     assert t.n == 6 and is_forest(t) and is_connected(t)
 
 
-def test_neighbour_list_certificates_match_forest_certificate():
-    for n in range(2, 7):
-        for seq in product(range(n), repeat=n - 2):
-            want = forest_certificate(prufer_decode(n, seq))
-            assert neighbour_lists_certificate(prufer_neighbours(n, seq)) == want, seq
-    assert prufer_tree_certs(1) == {forest_certificate(make_graph(1, []))}
-
-
 def test_prufer_decode_is_the_bijection_networkx_uses():
     nx = pytest.importorskip("networkx")
     for n in range(2, 7):
@@ -166,11 +156,11 @@ def test_graph_class_counts():
 def test_graph_counts_match_labelled_oracle():
     for n in range(1, 7):
         assert sum(1 for _ in gen_graphs(n)) == labelled_class_count(n)
-        assert sum(1 for _ in gen_graphs(n, connected_only=True)) == labelled_connected_count(n)
+        assert sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) == labelled_connected_count(n)
 
 
 def test_connected_counts():
-    got = [sum(1 for _ in gen_graphs(n, connected_only=True)) for n in range(1, 9)]
+    got = [sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) for n in range(1, 9)]
     assert got == CONNECTED_COUNTS
 
 
@@ -264,7 +254,7 @@ def test_orbit_min_subsets_match_the_brute_force_group():
 
 
 def test_delta_filter():
-    got = list(gen_graphs(4, delta=1))
+    got = list(gen_class(ClassSpec("bounded_degree_graphs", 4, 1)))
     assert len(got) == 2
     assert all(max_degree(g) == 1 for g in got)
     # the two matchings: one and two edges
@@ -272,7 +262,7 @@ def test_delta_filter():
 
 
 def test_connected_stream_is_connected():
-    for g in gen_graphs(5, connected_only=True):
+    for g in gen_class(ClassSpec("connected_graphs", 5)):
         assert len(connected_components(g)) == 1
 
 
@@ -311,5 +301,8 @@ def test_class_spec_validation():
         ClassSpec("trees", 4, delta=2)
     with pytest.raises(ValueError):
         ClassSpec("bounded_degree_graphs", 4)
+    with pytest.raises(ValueError):
+        ClassSpec("bounded_degree_graphs", 4, -1)
+    assert [g.edge_count() for g in gen_class(ClassSpec("bounded_degree_graphs", 4, 0))] == [0]
     spec = ClassSpec("bounded_degree_graphs", 4, 1)
     assert sum(1 for _ in gen_class(spec)) == 2

@@ -8,22 +8,26 @@ from nearindep.graphs import (
     Graph,
     canonical_code,
     canonical_form,
-    closed_neighborhood,
     connected_components,
-    disjoint_union,
-    forest_certificate,
     induced_subgraph,
-    is_forest,
     make_graph,
     make_named,
     max_degree,
-    relabel,
-    tree_certificate,
 )
+from nearindep.generate import gen_trees
 from nearindep.limits import CapabilityError
 
 from conftest import brute_force_automorphisms, graphs, random_graph
-from oracles import graph_from_code, graph_from_pair_mask, packed_code
+from oracles import (
+    closed_neighborhood,
+    disjoint_union,
+    forest_certificate,
+    graph_from_code,
+    graph_from_pair_mask,
+    is_forest,
+    packed_code,
+    relabel,
+)
 
 
 def test_make_graph_examples():
@@ -382,27 +386,39 @@ def test_forest_certificate_invariance(rng):
         perm = list(range(6))
         rng.shuffle(perm)
         assert forest_certificate(relabel(t, perm)) == forest_certificate(t)
-    assert tree_certificate(make_named("path", 5)) != tree_certificate(make_named("star", 5))
+    assert forest_certificate(make_named("path", 5)) != forest_certificate(make_named("star", 5))
     with pytest.raises(ValueError):
         forest_certificate(make_named("complete", 3))
-    with pytest.raises(ValueError):
-        tree_certificate(make_named("empty", 2))
+    # two isolated vertices: two components, neither of them the edge
+    assert forest_certificate(make_named("empty", 2)) == ((), ())
+    assert forest_certificate(make_named("empty", 2)) != forest_certificate(make_named("path", 2))
 
 
-def test_forest_certificate_agrees_with_canonical_code():
-    # on all forests up to 6 vertices the two invariants induce the same classes
+def test_forest_certificate_agrees_with_canonical_code(rng):
+    # on all forests up to 6 vertices, and on every tree up to 10 vertices
+    # under random relabellings, the two invariants induce the same classes
     by_cert: dict[tuple, tuple] = {}
     by_code: dict[tuple, tuple] = {}
+
+    def agree(g):
+        cert = forest_certificate(g)
+        code = (g.n, canonical_code(g).code)
+        assert by_cert.setdefault(cert, code) == code
+        assert by_code.setdefault(code, cert) == cert
+
     for n in range(1, 7):
         npairs = n * (n - 1) // 2
         for m in range(1 << npairs):
             g = graph_from_pair_mask(n, m)
-            if not is_forest(g):
-                continue
-            cert = forest_certificate(g)
-            code = (n, canonical_code(g).code)
-            assert by_cert.setdefault(cert, code) == code
-            assert by_code.setdefault(code, cert) == cert
+            if is_forest(g):
+                agree(g)
+    for n in range(1, 11):
+        for t in gen_trees(n):
+            agree(t)
+            for _ in range(5):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                agree(relabel(t, perm))
 
 
 def test_certificates_respect_union_order():

@@ -6,13 +6,10 @@ from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import (
     canonical_code,
     connected_components,
-    disjoint_union,
     induced_subgraph,
     make_named,
-    relabel,
 )
 from nearindep.sigma import (
-    combine_union,
     q_ratio,
     sigma01,
     sigma01_recursive,
@@ -21,6 +18,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs
+from oracles import combine_union, disjoint_union, relabel
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))

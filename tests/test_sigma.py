@@ -9,17 +9,11 @@ from hypothesis import given
 
 import nearindep.graphs
 import nearindep.sigma
-from nearindep.graphs import (
-    disjoint_union,
-    is_forest,
-    make_graph,
-    make_named,
-)
+from nearindep.graphs import make_graph, make_named
 from nearindep.limits import CapabilityError
 from nearindep.sigma import (
     SigmaDistribution,
     SigmaPair,
-    combine_union,
     q_ratio,
     sigma01,
     sigma01_recursive,
@@ -29,7 +23,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs, random_graph
-from oracles import graph_from_pair_mask
+from oracles import combine_union, disjoint_union, graph_from_pair_mask, is_forest
 
 
 def all_labelled(n):

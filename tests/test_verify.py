@@ -11,7 +11,7 @@ import nearindep.sigma as sigma_module
 import nearindep.verify as verify_module
 from nearindep.generate import ClassSpec, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
-from nearindep.graphs import is_forest, make_graph, make_named, max_degree
+from nearindep.graphs import make_graph, make_named, max_degree
 from nearindep.sigma import q_ratio, sigma01, star_q
 from nearindep.verify import (
     extremal_scan,
@@ -29,6 +29,7 @@ from nearindep.verify import (
 )
 
 import oracles
+from oracles import closed_neighborhood, is_forest
 
 
 def test_connected_lower_small():
@@ -142,7 +143,7 @@ def test_leaf_lemmas_small():
 
 
 def test_leaf_lemma_identity_examples():
-    from nearindep.graphs import closed_neighborhood, induced_subgraph
+    from nearindep.graphs import induced_subgraph
     from nearindep.sigma import sigma01
 
     # both deletions of the single edge leave nothing: 3 = 2*1 + 1
