@@ -139,27 +139,38 @@ def induced_subgraph(g: Graph, keep: VertexMask) -> Graph:
     return Graph(len(kept), adj)
 
 
-def connected_components(g: Graph) -> list[VertexMask]:
-    """Partition of the vertices into maximal connected masks.
-
-    Components are ordered by their smallest member.
-    """
-    adj = g.adj
-    remaining = g.full_mask
-    out: list[VertexMask] = []
-    while remaining:
-        comp = frontier = remaining & -remaining
+def split_components(mask: VertexMask, adj: tuple[int, ...]) -> tuple[list[VertexMask], int]:
+    """The connected components of ``mask`` with two or more vertices, and
+    the number of isolated vertices, found by a bitmask BFS over ``adj``."""
+    comps = []
+    isolated = 0
+    while mask:
+        comp = frontier = mask & -mask
         while frontier:
             grown = 0
             while frontier:
                 low = frontier & -frontier
                 grown |= adj[low.bit_length() - 1]
                 frontier ^= low
-            frontier = grown & remaining & ~comp
+            frontier = grown & mask & ~comp
             comp |= frontier
-        out.append(comp)
-        remaining &= ~comp
-    return out
+        mask ^= comp
+        if comp & (comp - 1):
+            comps.append(comp)
+        else:
+            isolated += 1
+    return comps, isolated
+
+
+def connected_components(g: Graph) -> list[VertexMask]:
+    """Partition of the vertices into maximal connected masks.
+
+    Components are ordered by their smallest member.  The singletons are
+    the vertices that no component of ``split_components`` covers.
+    """
+    comps, _ = split_components(g.full_mask, g.adj)
+    alone = g.full_mask & ~sum(comps)  # the components are disjoint
+    return sorted(comps + [1 << v for v in bits(alone)], key=lambda comp: comp & -comp)
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,9 +11,9 @@ Three mutually checking routes are implemented:
   number of induced edges (``sigma_distribution_bruteforce``);
 * deletion recursion that decomposes (``sigma01_recursive``).  Each
   surviving-vertex mask loses its isolated vertices (a factor 2 on both
-  counts each) and is split into connected components, folded with the
-  union rule below.  Each connected component is memoised by its mask
-  and solved by deletion on a pivot vertex v:
+  counts each) and is split into connected components (by
+  ``graphs.split_components``), folded with the union rule below.  Each
+  component is memoised by its mask and solved by deletion on a pivot v:
   sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
   sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
               + sum over u in N(v) of sigma0(G-N[v]-N[u]).
@@ -24,8 +24,8 @@ Three mutually checking routes are implemented:
   grows with how slowly deletions break them apart;
 * a linear-time rooted DP for forests (``sigma01_tree_dp``).  One BFS
   walk per component (``_rooted_branches``) gives the order and parents
-  and folds ``_graft`` over them; the leaf checks of ``verify`` reroot
-  the same branch states with ``_prune``.
+  and folds ``_graft`` over them; ``leaf_deletion_counts``, for the leaf
+  checks of ``verify``, reroots the same branch states with ``_prune``.
 
 None of the three calls another, so each checks the other two.
 ``sigma01`` tries the tree DP, whose walk stops at the first cycle, and
@@ -48,7 +48,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, split_components
 # Unused here, but perfbench/tracer.py rebinds these two names in this module.
 from .graphs import connected_components, induced_subgraph  # noqa: F401
 from .limits import check_cap, effective_limits
@@ -108,7 +108,7 @@ def sigma_distribution_bruteforce(g: Graph) -> SigmaDistribution:
     hist = [0] * (m + 1)
     hist[0] = 1  # empty subset
     size = 1 << n
-    edge_cnt = array("l", bytes(8 * size)) if size > 1 else array("l", [0])
+    edge_cnt = array("H", [0]) * size  # <= 300 edges on oracle_max_n = 25 vertices
     for s in range(1, size):
         v = (s & -s).bit_length() - 1
         rest = s & (s - 1)
@@ -116,29 +116,6 @@ def sigma_distribution_bruteforce(g: Graph) -> SigmaDistribution:
         edge_cnt[s] = e
         hist[e] += 1
     return SigmaDistribution(n, tuple(hist))
-
-
-def _components(mask: int, adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """The connected components of ``mask`` with two or more vertices, and
-    the number of isolated vertices, found by a bitmask BFS over ``adj``."""
-    comps = []
-    isolated = 0
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & mask & ~comp
-            comp |= frontier
-        mask ^= comp
-        if comp & (comp - 1):
-            comps.append(comp)
-        else:
-            isolated += 1
-    return comps, isolated
 
 
 def _pivot_vertex(comp: int, adj: tuple[int, ...], rng: random.Random | None) -> int:
@@ -169,7 +146,7 @@ def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[
     """
     if not mask & (mask - 1):  # no vertex or one: skip the split
         return (2, 0) if mask else (1, 0)
-    comps, isolated = _components(mask, adj)
+    comps, isolated = split_components(mask, adj)
     s0, s1 = 1, 0
     for comp in comps:
         pair = memo.get(comp)
@@ -211,7 +188,7 @@ def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict
     """
     if not mask & (mask - 1):
         return 2 if mask else 1
-    comps, isolated = _components(mask, adj)
+    comps, isolated = split_components(mask, adj)
     s0 = 1 << isolated
     for comp in comps:
         c0 = memo0.get(comp)
@@ -253,6 +230,7 @@ def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> Si
     return SigmaPair(s0, s1)
 
 
+Pair = tuple[int, int]  # (sigma0, sigma1) of one graph
 State = tuple[int, int, int, int]  # a rooted branch: (a0, a1, b0, b1), see _graft
 LEAF: State = (1, 0, 1, 0)  # a single vertex as a rooted branch
 
@@ -314,6 +292,12 @@ def _rooted_branches(adj: tuple[int, ...], root: int, parent: list[int], down: l
     return order
 
 
+def _root_pair(root: State) -> Pair:
+    """(sigma0, sigma1) of a tree from its root state: root in plus root out."""
+    a0, a1, b0, b1 = root
+    return a0 + b0, a1 + b1
+
+
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1) of a forest by rooted DP per component.
 
@@ -331,10 +315,59 @@ def sigma01_tree_dp(g: Graph) -> SigmaPair:
             continue
         if _rooted_branches(g.adj, root, parent, down) is None:
             raise ValueError("sigma01_tree_dp requires acyclic input")
-        a0, a1, b0, b1 = down[root]
-        c0, c1 = a0 + b0, a1 + b1
+        c0, c1 = _root_pair(down[root])
         s0, s1 = s0 * c0, s1 * c0 + c1 * s0
     return SigmaPair(s0, s1)
+
+
+def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair, Pair]]]:
+    """(sigma of T, leaves) for a tree T on n >= 1 vertices, each sigma a
+    (sigma0, sigma1) pair: leaves holds (v, sigma of T-v, sigma of T-N[v],
+    sigma of T-N[u]) for every leaf v, in vertex order, u its support vertex.
+
+    The tree DP's walk from vertex 0 (``_rooted_branches``) gives, for
+    every vertex z, ``down[z]``: the branch at z away from its BFS
+    parent, built bottom-up by ``_graft``, and it rejects a cycle.  The
+    root state down[0] counts T by ``_root_pair``, as in
+    ``sigma01_tree_dp``.
+    Top-down, the whole tree rooted at each vertex follows, and ``up[z]``,
+    the branch at the parent away from z, is that whole tree at the
+    parent with down[z] cut away by ``_prune``.  That is O(n) per tree.
+
+    At the support vertex u, the whole tree rooted there has parts
+    A (u included) and B (u excluded), and the leaf v contributes the
+    factors 1 + x to A and 2 to B.  So T-N[v] = T-u-v counts B / 2,
+    T-v counts A / (1 + x) + B / 2, and T-N[u] counts the product of the
+    excluded parts of the branches at u.  Plain loops, no closures and no
+    recursion.
+    """
+    adj = tree.adj
+    n = tree.n
+    parent, down = [-1] * n, [LEAF] * n
+    order = _rooted_branches(adj, 0, parent, down) if n else None
+    if order is None or len(order) != n:
+        raise ValueError("leaf_deletion_counts requires a tree")
+    up, whole = [LEAF] * n, [LEAF] * n
+    whole[0] = down[0]
+    for z in order[1:]:  # a parent comes before its children
+        up[z] = _prune(whole[parent[z]], down[z])
+        whole[z] = _graft(down[z], up[z])
+    out = []
+    minus_nu: dict[int, Pair] = {}
+    for v in range(n):
+        if tree.degree(v) != 1:
+            continue
+        u = adj[v].bit_length() - 1
+        if u not in minus_nu:
+            nu0, nu1 = 1, 0
+            for y in bits(adj[u]):
+                _, _, yb0, yb1 = down[y] if parent[y] == u else up[u]
+                nu0, nu1 = nu0 * yb0, nu1 * yb0 + nu0 * yb1
+            minus_nu[u] = nu0, nu1
+        a0, a1, b0, b1 = whole[u]
+        nv0, nv1 = b0 >> 1, b1 >> 1
+        out.append((v, (a0 + nv0, a1 - a0 + nv1), (nv0, nv1), minus_nu[u]))
+    return _root_pair(down[0]), out
 
 
 def sigma01(g: Graph) -> SigmaPair:

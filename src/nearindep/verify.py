@@ -31,7 +31,7 @@ A bound check is a ``Check`` record, applied by the one scan loop
 (``_scan``) to a scored table of (graph, Q) rows.  A graph6 string is
 emitted only for a graph that a report names.  The leaf checks count a
 tree and every deletion of it from one set of rooted branch states
-(``leaf_deletion_counts``), the tree DP's own, in one walk.
+(``sigma.leaf_deletion_counts``), the tree DP's own, in one walk.
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ from typing import Callable
 
 from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
-from .graphs import Graph, bits, induced_subgraph, mask_of, max_degree
+from .graphs import Graph, induced_subgraph, mask_of, max_degree
 from .limits import Limits, check_cap, effective_limits
-from .sigma import LEAF, _graft, _prune, _rooted_branches, q_ratio, star_q
+from .sigma import Pair, leaf_deletion_counts, q_ratio, star_q
 # Unused here, but perfbench/tracer.py rebinds this name in this module.
 from .sigma import sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
 
 Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q)
-Pair = tuple[int, int]  # (sigma0, sigma1) of one graph
 
 
 @dataclass(frozen=True)
@@ -80,13 +79,11 @@ class VerificationReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        def frac(q: Fraction) -> dict:
-            return {"num": str(q.numerator), "den": str(q.denominator)}
+        def frac(q: Fraction, prefix: str = "") -> dict:
+            return {f"{prefix}num": str(q.numerator), f"{prefix}den": str(q.denominator)}
 
         def witness(w: tuple[str, Fraction] | None) -> dict | None:
-            if w is None:
-                return None
-            return {"graph6": w[0], "q_num": str(w[1].numerator), "q_den": str(w[1].denominator)}
+            return None if w is None else {"graph6": w[0], **frac(w[1], "q_")}
 
         def jsonable(x):
             if isinstance(x, Fraction):
@@ -105,14 +102,7 @@ class VerificationReport:
             "checked": self.checked,
             "passed": self.passed,
             "violations": [
-                {
-                    "graph6": v.graph6,
-                    "lhs_num": str(v.lhs.numerator),
-                    "lhs_den": str(v.lhs.denominator),
-                    "rhs_num": str(v.rhs.numerator),
-                    "rhs_den": str(v.rhs.denominator),
-                    "context": v.context,
-                }
+                {"graph6": v.graph6, **frac(v.lhs, "lhs_"), **frac(v.rhs, "rhs_"), "context": v.context}
                 for v in self.violations
             ],
             "equality_witnesses": list(self.equality_witnesses),
@@ -277,57 +267,6 @@ def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
 # the leaf lemmas: every deletion of a tree from its rooted branches
 # ---------------------------------------------------------------------------
 
-def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair, Pair]]]:
-    """(sigma of T, leaves) for a tree T on n >= 1 vertices, each sigma a
-    (sigma0, sigma1) pair: leaves holds (v, sigma of T-v, sigma of T-N[v],
-    sigma of T-N[u]) for every leaf v, in vertex order, u its support vertex.
-
-    The tree DP's walk from vertex 0 (``sigma._rooted_branches``) gives,
-    for every vertex z, ``down[z]``: the branch at z away from its BFS
-    parent, built bottom-up by ``_graft``, and it rejects a cycle.  The
-    root state down[0] = (a0, a1, b0, b1) counts T as (a0 + b0, a1 + b1),
-    as in ``sigma01_tree_dp``.
-    Top-down, the whole tree rooted at each vertex follows, and ``up[z]``,
-    the branch at the parent away from z, is that whole tree at the
-    parent with down[z] cut away by ``_prune``.  That is O(n) per tree.
-
-    At the support vertex u, the whole tree rooted there has parts
-    A (u included) and B (u excluded), and the leaf v contributes the
-    factors 1 + x to A and 2 to B.  So T-N[v] = T-u-v counts B / 2,
-    T-v counts A / (1 + x) + B / 2, and T-N[u] counts the product of the
-    excluded parts of the branches at u.  Plain loops, no closures and no
-    recursion.
-    """
-    adj = tree.adj
-    n = tree.n
-    parent, down = [-1] * n, [LEAF] * n
-    order = _rooted_branches(adj, 0, parent, down) if n else None
-    if order is None or len(order) != n:
-        raise ValueError("leaf_deletion_counts requires a tree")
-    up, whole = [LEAF] * n, [LEAF] * n
-    whole[0] = down[0]
-    for z in order[1:]:  # a parent comes before its children
-        up[z] = _prune(whole[parent[z]], down[z])
-        whole[z] = _graft(down[z], up[z])
-    out = []
-    minus_nu: dict[int, Pair] = {}
-    for v in range(n):
-        if tree.degree(v) != 1:
-            continue
-        u = adj[v].bit_length() - 1
-        if u not in minus_nu:
-            nu0, nu1 = 1, 0
-            for y in bits(adj[u]):
-                _, _, yb0, yb1 = down[y] if parent[y] == u else up[u]
-                nu0, nu1 = nu0 * yb0, nu1 * yb0 + nu0 * yb1
-            minus_nu[u] = nu0, nu1
-        a0, a1, b0, b1 = whole[u]
-        nv0, nv1 = b0 >> 1, b1 >> 1
-        out.append((v, (a0 + nv0, a1 - a0 + nv1), (nv0, nv1), minus_nu[u]))
-    a0, a1, b0, b1 = down[0]
-    return (a0 + b0, a1 + b1), out
-
-
 def leaf_lemma_failures(
     n: int, t: Pair, minus_v: Pair, minus_nv: Pair, minus_nu: Pair
 ) -> list[tuple[Fraction, Fraction, str]]:
@@ -480,18 +419,10 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
     return _verify("4.2", n)
 
 
-def extremal_scan(spec: ClassSpec, bound: tuple[str, Fraction] | None = None) -> VerificationReport:
-    """Generic extremal search over one universe.
-
-    ``bound`` is an optional pair (comparison, value) with comparison
-    one of ">=" or "<="; members breaking the comparison are recorded
-    as violations and members attaining the value as equality witnesses.
-    """
-    op, ref = bound or (">=", None)
-    report = _scan(Check("scan", op, lambda s: ref), spec, _score(spec))
-    if bound is not None:
-        report.notes["comparison"] = op
-    return report
+def extremal_scan(spec: ClassSpec) -> VerificationReport:
+    """Generic extremal search over one universe: the members of least
+    and greatest Q as witnesses, with no bound compared."""
+    return _scan(Check("scan", ">=", lambda s: None), spec, _score(spec))
 
 
 def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:

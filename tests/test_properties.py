@@ -1,13 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import (
+    bits,
     canonical_code,
     connected_components,
     induced_subgraph,
     make_named,
+    split_components,
 )
 from nearindep.sigma import (
     q_ratio,
@@ -92,3 +95,18 @@ def test_components_partition_the_vertices(g):
         assert comp and seen & comp == 0
         seen |= comp
     assert seen == g.full_mask
+
+
+@given(graphs(max_n=10), st.data())
+def test_split_components_of_a_sub_mask_match_networkx(g, data):
+    """On any vertex mask, the components of two or more vertices in
+    order of their smallest member, and the isolated count, agree with
+    networkx on the induced subgraph."""
+    nx = pytest.importorskip("networkx")
+    mask = data.draw(st.integers(0, g.full_mask))
+    kept = list(bits(mask))
+    h = nx.empty_graph(len(kept))
+    h.add_edges_from(induced_subgraph(g, mask).edges())
+    theirs = [sum(1 << kept[i] for i in c) for c in nx.connected_components(h)]
+    big = sorted((c for c in theirs if c & (c - 1)), key=lambda c: c & -c)
+    assert split_components(mask, g.adj) == (big, len(theirs) - len(big))

@@ -169,6 +169,7 @@ def test_sigma01_on_a_forest_splits_no_components(monkeypatch):
     f = reduce(disjoint_union, [make_named("star", 5), make_named("path", 4), make_named("empty", 3)])
     monkeypatch.setattr(nearindep.graphs, "connected_components", _refuse)
     monkeypatch.setattr(nearindep.sigma, "connected_components", _refuse)
+    monkeypatch.setattr(nearindep.sigma, "split_components", _refuse)
     monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
     assert sigma01(f) == sigma_distribution_bruteforce(f).pair()
 

@@ -12,11 +12,11 @@ import nearindep.verify as verify_module
 from nearindep.generate import ClassSpec, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import make_graph, make_named, max_degree
-from nearindep.sigma import q_ratio, sigma01, star_q
+from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
 from nearindep.verify import (
+    Check,
     extremal_scan,
     is_star_graph,
-    leaf_deletion_counts,
     leaf_lemma_failures,
     run_theorem,
     strip_isolated,
@@ -178,13 +178,9 @@ def test_extremal_scan_examples():
     assert parse_graph6(r.max_witness[0]).edge_count() == 2
 
 
-def test_extremal_scan_bound():
-    r = extremal_scan(ClassSpec("trees", 5), bound=(">=", star_q(5)))
-    assert r.passed and len(r.equality_witnesses) == 1
-    r = extremal_scan(ClassSpec("trees", 5), bound=("<=", Fraction(1, 2)))
-    assert not r.passed  # several trees exceed 1/2
-    with pytest.raises(ValueError):
-        extremal_scan(ClassSpec("trees", 5), bound=("==", Fraction(1)))
+def test_check_rejects_an_unknown_comparison():
+    with pytest.raises(ValueError, match="comparison"):
+        Check("scan", "==", lambda s: Fraction(1))
 
 
 def test_witnesses_reverify():
@@ -436,13 +432,12 @@ def test_leaf_lemmas_walk_each_tree_twice(monkeypatch):
     """Each tree is walked once to score it and once for its own counts
     and those of its leaf deletions; ``sigma01`` does not walk it again."""
     calls = Counter()
-    for module in (sigma_module, verify_module):
 
-        def counting_walk(*args, real=module._rooted_branches):
-            calls["walk"] += 1
-            return real(*args)
+    def counting_walk(*args, real=sigma_module._rooted_branches):
+        calls["walk"] += 1
+        return real(*args)
 
-        monkeypatch.setattr(module, "_rooted_branches", counting_walk)
+    monkeypatch.setattr(sigma_module, "_rooted_branches", counting_walk)
     reports = run_theorem("4.4", 12)
     trees = sum(1 for n in range(2, 13) for _ in gen_trees(n))
     assert calls["walk"] == 2 * trees == 1972 and all(r.passed for r in reports)
