@@ -14,7 +14,7 @@ from .graphs import (
     make_named,
     max_degree,
 )
-from .limits import CapabilityError, Limits, effective_limits
+from .limits import CapabilityError, Limits
 from .sigma import (
     SigmaDistribution,
     SigmaPair,
@@ -55,7 +55,6 @@ __all__ = [
     "Violation",
     "canonical_code",
     "connected_components",
-    "effective_limits",
     "emit_graph6",
     "extremal_scan",
     "gen_class",

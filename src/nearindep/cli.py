@@ -13,7 +13,7 @@ import contextlib
 import csv
 import json
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator
 
 from .generate import ClassSpec, gen_class
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
@@ -31,16 +31,19 @@ CLI_FAMILIES = {
 
 
 def _input_lines(path: str | None) -> Iterator[str]:
-    stream: TextIO
-    if path is None or path == "-":
-        stream = sys.stdin
-    else:
-        stream = open(path, "r", encoding="ascii")
-    with stream if stream is not sys.stdin else contextlib.nullcontext(stream) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield line
+    """Stripped non-blank input lines.  The file is opened by this call, not
+    when the first line is read, so a missing file fails before any output."""
+    stdin = path is None or path == "-"
+    fh = sys.stdin if stdin else open(path, "r", encoding="ascii")
+
+    def lines() -> Iterator[str]:
+        with contextlib.nullcontext(fh) if stdin else fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    yield line
+
+    return lines()
 
 
 def _record_row(g: Graph) -> dict:
@@ -75,17 +78,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    def rows():
-        for line in _input_lines(args.input):
-            g = parse_graph6(line)
-            dist = sigma_distribution_bruteforce(g)
-            counts = [str(c) for c in dist.counts]
-            if args.format == "csv":
-                yield {"graph6": emit_graph6(g), "n": g.n, "counts": " ".join(counts)}
-            else:
-                yield {"graph6": emit_graph6(g), "n": g.n, "counts": counts}
+    def row(g: Graph) -> dict:
+        counts = [str(c) for c in sigma_distribution_bruteforce(g).counts]
+        return {"graph6": emit_graph6(g), "n": g.n,
+                "counts": " ".join(counts) if args.format == "csv" else counts}
 
-    _emit_rows(rows(), args.format, ["graph6", "n", "counts"])
+    rows = (row(parse_graph6(line)) for line in _input_lines(args.input))
+    _emit_rows(rows, args.format, ["graph6", "n", "counts"])
     return 0
 
 

@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
 
 from .graphs import Graph, bits, canonical_form, is_connected, max_degree
-from .limits import check_cap, effective_limits
+from .limits import Limits, check_cap
 
 FAMILIES = ("trees", "forests", "all_graphs", "connected_graphs", "bounded_degree_graphs")
 
@@ -174,10 +174,9 @@ def gen_trees(n: int) -> Iterator[Graph]:
     subtree at once, so few visited sequences are rejected (about 4% at
     n = 18).  Every yielded sequence still passes ``_is_center_rooted``.
     """
-    lim = effective_limits()
     if n < 1:
         raise ValueError(f"gen_trees needs n >= 1, got {n}")
-    check_cap(n, lim.trees_max_n, "gen_trees")
+    check_cap(n, Limits.trees_max_n, "gen_trees")
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         if _is_center_rooted(layout):
@@ -214,10 +213,9 @@ def gen_forests(n: int) -> Iterator[Graph]:
     walks integer partitions of n and, for each part size, multisets of
     tree classes of that size; no post-hoc deduplication is needed.
     """
-    lim = effective_limits()
     if n < 1:
         raise ValueError(f"gen_forests needs n >= 1, got {n}")
-    check_cap(n, lim.forests_max_n, "gen_forests")
+    check_cap(n, Limits.forests_max_n, "gen_forests")
     for part in _partitions(n):
         sizes = sorted(set(part), reverse=True)
         mult = {s: part.count(s) for s in sizes}
@@ -387,7 +385,7 @@ def gen_graphs(n: int) -> Iterator[Graph]:
     bounded-degree universes are its views, filtered by ``gen_class``
     with the tests in ``VIEWS``.
     """
-    check_cap(n, effective_limits().graphs_max_n, "gen_graphs")
+    check_cap(n, Limits.graphs_max_n, "gen_graphs")
     if n < 0:
         raise ValueError(f"negative order {n}")
     for g, _ in _graph_classes(n):

@@ -13,7 +13,7 @@ the huge form ('~~') and orders above the cap are capability errors.
 from __future__ import annotations
 
 from .graphs import Graph
-from .limits import CapabilityError, check_cap, effective_limits
+from .limits import CapabilityError, Limits, check_cap
 
 
 class Graph6Error(ValueError):
@@ -51,7 +51,7 @@ def parse_graph6(line: str | bytes) -> Graph:
             n = n << 6 | byte
         if n < 63:
             raise Graph6Error(f"long size form for order {n}, which the short form spells", 1)
-        check_cap(n, effective_limits().graph_max_n, "graph6")
+        check_cap(n, Limits.graph_max_n, "graph6")
     elif 63 <= first <= 125:
         head, n = 1, first - 63
     else:

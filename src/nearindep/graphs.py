@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .limits import CapabilityError, check_cap, effective_limits
+from .limits import Limits, check_cap
 
 VertexMask = int
 
@@ -57,7 +57,7 @@ class Graph:
         n, adj = self.n, self.adj
         if n < 0:
             raise ValueError(f"negative order {n}")
-        check_cap(n, effective_limits().graph_max_n, "Graph")
+        check_cap(n, Limits.graph_max_n, "Graph")
         if len(adj) != n:
             raise ValueError(f"adjacency length {len(adj)} != order {n}")
         full = (1 << n) - 1
@@ -227,11 +227,7 @@ def canonical_form(
     leaves differ by an automorphism, so the vertex at a given position
     is determined up to Aut(g).
     """
-    lim = effective_limits()
-    if g.n > lim.canonical_max_n:
-        raise CapabilityError(
-            f"canonical_code supports order <= {lim.canonical_max_n}, got {g.n}"
-        )
+    check_cap(g.n, Limits.canonical_max_n, "canonical_form")
     n = g.n
     adj = g.adj
     # twin classes, each placed in increasing order: only the class minima

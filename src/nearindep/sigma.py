@@ -51,7 +51,7 @@ from fractions import Fraction
 from .graphs import Graph, bits, split_components
 # Unused here, but perfbench/tracer.py rebinds these two names in this module.
 from .graphs import connected_components, induced_subgraph  # noqa: F401
-from .limits import check_cap, effective_limits
+from .limits import Limits, check_cap
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def sigma_distribution_bruteforce(g: Graph) -> SigmaDistribution:
     The edge count of a subset S is extended from S minus its lowest
     vertex, so the sweep is one pass over the 2^n masks.
     """
-    check_cap(g.n, effective_limits().oracle_max_n, "sigma_distribution_bruteforce")
+    check_cap(g.n, Limits.oracle_max_n, "sigma_distribution_bruteforce")
     n = g.n
     m = g.edge_count()
     adj = g.adj

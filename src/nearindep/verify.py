@@ -45,7 +45,7 @@ from typing import Callable
 from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
 from .graphs import Graph, induced_subgraph, mask_of, max_degree
-from .limits import Limits, check_cap, effective_limits
+from .limits import Limits, check_cap
 from .sigma import Pair, leaf_deletion_counts, q_ratio, star_q
 # Unused here, but perfbench/tracer.py rebinds this name in this module.
 from .sigma import sigma01  # noqa: F401
@@ -343,7 +343,7 @@ def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> 
     make, family, lowest, cap, *_ = CATALOGUE[theorem][series]
     if n < lowest:
         raise ValueError(f"check {theorem} needs n >= {lowest}")
-    check_cap(n, getattr(effective_limits(), cap), f"check {theorem}")
+    check_cap(n, getattr(Limits, cap), f"check {theorem}")
     spec = ClassSpec(family, n, delta)
     return make(spec, _score(spec))
 
@@ -372,8 +372,6 @@ def verify_max_degree_lower(n: int, delta: int) -> VerificationReport:
     """
     if not 1 <= delta <= n - 1:
         raise ValueError(f"need 1 <= delta <= n-1, got delta={delta}, n={n}")
-    if n > Limits.degree_checks_max_n:  # a lower SIGMA_MAX_N is a CapabilityError
-        raise ValueError(f"verify_max_degree_lower is specified for n <= {Limits.degree_checks_max_n}")
     return _verify("3.6", n, delta)
 
 
@@ -438,12 +436,11 @@ def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
         raise ValueError(f"unknown theorem id {theorem!r}")
     if n_max < 0:
         raise ValueError(f"negative order bound n_max={n_max}")
-    lim = effective_limits()
     plan = [
         (make, ClassSpec(family, n, d))
         for t in (THEOREMS if theorem == "all" else (theorem,))
         for make, family, lowest, cap, *deltas in CATALOGUE[t]
-        for n in range(lowest, min(n_max, getattr(lim, cap)) + 1)
+        for n in range(lowest, min(n_max, getattr(Limits, cap)) + 1)
         for d in (deltas[0](n) if deltas else (None,))
     ]
 

@@ -190,10 +190,14 @@ def test_input_errors_exit_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("Ax\n"))
     code, _, err = run_cli(capsys, "compute")
     assert code == 2 and "padding" in err
-    code, _, err = run_cli(capsys, "compute", "--input", str(tmp_path / "missing.g6"))
+    missing = str(tmp_path / "missing.g6")
+    code, _, err = run_cli(capsys, "compute", "--input", missing)
     assert code == 2
+    for command in ("compute", "distribution"):  # no CSV header before the error
+        code, out, err = run_cli(capsys, command, "--format", "csv", "--input", missing)
+        assert code == 2 and out == "" and "missing.g6" in err
     code, _, err = run_cli(capsys, "gen", "--class", "graphs", "--n", "9")
-    assert code == 2
+    assert code == 2 and "order <= 8, got 9" in err
 
 
 def test_negative_bounds_exit_2(capsys):
@@ -206,16 +210,15 @@ def test_negative_bounds_exit_2(capsys):
     assert code == 2 and out == "" and "maximum degree" in err
 
 
-def test_env_cap_respected(capsys, monkeypatch):
-    monkeypatch.setenv("SIGMA_MAX_N", "5")
-    code, _, err = run_cli(capsys, "gen", "--class", "graphs", "--n", "6")
-    assert code == 2 and "order <= 5" in err
+def test_sigma_max_n_is_ignored(capsys, monkeypatch):
+    """The caps are constants: SIGMA_MAX_N, set to any value, changes no
+    output and no exit code."""
+    def runs():
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+        return run_cli(capsys, "gen", "--class", "graphs", "--n", "6"), run_cli(capsys, "compute")
 
-
-@pytest.mark.parametrize("raw", ["-3", "abc"])
-def test_bad_env_cap_exits_2(capsys, monkeypatch, raw):
-    monkeypatch.setenv("SIGMA_MAX_N", raw)
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
-    code, out, err = run_cli(capsys, "compute")
-    assert code == 2 and out == ""
-    assert "SIGMA_MAX_N" in err and repr(raw) in err
+    plain = runs()
+    assert [code for code, _, _ in plain] == [0, 0] and plain[0][1].count("\n") == 156
+    for raw in ("5", "-3", "abc"):
+        monkeypatch.setenv("SIGMA_MAX_N", raw)
+        assert runs() == plain

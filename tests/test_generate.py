@@ -287,13 +287,6 @@ def test_caps_and_ranges():
         list(gen_forests(0))
 
 
-def test_env_lowers_caps(monkeypatch):
-    monkeypatch.setenv("SIGMA_MAX_N", "6")
-    with pytest.raises(CapabilityError):
-        list(gen_graphs(7))
-    assert sum(1 for _ in gen_graphs(6)) == 156
-
-
 def test_class_spec_validation():
     with pytest.raises(ValueError):
         ClassSpec("cliques", 4)

@@ -78,14 +78,7 @@ def test_size_form_caps():
         parse_graph6("~~??????")  # the huge form
     with pytest.raises(CapabilityError):
         parse_graph6("~?@@")  # order 65
-
-
-def test_long_form_order_cap_follows_sigma_max_n(monkeypatch):
-    line = emit_graph6(make_named("empty", 64))
-    assert line.startswith("~?@?")
-    monkeypatch.setenv("SIGMA_MAX_N", "63")
-    with pytest.raises(CapabilityError):
-        parse_graph6(line)
+    assert emit_graph6(make_named("empty", 64)).startswith("~?@?")  # order 64, at the cap
 
 
 @pytest.mark.parametrize("n", [62, 63, 64])

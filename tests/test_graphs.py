@@ -58,13 +58,10 @@ def test_graph_invariants_enforced():
         Graph(1, (0b10,))            # stray bit
 
 
-def test_graph_order_cap(monkeypatch):
+def test_graph_order_cap():
     with pytest.raises(CapabilityError):
         make_named("empty", 65)
-    monkeypatch.setenv("SIGMA_MAX_N", "10")
-    with pytest.raises(CapabilityError):
-        make_named("empty", 12)
-    assert make_named("empty", 10).n == 10
+    assert make_named("empty", 64).n == 64
 
 
 def test_make_named():
@@ -163,7 +160,7 @@ def test_canonical_code_permutation_invariance(rng):
 
 
 def test_canonical_code_cap():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="canonical_form supports order <= 10, got 11"):
         canonical_code(make_named("empty", 11))
 
 

@@ -12,6 +12,7 @@ import nearindep.verify as verify_module
 from nearindep.generate import ClassSpec, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import make_graph, make_named, max_degree
+from nearindep.limits import CapabilityError
 from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
 from nearindep.verify import (
     Check,
@@ -96,7 +97,7 @@ def test_max_degree_validation():
         verify_max_degree_lower(4, 0)
     with pytest.raises(ValueError):
         verify_max_degree_lower(4, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapabilityError):
         verify_max_degree_lower(8, 1)
 
 
