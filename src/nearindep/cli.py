@@ -3,7 +3,8 @@
 Graphs travel as graph6 lines (one per line, stdin by default), reports
 as JSONL (default) or CSV.  Large integers are serialised as decimal
 strings so consumers without big-integer support stay exact.  Exit
-codes: 0 success, 1 verification violation, 2 usage or input error.
+codes: 0 success, 1 verification violation, 2 usage or input error,
+141 stdout closed by its reader (as in ``nearindep gen ... | head``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from typing import Iterator
 
@@ -201,7 +203,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: exit quietly, with fd 1 on devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (Graph6Error, CapabilityError, ValueError, OSError) as exc:
         print(f"nearindep: error: {exc}", file=sys.stderr)
         return 2

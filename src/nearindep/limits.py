@@ -9,14 +9,11 @@ run needs no setting here: pass a smaller order or input graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class CapabilityError(Exception):
     """A requested size exceeds a documented cap of this library."""
 
 
-@dataclass(frozen=True)
 class Limits:
     graph_max_n: int = 64        # every Graph, so sigma01 too; bitmasks fit one machine word
     oracle_max_n: int = 25       # 2^n subset sweep

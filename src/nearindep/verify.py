@@ -44,10 +44,11 @@ from typing import Callable
 
 from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
-from .graphs import Graph, induced_subgraph, mask_of, max_degree
+from .graphs import Graph, max_degree
 from .limits import Limits, check_cap
 from .sigma import Pair, leaf_deletion_counts, q_ratio, star_q
-# Unused here, but perfbench/tracer.py rebinds this name in this module.
+# Unused here, but perfbench/tracer.py rebinds these names in this module.
+from .graphs import induced_subgraph  # noqa: F401
 from .sigma import sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
@@ -85,15 +86,6 @@ class VerificationReport:
         def witness(w: tuple[str, Fraction] | None) -> dict | None:
             return None if w is None else {"graph6": w[0], **frac(w[1], "q_")}
 
-        def jsonable(x):
-            if isinstance(x, Fraction):
-                return frac(x)
-            if isinstance(x, (list, tuple)):
-                return [jsonable(v) for v in x]
-            if isinstance(x, dict):
-                return {k: jsonable(v) for k, v in x.items()}
-            return x
-
         return {
             "theorem": self.theorem_id,
             "family": self.spec.family,
@@ -108,7 +100,7 @@ class VerificationReport:
             "equality_witnesses": list(self.equality_witnesses),
             "min_witness": witness(self.min_witness),
             "max_witness": witness(self.max_witness),
-            "notes": jsonable(self.notes),
+            "notes": {k: frac(v) if isinstance(v, Fraction) else v for k, v in self.notes.items()},
         }
 
 
@@ -137,18 +129,15 @@ class Check:
             raise ValueError("comparison must be '>=' or '<='")
 
 
+def is_star_plus_isolated(g: Graph, k: int) -> bool:
+    """True for the star on k >= 2 vertices plus isolated vertices: the
+    graph has k - 1 edges, all at one vertex of degree k - 1."""
+    return g.edge_count() == k - 1 == max_degree(g)
+
+
 def is_star_graph(g: Graph) -> bool:
     """True for the star on g.n vertices (orders 0 and 1 included)."""
-    return g.n <= 1 or (g.edge_count() == g.n - 1 and max_degree(g) == g.n - 1)
-
-
-def strip_isolated(g: Graph) -> Graph:
-    return induced_subgraph(g, mask_of(v for v in range(g.n) if g.adj[v]))
-
-
-def is_star_plus_isolated(g: Graph, star_order: int) -> bool:
-    core = strip_isolated(g)
-    return core.n == star_order and is_star_graph(core)
+    return g.n <= 1 or is_star_plus_isolated(g, g.n)
 
 
 STAR_LOWER = Check(
@@ -316,23 +305,23 @@ def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
 
 def _over_forests_and_trees(check: Check) -> list[tuple]:
     scan = partial(_scan, check)
-    return [(scan, "forests", 1, "forests_max_n"), (scan, "trees", 1, "tree_checks_max_n")]
+    return [(scan, "forests", 1, Limits.forests_max_n), (scan, "trees", 1, Limits.tree_checks_max_n)]
 
 
-# id -> its report series: (make, family, lowest order, the Limits field
+# id -> its report series: (make, family, lowest order, the Limits constant
 # capping the order[, the maximum degrees at order n]); make(spec, rows)
 # builds one report from the scored rows of spec
 CATALOGUE = {
-    "3.1": [(_general_lower, "all_graphs", 1, "graphs_max_n")],
-    "3.2": [(partial(_scan, STAR_LOWER), "connected_graphs", 1, "graphs_max_n")],
-    "3.3": [(partial(_scan, TREE_LOWER), "trees", 1, "tree_checks_max_n")],
-    "3.4": [(_max_degree_lower, "bounded_degree_graphs", 2, "degree_checks_max_n", lambda n: (1,))],
-    "3.5": [(_general_lower, "all_graphs", 4, "degree_checks_max_n")],
-    "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, "degree_checks_max_n", lambda n: range(1, n))],
+    "3.1": [(_general_lower, "all_graphs", 1, Limits.graphs_max_n)],
+    "3.2": [(partial(_scan, STAR_LOWER), "connected_graphs", 1, Limits.graphs_max_n)],
+    "3.3": [(partial(_scan, TREE_LOWER), "trees", 1, Limits.tree_checks_max_n)],
+    "3.4": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.degree_checks_max_n, lambda n: (1,))],
+    "3.5": [(_general_lower, "all_graphs", 4, Limits.degree_checks_max_n)],
+    "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.degree_checks_max_n, lambda n: range(1, n))],
     "4.1": _over_forests_and_trees(FOREST_BOUNDS["thm41"]),
-    "4.2": [(_leaf_lemmas, "trees", 2, "tree_checks_max_n")],
-    "4.3": [(_leaf_lemmas, "trees", 2, "tree_checks_max_n")],
-    "4.4": [(_leaf_lemmas, "trees", 2, "tree_checks_max_n")],
+    "4.2": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
+    "4.3": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
+    "4.4": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
     "4.5": _over_forests_and_trees(FOREST_BOUNDS["thm45"]),
 }
 THEOREMS = tuple(CATALOGUE)
@@ -343,7 +332,7 @@ def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> 
     make, family, lowest, cap, *_ = CATALOGUE[theorem][series]
     if n < lowest:
         raise ValueError(f"check {theorem} needs n >= {lowest}")
-    check_cap(n, getattr(Limits, cap), f"check {theorem}")
+    check_cap(n, cap, f"check {theorem}")
     spec = ClassSpec(family, n, delta)
     return make(spec, _score(spec))
 
@@ -440,7 +429,7 @@ def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
         (make, ClassSpec(family, n, d))
         for t in (THEOREMS if theorem == "all" else (theorem,))
         for make, family, lowest, cap, *deltas in CATALOGUE[t]
-        for n in range(lowest, min(n_max, getattr(Limits, cap)) + 1)
+        for n in range(lowest, min(n_max, cap) + 1)
         for d in (deltas[0](n) if deltas else (None,))
     ]
 

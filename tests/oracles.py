@@ -12,8 +12,8 @@ sorted centre-rooted encodings of the components, built by leaf
 stripping in ``neighbour_lists_certificate``), which the tests use to
 tell tree and forest classes apart without canonical codes.  So do the
 graph helpers only the tests need (``closed_neighborhood``,
-``is_forest``, ``disjoint_union``, ``relabel``) and ``combine_union``,
-the union rule of the counts as a function.
+``is_forest``, ``disjoint_union``, ``relabel``, ``strip_isolated``) and
+``combine_union``, the union rule of the counts as a function.
 """
 
 from itertools import permutations, product
@@ -64,6 +64,11 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     for v in range(g.n):
         adj[p[v]] = mask_of(p[u] for u in bits(g.adj[v]))
     return Graph(g.n, tuple(adj))
+
+
+def strip_isolated(g: Graph) -> Graph:
+    """The subgraph induced by the vertices of positive degree."""
+    return induced_subgraph(g, mask_of(v for v in range(g.n) if g.adj[v]))
 
 
 def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:

@@ -32,7 +32,6 @@ from nearindep.sigma import (
 )
 from nearindep.verify import (
     is_star_graph,
-    strip_isolated,
     verify_connected_lower,
     verify_forest_upper,
     verify_general_lower,
@@ -49,6 +48,7 @@ from oracles import (
     labelled_connected_count,
     prufer_tree_certs,
     relabel,
+    strip_isolated,
 )
 
 

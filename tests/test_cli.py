@@ -1,10 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import nearindep
 import nearindep.verify
 from nearindep.cli import main
 from nearindep.generate import ClassSpec
@@ -222,3 +228,58 @@ def test_sigma_max_n_is_ignored(capsys, monkeypatch):
     for raw in ("5", "-3", "abc"):
         monkeypatch.setenv("SIGMA_MAX_N", raw)
         assert runs() == plain
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closes the pipe early, as ``head`` does, is not an input
+    error: nothing on stderr, and the status a shell reports for SIGPIPE.
+    The 1.2 MB of trees are far more than a pipe buffers."""
+    src = str(Path(nearindep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nearindep.cli", "gen", "--class", "trees", "--n", "17"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def run_example(capsys, monkeypatch, command: str) -> list[str]:
+    """The output lines of one README shell line, run in-process: printf,
+    nearindep and head stages joined by '|', optionally followed by
+    '; echo $?' (the exit code of the last nearindep stage)."""
+    pipeline, _, echo = command.partition(" ; ")
+    out, code = "", 0
+    for stage in pipeline.split(" | "):
+        name, *args = shlex.split(stage)
+        if name == "printf":
+            out = args[0].replace("\\n", "\n")
+        elif name == "head":
+            out = "".join(out.splitlines(keepends=True)[: int(args[0].lstrip("-"))])
+        else:
+            assert name == "nearindep", stage
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code, out, _ = run_cli(capsys, *args)
+    return out.splitlines() + ([str(code)] if echo == "echo $?" else [])
+
+
+def test_readme_examples(capsys, monkeypatch):
+    """Every example in the README's CLI section prints what the README
+    shows; a shown line '...text...' stands for one or more lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("\n```", 1)[0]
+    examples = [chunk.splitlines() for chunk in block.split("\n\n")]
+    assert len(examples) == 4
+    for command, *shown in examples:
+        got = run_example(capsys, monkeypatch, command.removeprefix("$ "))
+        gap = next((i for i, line in enumerate(shown) if line.startswith("...")), None)
+        if gap is None:
+            assert got == shown, command
+        else:
+            head, tail = shown[:gap], shown[gap + 1:]
+            assert len(got) > len(head) + len(tail), command
+            assert (got[:gap], got[len(got) - len(tail):]) == (head, tail), command

@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,9 +19,9 @@ from nearindep.verify import (
     Check,
     extremal_scan,
     is_star_graph,
+    is_star_plus_isolated,
     leaf_lemma_failures,
     run_theorem,
-    strip_isolated,
     verify_connected_lower,
     verify_forest_upper,
     verify_general_lower,
@@ -30,7 +31,7 @@ from nearindep.verify import (
 )
 
 import oracles
-from oracles import closed_neighborhood, is_forest
+from oracles import closed_neighborhood, is_forest, strip_isolated
 
 
 def test_connected_lower_small():
@@ -90,6 +91,22 @@ def test_max_degree_two_anomaly():
     assert "anomaly" in r.notes
     core = strip_isolated(parse_graph6(r.min_witness[0]))
     assert core.n == 3 and is_star_graph(core)  # the 3-path plus an isolate
+
+
+def test_star_plus_isolated_matches_networkx():
+    """The edge-count rule against isomorphism with the star on k vertices,
+    once the isolated vertices are stripped, for every graph of the atlas
+    (orders up to 7) and k = 2..n."""
+    stars = 0
+    for h in nx.graph_atlas_g():
+        index = {v: i for i, v in enumerate(h)}
+        g = make_graph(len(index), [(index[u], index[v]) for u, v in h.edges])
+        core = nx.Graph(list(strip_isolated(g).edges()))
+        for k in range(2, g.n + 1):
+            star = nx.is_isomorphic(core, nx.star_graph(k - 1))
+            assert is_star_plus_isolated(g, k) == star, (emit_graph6(g), k)
+            stars += star
+    assert stars == sum(range(1, 7))  # the star on k vertices fits n = k..7
 
 
 def test_max_degree_validation():
@@ -304,7 +321,7 @@ VIOLATION_CASES = {
         ["bound", "bound_attained", "anomaly"],
     ),
     "3.4-off": (
-        {"is_star_graph": lambda g: False},
+        {"is_star_plus_isolated": lambda g, k: False},
         lambda: verify_max_degree_lower(4, 1),
         [("C@", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
          ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
@@ -312,7 +329,7 @@ VIOLATION_CASES = {
         ["bound", "bound_attained"],
     ),
     "3.6-off": (
-        {"is_star_graph": lambda g: False},
+        {"is_star_plus_isolated": lambda g, k: False},
         lambda: verify_max_degree_lower(5, 3),
         [("D?[", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
          ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
