@@ -1,10 +1,11 @@
 """Command-line surface: compute, distribution, gen, scan, verify.
 
-Graphs travel as graph6 lines (one per line, stdin by default), reports
-as JSONL (default) or CSV.  Large integers are serialised as decimal
-strings so consumers without big-integer support stay exact.  Exit
-codes: 0 success, 1 verification violation, 2 usage or input error,
-141 stdout closed by its reader (as in ``nearindep gen ... | head``).
+Graphs travel as graph6 lines (one per line, stdin by default), read as
+the same bytes from stdin and ``--input`` and decoded by ``parse_graph6``
+alone, whose errors name the byte and its offset.  Reports are JSONL
+(default) or CSV; large integers are decimal strings, exact for any
+consumer.  Exit codes: 0 success, 1 verification violation, 2 usage or
+input error, 141 stdout closed by its reader (``nearindep gen | head``).
 """
 
 from __future__ import annotations
@@ -32,18 +33,17 @@ CLI_FAMILIES = {
 }
 
 
-def _input_lines(path: str | None) -> Iterator[str]:
-    """Stripped non-blank input lines.  The file is opened by this call, not
-    when the first line is read, so a missing file fails before any output."""
+def _input_lines(path: str | None) -> Iterator[bytes]:
+    """Non-blank input lines as bytes, split at newline and stripped of ASCII
+    whitespace, the same way from stdin and a file (``parse_graph6`` decodes
+    them).  The file is opened by this call, not when the first line is
+    read, so a missing file fails before any output."""
     stdin = path is None or path == "-"
-    fh = sys.stdin if stdin else open(path, "r", encoding="ascii")
+    fh = sys.stdin.buffer if stdin else open(path, "rb")
 
-    def lines() -> Iterator[str]:
+    def lines() -> Iterator[bytes]:
         with contextlib.nullcontext(fh) if stdin else fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield line
+            yield from filter(None, map(bytes.strip, fh))
 
     return lines()
 

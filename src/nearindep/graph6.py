@@ -8,6 +8,9 @@ form); orders 63 and 64 are '~' and then n in 18 bits, as three bytes
 (the long form).  Decoding followed by encoding reproduces the input
 bytes exactly, so a long form spelling an order below 63 is malformed;
 the huge form ('~~') and orders above the cap are capability errors.
+
+A line (``str`` or ``bytes``) is stripped of ASCII whitespace only, bytes
+are read as latin-1, and an error names the byte value and its offset.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .limits import CapabilityError, Limits, check_cap
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``offset`` is the failing byte position."""
+    """Malformed graph6; ``offset`` is the byte's position in the stripped line, header counted."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -27,55 +30,51 @@ class Graph6Error(ValueError):
 _HEADER = ">>graph6<<"
 
 
+def _read_digits(s: str, start: int, stop: int, field: str) -> int:
+    """The integer ``s[start:stop]`` spells in 6-bit digits, each byte offset by 63."""
+    val = 0
+    for b, ch in enumerate(s[start:stop], start):
+        digit = ord(ch) - 63
+        if not 0 <= digit <= 63:
+            raise Graph6Error(f"{field} byte {ord(ch)} outside graph6 range", b)
+        val = val << 6 | digit
+    return val
+
+
+def _write_digits(val: int, ndigits: int) -> str:
+    """The inverse of ``_read_digits``: ``val`` as ``ndigits`` 6-bit digits."""
+    return "".join([chr(63 + (val >> 6 * k & 63)) for k in range(ndigits - 1, -1, -1)])
+
+
 def parse_graph6(line: str | bytes) -> Graph:
-    """Decode one graph6 line into a labelled graph."""
-    if isinstance(line, bytes):
-        line = line.decode("ascii", errors="replace")
-    s = line.strip()
-    if s.startswith(_HEADER):
-        s = s[len(_HEADER):]
-    if not s:
-        raise Graph6Error("empty graph6 string", 0)
-    first = ord(s[0])
-    if first == 126:
-        if s[1:2] == "~":
+    """Decode one graph6 line (``str``, or ``bytes`` read as latin-1)."""
+    s = (line if isinstance(line, str) else line.decode("latin-1")).strip(" \t\n\r\v\f")
+    at = len(_HEADER) if s.startswith(_HEADER) else 0
+    if at == len(s):
+        raise Graph6Error("empty graph6 string", at)
+    n = _read_digits(s, at, at + 1, "size")
+    head = at + 1
+    if n == 63:
+        if s[head:head + 1] == "~":
             raise CapabilityError("the huge graph6 size form is not supported (order <= 64 only)")
-        head = 4
+        head += 3
         if len(s) < head:
-            raise Graph6Error(f"truncated long size form: need 3 bytes after '~', got {len(s) - 1}", len(s))
-        n = 0
-        for b in range(1, head):
-            byte = ord(s[b]) - 63
-            if not 0 <= byte <= 63:
-                raise Graph6Error(f"size byte {ord(s[b])} outside graph6 range", b)
-            n = n << 6 | byte
+            raise Graph6Error(f"truncated long size form: need 3 bytes after '~', got {len(s) - at - 1}", len(s))
+        n = _read_digits(s, at + 1, head, "size")
         if n < 63:
-            raise Graph6Error(f"long size form for order {n}, which the short form spells", 1)
+            raise Graph6Error(f"long size form for order {n}, which the short form spells", at + 1)
         check_cap(n, Limits.graph_max_n, "graph6")
-    elif 63 <= first <= 125:
-        head, n = 1, first - 63
-    else:
-        raise Graph6Error(f"size byte {first} outside graph6 range", 0)
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
-    payload = s[head:]
-    if len(payload) < nbytes:
-        raise Graph6Error(
-            f"truncated bit payload: need {nbytes} bytes, got {len(payload)}",
-            head + len(payload),
-        )
-    if len(payload) > nbytes:
+    if len(s) < head + nbytes:
+        raise Graph6Error(f"truncated bit payload: need {nbytes} bytes, got {len(s) - head}", len(s))
+    if len(s) > head + nbytes:
         raise Graph6Error("trailing bytes after bit payload", head + nbytes)
     # The inverse of emit_graph6: the payload is one integer, most
     # significant bit first.  Column j holds the j bits of the pairs
     # (0, j) .. (j - 1, j), pair (0, j) highest, so the columns are read
     # from the last one up, starting just above the padding bits.
-    val = 0
-    for b, ch in enumerate(payload):
-        byte = ord(ch) - 63
-        if not 0 <= byte <= 63:
-            raise Graph6Error(f"payload byte {ord(ch)} outside graph6 range", head + b)
-        val = val << 6 | byte
+    val = _read_digits(s, head, head + nbytes, "payload")
     shift = 6 * nbytes - npairs
     if val & ((1 << shift) - 1):
         raise Graph6Error("nonzero padding bits", head + nbytes - 1)
@@ -109,6 +108,5 @@ def emit_graph6(g: Graph) -> str:
             low = row & -row
             val |= 1 << (base - low.bit_length() + 1)
             row ^= low
-    chunks = [chr(63 + (val >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1)]
-    size = chr(63 + n) if n < 63 else "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
-    return size + "".join(chunks)
+    size = chr(63 + n) if n < 63 else "~" + _write_digits(n, 3)
+    return size + _write_digits(val, nbytes)

@@ -174,7 +174,8 @@ def connected_components(g: Graph) -> list[VertexMask]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    comps, isolated = split_components(g.full_mask, g.adj)
+    return len(comps) + isolated <= 1
 
 
 def max_degree(g: Graph) -> int:

@@ -22,6 +22,12 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def feed_stdin(monkeypatch, data: str | bytes) -> None:
+    """Back ``sys.stdin`` with bytes, as a process's stdin is."""
+    raw = data.encode("ascii") if isinstance(data, str) else data
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+
+
 def test_compute_p4(capsys, tmp_path):
     src = tmp_path / "in.g6"
     src.write_text("Ch\n")  # a labelled P4
@@ -34,7 +40,7 @@ def test_compute_p4(capsys, tmp_path):
 
 
 def test_compute_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n\nBw\n"))
+    feed_stdin(monkeypatch, "A_\n\nBw\n")
     code, out, _ = run_cli(capsys, "compute")
     rows = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and len(rows) == 2
@@ -52,7 +58,7 @@ def test_compute_csv(capsys, tmp_path):
 
 
 def test_distribution(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    feed_stdin(monkeypatch, "Bw\n")
     code, out, _ = run_cli(capsys, "distribution")
     row = json.loads(out)
     assert code == 0 and row["counts"] == ["4", "3", "0", "1"]
@@ -87,7 +93,7 @@ def test_gen_graph_bytes(capsys, family, lines, digest):
 def test_gen_pipeline_into_compute(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "gen", "--class", "connected", "--n", "5")
     assert code == 0 and len(out.splitlines()) == 21
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    feed_stdin(monkeypatch, out)
     code, out2, _ = run_cli(capsys, "compute")
     assert code == 0 and len(out2.splitlines()) == 21
 
@@ -190,10 +196,10 @@ def test_usage_errors(capsys):
 
 
 def test_input_errors_exit_2(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("sys.stdin", io.StringIO("~~~\n"))
+    feed_stdin(monkeypatch, "~~~\n")
     code, _, err = run_cli(capsys, "compute")
     assert code == 2 and "not supported" in err
-    monkeypatch.setattr("sys.stdin", io.StringIO("Ax\n"))
+    feed_stdin(monkeypatch, "Ax\n")
     code, _, err = run_cli(capsys, "compute")
     assert code == 2 and "padding" in err
     missing = str(tmp_path / "missing.g6")
@@ -204,6 +210,20 @@ def test_input_errors_exit_2(capsys, monkeypatch, tmp_path):
         assert code == 2 and out == "" and "missing.g6" in err
     code, _, err = run_cli(capsys, "gen", "--class", "graphs", "--n", "9")
     assert code == 2 and "order <= 8, got 9" in err
+
+
+def test_stdin_and_input_read_the_same_bytes(capsys, monkeypatch, tmp_path):
+    """Stdin and --input take one byte path: the same bytes give the same
+    rows, message and exit code, and the message names the byte read."""
+    data = b"A_\n\xff\n"
+    src = tmp_path / "in.g6"
+    src.write_bytes(data)
+    feed_stdin(monkeypatch, data)
+    piped = run_cli(capsys, "compute")
+    assert run_cli(capsys, "compute", "--input", str(src)) == piped
+    code, out, err = piped
+    assert code == 2 and [json.loads(line)["graph6"] for line in out.splitlines()] == ["A_"]
+    assert err == "nearindep: error: size byte 255 outside graph6 range (byte offset 0)\n"
 
 
 def test_negative_bounds_exit_2(capsys):
@@ -220,7 +240,7 @@ def test_sigma_max_n_is_ignored(capsys, monkeypatch):
     """The caps are constants: SIGMA_MAX_N, set to any value, changes no
     output and no exit code."""
     def runs():
-        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+        feed_stdin(monkeypatch, "Bw\n")
         return run_cli(capsys, "gen", "--class", "graphs", "--n", "6"), run_cli(capsys, "compute")
 
     plain = runs()
@@ -262,7 +282,7 @@ def run_example(capsys, monkeypatch, command: str) -> list[str]:
             out = "".join(out.splitlines(keepends=True)[: int(args[0].lstrip("-"))])
         else:
             assert name == "nearindep", stage
-            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            feed_stdin(monkeypatch, out)
             code, out, _ = run_cli(capsys, *args)
     return out.splitlines() + ([str(code)] if echo == "echo $?" else [])
 

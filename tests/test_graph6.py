@@ -60,6 +60,22 @@ def test_parse_errors_carry_offsets():
     ("G???" + chr(200) + "?", "payload byte 200 outside graph6 range", 4),
     # a bad byte is reported before nonzero padding in a later byte
     ("G???" + chr(200) + "A", "payload byte 200 outside graph6 range", 4),
+    # bytes are read one character per byte, so the message names the byte
+    (b"\xff", "size byte 255 outside graph6 range", 0),
+    (b"A\xff", "payload byte 255 outside graph6 range", 1),
+    # offsets are positions in the stripped line, a header counted
+    (">>graph6<<", "empty graph6 string", 10),
+    (">>graph6<<Bwx", "trailing bytes after bit payload", 12),
+    (">>graph6<<B", "truncated bit payload: need 1 bytes, got 0", 11),
+    (">>graph6<<Ax", "nonzero padding bits", 11),
+    (b" >>graph6<<A\xff\n", "payload byte 255 outside graph6 range", 11),
+    # str and bytes are stripped of ASCII whitespace only, by one rule
+    ("A_\x1c", "trailing bytes after bit payload", 2),
+    (b"A_\x1c", "trailing bytes after bit payload", 2),
+    ("A_\xa0", "trailing bytes after bit payload", 2),
+    (b"A_\xa0", "trailing bytes after bit payload", 2),
+    (">>graph6<<~??", "truncated long size form: need 3 bytes after '~', got 2", 13),
+    (">>graph6<<~??" + chr(63 + 62), "long size form for order 62, which the short form spells", 11),
 ])
 def test_payload_error_offsets(line, message, offset):
     with pytest.raises(Graph6Error) as e:
