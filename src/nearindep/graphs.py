@@ -7,18 +7,15 @@ bitmasks: ``adj[v]`` is the open neighbourhood of v.  Vertex subsets
 and memoisation keys cheap.
 
 Isomorphism handling is exact but deliberately small-order.
-
-``canonical_code`` minimises the upper-triangle adjacency bit-string
-over all vertex relabellings by a pruned branch-and-bound search
-(equal codes <=> isomorphic, for n up to the canonicalisation cap).
-``canonical_form`` also returns generators of the automorphism group
-and the canonical labelling, the vertex order that spells the code
-(relabelling by it gives the one graph with that column code): the
-search extends every column by one bit per level, places twins
-(vertices with the same neighbours apart from each other) in index
-order only, with their transpositions as generators, and turns each
-further minimal leaf into one more generator, so K_n and the empty
-graph cost n search nodes instead of n! leaves.
+``canonical_form`` searches by individualisation-refinement: cells by
+degree, refined until equitable, then one vertex of the first
+non-singleton cell individualised per branch, with twins (vertices with
+the same neighbours apart from each other) tried once per class.  Its
+code is the least upper-triangle bit-string over the leaves of that
+search (equal codes <=> isomorphic, for n up to the canonicalisation
+cap), and it also returns generators of the automorphism group (the
+twin transpositions and one per further least leaf) and the canonical
+labelling, the vertex order that spells the code.
 """
 
 from __future__ import annotations
@@ -183,20 +180,59 @@ def max_degree(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# canonical codes (exact, permutation branch-and-bound)
+# canonical codes (exact, individualisation-refinement)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CanonicalCode:
-    """Minimal upper-triangle adjacency bit-string over all relabellings.
+    """Upper-triangle adjacency bit-string of the canonical labelling.
 
     Bits are packed column by column ((0,1), (0,2), (1,2), (0,3), ...),
-    most significant first, so equal codes <=> isomorphic graphs within
-    the canonicalisation cap.
+    most significant first.  The code is the least such string over the
+    leaves of the refinement search, not over all relabellings, so equal
+    codes <=> isomorphic graphs within the canonicalisation cap.
     """
 
     n: int
     code: int
+
+
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` (vertex masks) until it is
+    equitable.  Each splitter w taken from ``queue`` splits every cell by
+    the number of neighbours its vertices have in w (a one-vertex w into
+    non-neighbours, then neighbours), and the fragments replace the cell
+    in increasing count order.  All fragments but the first largest join
+    the queue: counts into it are those into the cell less those into
+    the others.  Only counts decide the order, so the result commutes
+    with relabelling."""
+    n = len(adj)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        one = None if w & (w - 1) else adj[w.bit_length() - 1]
+        for i in range(len(cells) - 1, -1, -1):  # a split moves only later cells
+            x = cells[i]
+            if one is not None:
+                y = x & one
+                if not y or y == x:
+                    continue
+                frags = [x ^ y, y]
+            elif x & (x - 1):
+                split: dict[int, int] = {}
+                while x:
+                    low = x & -x
+                    c = (adj[low.bit_length() - 1] & w).bit_count()
+                    split[c] = split.get(c, 0) | low
+                    x ^= low
+                if len(split) == 1:
+                    continue
+                frags = [split[c] for c in sorted(split)]
+            else:
+                continue
+            cells[i:i + 1] = frags
+            big = max(frags, key=int.bit_count)
+            queue += [f for f in frags if f != big]
+    return cells
 
 
 def canonical_form(
@@ -204,120 +240,82 @@ def canonical_form(
 ) -> tuple[CanonicalCode, tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Canonical code, a generating set of Aut(g) and the canonical labelling.
 
-    The search assigns vertices to positions 0..n-1 in order; placing a
-    vertex at position j fixes the j bits of column j, which are exactly
-    the next bits of the code, so lexicographic pruning against the best
-    complete code found so far is sound.  A candidate's column grows by
-    one bit per level (its adjacency to the vertex just placed), so no
-    column is rescanned.  Candidates are ordered by column value and then
-    by degree, which makes the first descent nearly minimal and the
-    pruning sharp.
+    Individualisation-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014): the vertices start in
+    cells by degree, refined until equitable by ``_refine``; each node of
+    the search individualises one vertex of its first non-singleton cell
+    (placing it ahead of the rest of the cell) and refines again, and a
+    leaf is a partition into singletons, an order of the vertices.  The
+    tree commutes with relabelling, so the least column code over its
+    leaves is a complete invariant.
 
     Twins (u, w with the same neighbours apart from each other) are
-    interchangeable: the transposition (u w) is an automorphism, so only
-    the smallest unplaced member of each twin class is a candidate, and
-    the transpositions of consecutive twins are generators.  Every leaf
-    that attains the minimum then lies in its own coset of the twin
-    group, and composing it with the inverse of the first such leaf
-    gives one more generator.  The identity is never returned, so the
-    trivial group has no generators.
+    interchangeable: the transposition (u w) is an automorphism, unplaced
+    twins share a cell, and only the smallest member of each twin class
+    in the cell is individualised; the transpositions of consecutive
+    twins are generators.  Every leaf that attains the least code lies in
+    its own coset of the twin group, and composing it with the inverse of
+    the first such leaf gives one more generator.  The identity is never
+    returned, so the trivial group has no generators.
 
-    The labelling is the first minimal leaf: ``order[i]`` is the vertex
-    placed at position i, so relabelling v to the position of v gives the
-    graph whose own column code is the canonical code.  Any two minimal
-    leaves differ by an automorphism, so the vertex at a given position
-    is determined up to Aut(g).
+    The labelling is the first least leaf: ``order[i]`` is the vertex at
+    position i, so relabelling v to the position of v gives the graph
+    whose own column code is the canonical code.  Any two least leaves
+    differ by an automorphism, so the vertex at a given position is
+    determined up to Aut(g).
     """
     check_cap(g.n, Limits.canonical_max_n, "canonical_form")
     n = g.n
     adj = g.adj
-    # twin classes, each placed in increasing order: only the class minima
-    # start as candidates, and placing a twin makes the next one a candidate
+    full = g.full_mask
+    root = _refine(adj, [full] if n else [], [full])  # V splits the cells by degree
+    # twins share a root cell and have equal open neighbourhoods (if not
+    # adjacent) or equal closed ones (if adjacent); no vertex has twins of
+    # both kinds, and no open neighbourhood is a closed one
     gens: list[tuple[int, ...]] = []
-    succ = [0] * n  # bit of the next member of v's twin class, or 0
-    tail: dict[int, int] = {}  # smallest member of a class -> its largest so far
-    roots = 0
-    for w in range(n):
-        for u, t in tail.items():
-            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
-                succ[t] = 1 << w
-                tail[u] = w
+    before = [0] * n  # the smaller members of v's twin class
+    last: dict[int, int] = {}  # a neighbourhood -> the largest vertex so far with it
+    for w in bits(sum(x for x in root if x & (x - 1))):
+        for hood in (adj[w], adj[w] | 1 << w):
+            t = last.get(hood)
+            last[hood] = w
+            if t is not None:
+                before[w] = before[t] | 1 << t
                 swap = list(range(n))
                 swap[t], swap[w] = w, t
                 gens.append(tuple(swap))
-                break
-        else:
-            tail[w] = w
-            roots |= 1 << w
-    # the columns of all vertices are n-bit fields of one int ``vals`` (a
-    # column has at most n - 1 bits): placing w shifts every field left and
-    # sets bit 0 in the fields of w's neighbours
-    spread = [sum(1 << n * v for v in bits(row)) for row in adj]
-    field = (1 << n) - 1
-    key = [row.bit_count() << 4 | w for w, row in enumerate(adj)]  # n <= 16
+    best = -1
+    leaves: list[list[int]] = []  # the least leaves so far, as singleton cells
 
-    best = [0] * n
-    cols = [0] * n
-    placed = [0] * n
-    leaves: list[tuple[int, ...]] = []
-    leaf_depth = n - 1
-    # The current path equals best on columns 0..agree-1.  A node is only
-    # entered with a prefix no greater than best's, and best only moves to
-    # leaves below the current path, so a node is tight (prefix equal to
-    # best's) iff agree >= depth, and strictly below best otherwise.
-    agree = -1
-
-    def dfs(depth: int, cands: int, vals: int) -> None:
-        nonlocal agree
-        if depth == leaf_depth:
-            # one vertex is left, and placing it completes a leaf
-            w = cands.bit_length() - 1
-            c = vals >> n * w & field
-            if agree >= depth:
-                b = best[depth]
-                if c > b:
-                    return
-                if c == b:
-                    placed[depth] = w
-                    leaves.append(tuple(placed))
-                    return
-            cols[depth] = c
-            placed[depth] = w
-            best[:] = cols
-            leaves[:] = [tuple(placed)]
-            agree = n
+    def search(cells: list[int]) -> None:
+        nonlocal best
+        if len(cells) < n:  # individualise each candidate of the first non-singleton cell
+            i, x = next((i, x) for i, x in enumerate(cells) if x & (x - 1))
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not before[low.bit_length() - 1] & x:
+                    search(_refine(adj, cells[:i] + [low, x ^ low] + cells[i + 1:], [low]))
             return
-        order = []
-        rest = cands
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            order.append((vals >> n * w & field) << 8 | key[w])
-            rest ^= low
-        order.sort()
-        for k in order:
-            c = k >> 8
-            w = k & 15
-            if agree >= depth:
-                b = best[depth]
-                if c > b:
-                    break
-                agree = depth + 1 if c == b else depth
-            cols[depth] = c
-            placed[depth] = w
-            dfs(depth + 1, cands ^ 1 << w | succ[w], vals << 1 | spread[w])
+        code = 0
+        for j, x in enumerate(cells):
+            row = adj[x.bit_length() - 1]
+            for y in cells[:j]:
+                code = code << 1 | (row & y != 0)
+        if best < 0 or code < best:
+            best = code
+            leaves[:] = [cells]
+        elif code == best:
+            leaves.append(cells)
 
-    if n:
-        dfs(0, roots, 0)
-    code = 0
-    for j in range(n):
-        code = code << j | best[j]
-    if leaves:
-        inv = [0] * n
-        for pos, v in enumerate(leaves[0]):
-            inv[v] = pos
-        gens.extend(tuple(leaf[inv[v]] for v in range(n)) for leaf in leaves[1:])
-    return CanonicalCode(n, code), tuple(gens), leaves[0] if leaves else ()
+    search(root)
+    first, *others = ([x.bit_length() - 1 for x in leaf] for leaf in leaves)
+    inv = [0] * n
+    for p, v in enumerate(first):
+        inv[v] = p
+    gens.extend(tuple(leaf[inv[v]] for v in range(n)) for leaf in others)
+    return CanonicalCode(n, best), tuple(gens), tuple(first)
 
 
 def canonical_code(g: Graph) -> CanonicalCode:

@@ -17,7 +17,7 @@ class CapabilityError(Exception):
 class Limits:
     graph_max_n: int = 64        # every Graph, so sigma01 too; bitmasks fit one machine word
     oracle_max_n: int = 25       # 2^n subset sweep
-    canonical_max_n: int = 10    # permutation search
+    canonical_max_n: int = 10    # refinement search; slowest on regular graphs, where no cell splits
     trees_max_n: int = 18
     forests_max_n: int = 14
     graphs_max_n: int = 8        # 12346 classes at n = 8

@@ -53,7 +53,7 @@ from .sigma import sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
 
-Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q)
+Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q), Q None if unread
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,10 @@ FOREST_BOUNDS = {
 }
 
 
-def _score(spec: ClassSpec) -> list[Row]:
-    """Every member of the universe with its Q, in generation order."""
-    return [(g, q_ratio(g)) for g in gen_class(spec)]
+def _score(spec: ClassSpec, q: bool = True) -> list[Row]:
+    """Every member of the universe with its Q, in generation order; Q is
+    None if ``q`` is false, for a table that only ``_leaf_lemmas`` reads."""
+    return [(g, q_ratio(g) if q else None) for g in gen_class(spec)]
 
 
 def _scan(
@@ -334,7 +335,7 @@ def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> 
         raise ValueError(f"check {theorem} needs n >= {lowest}")
     check_cap(n, cap, f"check {theorem}")
     spec = ClassSpec(family, n, delta)
-    return make(spec, _score(spec))
+    return make(spec, _score(spec, make is not _leaf_lemmas))
 
 
 def verify_connected_lower(n: int) -> VerificationReport:
@@ -438,8 +439,9 @@ def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
 
     reports = {}
     for table in dict.fromkeys(table_of(spec) for _, spec in plan):
-        rows = _score(table)
-        for make, spec in dict.fromkeys(s for s in plan if table_of(s[1]) == table):
+        steps = dict.fromkeys(s for s in plan if table_of(s[1]) == table)
+        rows = _score(table, any(make is not _leaf_lemmas for make, _ in steps))
+        for make, spec in steps:
             keep = VIEWS.get(spec.family)
             reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec.delta)] if keep else rows)
         del rows  # release this table before the next one is built

@@ -276,6 +276,75 @@ def packed_code(g: Graph, order) -> int:
     return code
 
 
+def min_column_code(g: Graph) -> int:
+    """The least ``packed_code`` of g over all relabellings, by the
+    branch-and-bound search that was the engine's canonical code before
+    individualisation-refinement.
+
+    The search assigns vertices to positions 0..n-1 in order; placing a
+    vertex at position j fixes the j bits of column j, the next bits of
+    the code, so a prefix above the best complete code found so far is
+    cut.  A candidate's column grows by one bit per level (its adjacency
+    to the vertex just placed).  Twins (u, w with the same neighbours
+    apart from each other) are interchangeable, so only the smallest
+    unplaced member of each twin class is a candidate.
+    """
+    n = g.n
+    adj = g.adj
+    succ = [0] * n  # bit of the next member of v's twin class, or 0
+    tail: dict[int, int] = {}  # smallest member of a class -> its largest so far
+    roots = 0
+    for w in range(n):
+        for u, t in tail.items():
+            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
+                succ[t] = 1 << w
+                tail[u] = w
+                break
+        else:
+            tail[w] = w
+            roots |= 1 << w
+    # the columns of all vertices are n-bit fields of one int ``vals``:
+    # placing w shifts every field left and sets bit 0 in the fields of
+    # w's neighbours
+    spread = [sum(1 << n * v for v in bits(row)) for row in adj]
+    field = (1 << n) - 1
+    key = [row.bit_count() << 8 | w for w, row in enumerate(adj)]
+    best = [0] * n
+    cols = [0] * n
+    agree = -1  # the current path equals best on columns 0..agree-1
+
+    def dfs(depth: int, cands: int, vals: int) -> None:
+        nonlocal agree
+        if depth == n:
+            best[:] = cols
+            agree = n
+            return
+        order = []
+        rest = cands
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            order.append((vals >> n * w & field) << 16 | key[w])
+            rest ^= low
+        order.sort()
+        for k in order:
+            c = k >> 16
+            w = k & 255
+            if agree >= depth:
+                b = best[depth]
+                if c >= b and (c > b or depth == n - 1):
+                    break
+                agree = depth + 1 if c == b else depth
+            cols[depth] = c
+            dfs(depth + 1, cands ^ 1 << w | succ[w], vals << 1 | spread[w])
+
+    dfs(0, roots, 0)
+    code = 0
+    for j in range(n):
+        code = code << j | best[j]
+    return code
+
+
 def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
     """(sigma of T, leaves), leaves holding (v, sigma of T-v, sigma of
     T-N[v], sigma of T-N[u]) for every leaf v of a tree, u its support

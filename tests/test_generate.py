@@ -24,7 +24,7 @@ from nearindep.graphs import (
     max_degree,
 )
 from nearindep.limits import CapabilityError
-from nearindep.sigma import q_ratio
+from nearindep.sigma import q_ratio, sigma01
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     labelled_connected_count,
     labelled_forest_count,
     leaf_extension_tree_certs,
+    min_column_code,
     packed_code,
     prufer_decode,
     prufer_tree_certs,
@@ -180,9 +181,9 @@ def test_exhaustiveness_small():
 
 
 @pytest.mark.parametrize("family, digest", [
-    ("all_graphs", "8f1517d5973fe03c2d9e0af4695960fb5bb6237ba257dce849b53ef3ee3b6c65"),
-    ("connected_graphs", "8e2b4b2e28c4be0676ae58b10a30513be2a4c531bb32d12cd69529a80314a85d"),
-])
+    ("all_graphs", "df1c1062b9dabc27fff7464834a1cbe7608afc785157cd067bb53916381fd265"),
+    ("connected_graphs", "05617d11891a9342348f2132f1948ab9a6a95275631f5e8dc223d90363c3ab3c"),
+], ids=["all_graphs", "connected_graphs"])
 def test_code_and_q_sequence_is_pinned(family, digest):
     """The (canonical code, Q) sequence of each graph stream, n <= 7, in
     stream order.  It does not depend on which representative a class
@@ -202,6 +203,52 @@ def graph_streams(n_max: int):
         yield ClassSpec("connected_graphs", n)
         for delta in range(n):
             yield ClassSpec("bounded_degree_graphs", n, delta)
+
+
+STREAM_FAMILIES = ("all_graphs", "connected_graphs", "bounded_degree_graphs")
+
+
+def stream_digest(n_max: int, family: str, line) -> str:
+    """sha256 of the sorted ``line(spec, g)`` over every graph of the
+    streams of one family up to order n_max: a digest of the multiset,
+    blind to the labelling and the order in which classes come out."""
+    lines = sorted(line(spec, g) for spec in graph_streams(n_max) if spec.family == family
+                   for g in gen_class(spec))
+    return hashlib.sha256("".join(lines).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("family, digest", zip(STREAM_FAMILIES, [
+    "357bf5bc9574220f832289b74ba34ed8f050ba06b8869cad0f5585cdb1feb6f9",
+    "85c5c47e05e9a4c87df549ecbb7816642bc3a69fda9e3f198e0d0074110d4040",
+    "6e0c14a475d6e01d799300b903a6e48f9b19d4e17677e6105a6913236d311945",
+]), ids=STREAM_FAMILIES)
+def test_stream_invariants_are_pinned(family, digest):
+    """The multiset of (n, delta, m, degree sequence, sigma0, sigma1) of
+    each graph stream, n <= 8: facts of the classes alone, recorded under
+    the minimum-column-code search that preceded the refinement search."""
+    counts = {}
+
+    def line(spec, g):
+        if g not in counts:
+            p = sigma01(g)
+            degrees = ",".join(str(d) for d in sorted(row.bit_count() for row in g.adj))
+            counts[g] = f"{g.edge_count()} {degrees} {p.sigma0} {p.sigma1}"
+        return f"{spec.n} {spec.delta} {counts[g]}\n"
+
+    assert stream_digest(8, family, line) == digest
+
+
+@pytest.mark.parametrize("family, digest", zip(STREAM_FAMILIES, [
+    "06a1d68248c798dc58dcf97609b23f7c5cf22e8ff5ef3a868d6f9899a5bf79fc",
+    "55b9d3768353052287d7751eb54c1f64eb731a4d2e15e9d23e189d172c353761",
+    "8f270cf456a830a60269583a0dc391596abe309a5e97cd75196f664dec01ec2d",
+]), ids=STREAM_FAMILIES)
+def test_streams_hold_the_pinned_classes(family, digest):
+    """The multiset of (n, delta, least column code over all relabellings)
+    of each graph stream, n <= 7: the same classes as under the old
+    search, whatever labelling and order they now come in."""
+    line = lambda spec, g: f"{spec.n} {spec.delta} {min_column_code(g)}\n"
+    assert stream_digest(7, family, line) == digest
 
 
 def test_graph_streams_emit_each_class_spelled_by_its_code():

@@ -1,8 +1,9 @@
 import itertools
+import random
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nearindep.graphs import (
     Graph,
@@ -25,6 +26,7 @@ from oracles import (
     graph_from_code,
     graph_from_pair_mask,
     is_forest,
+    min_column_code,
     packed_code,
     relabel,
 )
@@ -300,8 +302,50 @@ def test_canonical_form_groups_of_complete_and_empty_graphs():
 @settings(max_examples=60)
 @given(graphs(max_n=6))
 def test_canonical_code_is_the_minimum_over_all_relabellings(g):
+    """The oracle search finds the least code over all n! relabellings."""
     least = min(packed_code(g, order) for order in itertools.permutations(range(g.n)))
-    assert canonical_code(g).code == least
+    assert min_column_code(g) == least
+
+
+def assert_same_classes(graphs) -> None:
+    """Equal canonical codes hold exactly when equal least codes over all
+    relabellings hold: the two codes name the same partition into
+    isomorphism classes."""
+    pairs = {((g.n, canonical_code(g).code), (g.n, min_column_code(g))) for g in graphs}
+    assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
+
+
+def test_canonical_code_separates_the_atlas():
+    """All 1,253 graphs of the atlas (n <= 7), one per class, each also
+    under a random relabelling."""
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(7)
+    atlas = []
+    for h in nx.graph_atlas_g():
+        index = {v: i for i, v in enumerate(h.nodes)}
+        g = make_graph(len(index), [(index[u], index[v]) for u, v in h.edges])
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        atlas += [g, relabel(g, perm)]
+    assert_same_classes(atlas)
+    assert len({(g.n, canonical_code(g).code) for g in atlas}) == 1253
+
+
+@settings(max_examples=80)
+@given(graphs(max_n=9), st.randoms(use_true_random=False), st.booleans())
+def test_canonical_code_agrees_with_the_oracle(g, rnd, toggle):
+    """A graph against a relabelling of itself, or of itself with one pair
+    toggled: the codes are equal exactly when the oracle's are."""
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = relabel(g, perm)
+    if toggle and g.n >= 2:
+        u, v = rnd.sample(range(g.n), 2)
+        adj = list(h.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        h = Graph(g.n, tuple(adj))
+    assert_same_classes([g, h])
 
 
 @settings(max_examples=80)
@@ -325,6 +369,27 @@ def _petersen():
 
 
 K55 = make_graph(10, [(u, v) for u in range(5) for v in range(5, 10)])
+C10 = make_graph(10, [(i, (i + 1) % 10) for i in range(10)])
+MATCHING5 = make_named("matching_plus_isolated", 10, 5)
+TWO_C5 = make_graph(10, [(i + k, (i + 1) % 5 + k) for i in range(5) for k in (0, 5)])
+PRISM5 = make_graph(10, TWO_C5.edges() + [(i, i + 5) for i in range(5)])
+MOEBIUS10 = make_graph(10, C10.edges() + [(i, i + 5) for i in range(5)])
+# the regular graphs at the cap, on which refinement splits no cell
+REGULAR_AT_THE_CAP = {"C10": C10, "petersen": _petersen(), "5K2": MATCHING5, "2C5": TWO_C5,
+                      "prism5": PRISM5, "moebius10": MOEBIUS10}
+
+
+def test_canonical_code_separates_regular_graphs_at_the_cap(rng):
+    """Each regular graph of order 10, under random relabellings, keeps
+    one code, and distinct graphs keep distinct codes, as the oracle's."""
+    relabelled = []
+    for g in REGULAR_AT_THE_CAP.values():
+        for _ in range(4):
+            perm = list(range(10))
+            rng.shuffle(perm)
+            relabelled.append(relabel(g, perm))
+    assert_same_classes(relabelled)
+    assert len({canonical_code(g) for g in relabelled}) == len(REGULAR_AT_THE_CAP)
 
 
 @pytest.mark.parametrize("g, order, least", [
@@ -332,14 +397,20 @@ K55 = make_graph(10, [(u, v) for u in range(5) for v in range(5, 10)])
     (make_named("empty", 10), factorial(10), range(10)),
     (make_named("star", 10), factorial(9), [*range(1, 10), 0]),
     (K55, 2 * factorial(5) ** 2, range(10)),
-    (make_graph(10, [(i, (i + 1) % 10) for i in range(10)]), 20, None),
+    (C10, 20, None),
     (_petersen(), 120, None),
-], ids=["K10", "empty10", "star10", "K5,5", "C10", "petersen"])
+    (MATCHING5, 2 ** 5 * factorial(5), None),
+    (TWO_C5, 2 * 10 ** 2, None),
+    (PRISM5, 20, None),
+    (MOEBIUS10, 20, None),
+], ids=["K10", "empty10", "star10", "K5,5", "C10", "petersen", "5K2", "2C5", "prism5", "moebius10"])
 def test_canonical_form_at_the_cap(g, order, least, rng):
     """Order 10 is the canonical cap; highly symmetric graphs there come
     back with their whole group.  ``least`` is a relabelling known to
-    attain the minimum: the independent set of the leaves or of one side
-    first (K_n is all ones and the empty graph 0 under any order)."""
+    attain the least code over all relabellings, which the refinement
+    search also reaches on these graphs: the independent set of the
+    leaves or of one side first (K_n is all ones and the empty graph 0
+    under any order)."""
     code, gens, _ = canonical_form(g)
     assert group_order(10, gens) == order
     if order == factorial(10):

@@ -217,6 +217,30 @@ def test_report_json_shape():
     assert doc["notes"]["bound"] == {"num": "2", "den": "5"}
 
 
+def without_graph6(doc):
+    """A report's JSON with every graph6 string dropped and every list of
+    them replaced by its length: the fields that do not depend on how a
+    class is labelled."""
+    if isinstance(doc, dict):
+        return {k: without_graph6(v) for k, v in doc.items() if k != "graph6"}
+    if isinstance(doc, list):
+        if doc and all(isinstance(x, str) for x in doc):
+            return len(doc)
+        return [without_graph6(x) for x in doc]
+    return doc
+
+
+def test_verify_all_is_pinned_up_to_labelling():
+    """Every field of every report of 'all' to order 7 but the graph6
+    strings, witness counts included, as recorded under the
+    minimum-column-code search."""
+    docs = [without_graph6(r.to_json()) for r in run_theorem("all", 7)]
+    assert len(docs) == 98
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == (
+        "7b65ac9919dd509ae3f6b907eeaccf9c5b781a1236ef37dee244087be7ac91e2"
+    )
+
+
 def test_run_theorem_catalogue():
     reports = run_theorem("3.2", 4)
     assert [r.spec.n for r in reports] == [1, 2, 3, 4]
@@ -446,19 +470,28 @@ def test_leaf_deletion_counts_reject_non_trees():
     assert leaf_deletion_counts(make_named("empty", 1)) == ((2, 0), [])
 
 
-def test_leaf_lemmas_walk_each_tree_twice(monkeypatch):
-    """Each tree is walked once to score it and once for its own counts
-    and those of its leaf deletions; ``sigma01`` does not walk it again."""
+def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
+    """Run alone, the leaf checks score no Q: each tree is walked once,
+    for its own counts and those of its leaf deletions, and the reports
+    are those made from Q-scored rows."""
+    scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
+              for spec in (ClassSpec("trees", n) for n in range(2, 13))]
     calls = Counter()
 
     def counting_walk(*args, real=sigma_module._rooted_branches):
         calls["walk"] += 1
         return real(*args)
 
+    def no_q(g):
+        raise AssertionError("Q scored for the leaf checks alone")
+
     monkeypatch.setattr(sigma_module, "_rooted_branches", counting_walk)
+    monkeypatch.setattr(verify_module, "q_ratio", no_q)
     reports = run_theorem("4.4", 12)
     trees = sum(1 for n in range(2, 13) for _ in gen_trees(n))
-    assert calls["walk"] == 2 * trees == 1972 and all(r.passed for r in reports)
+    assert calls["walk"] == trees == 986 and all(r.passed for r in reports)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
+    assert verify_leaf_lemmas(9).to_json() == scored[7].to_json()
 
 
 def test_leaf_deletion_counts_leave_no_cyclic_garbage():
