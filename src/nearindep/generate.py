@@ -160,7 +160,7 @@ def _layout_to_graph(layout: list[int]) -> Graph:
         adj[parent] |= 1 << i
         adj[i] = 1 << parent
         last[lev] = i
-    return Graph(n, tuple(adj))
+    return Graph._unchecked(n, tuple(adj))
 
 
 def gen_trees(n: int) -> Iterator[Graph]:
@@ -230,7 +230,7 @@ def gen_forests(n: int) -> Iterator[Graph]:
                 for idx in combo:
                     shift = len(rows)
                     rows.extend(row << shift for row in trees[idx].adj)
-            yield Graph(n, tuple(rows))
+            yield Graph._unchecked(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
     into that labelling to seed the next order.
     """
     if n == 0:
-        return ((Graph(0, ()), ()),)
+        return ((Graph._unchecked(0, ()), ()),)
     v = n - 1
     new_bit = 1 << v
     found = []
@@ -362,7 +362,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
             ties = _deletion_ties(adj, rivals) if rivals else new_bit
             if ties is None:
                 continue
-            code, gens, order = canonical_form(Graph(n, tuple(adj)))
+            code, gens, order = canonical_form(Graph._unchecked(n, tuple(adj)))
             if ties != new_bit:
                 last = next(x for x in reversed(order) if ties >> x & 1)
                 if not _orbit_of(last, gens) >> v & 1:
@@ -372,7 +372,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
                 inv[x] = pos
             rows = [sum(1 << inv[y] for y in bits(adj[x])) for x in order]
             conj = tuple(tuple(inv[a[x]] for x in order) for a in gens)
-            found.append((code.code, Graph(n, tuple(rows)), conj))
+            found.append((code.code, Graph._unchecked(n, tuple(rows)), conj))
     found.sort(key=lambda item: item[0])
     return tuple((g, gens) for _, g, gens in found)
 

@@ -45,16 +45,19 @@ def mask_of(vertices: Iterable[int]) -> VertexMask:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: vertex count plus per-vertex neighbour masks."""
+    """Immutable simple graph: vertex count plus per-vertex neighbour masks.
+    ``Graph(n, adj)`` validates both; generators, valid by construction, use ``_unchecked``."""
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n, adj = self.n, self.adj
-        if n < 0:
-            raise ValueError(f"negative order {n}")
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"order must be a non-negative int, got {n!r}")
         check_cap(n, Limits.graph_max_n, "Graph")
+        if not isinstance(adj, tuple) or not all(isinstance(row, int) for row in adj):
+            raise ValueError(f"adjacency must be a tuple of int rows, got {adj!r}")
         if len(adj) != n:
             raise ValueError(f"adjacency length {len(adj)} != order {n}")
         full = (1 << n) - 1
@@ -70,6 +73,13 @@ class Graph:
                 if not adj[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
                 row ^= low
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @property
     def full_mask(self) -> VertexMask:

@@ -15,7 +15,7 @@ class CapabilityError(Exception):
 
 
 class Limits:
-    graph_max_n: int = 64        # every Graph, so sigma01 too; bitmasks fit one machine word
+    graph_max_n: int = 64        # Graph(n, adj), so sigma01 too; generators keep lower caps; one machine word
     oracle_max_n: int = 25       # 2^n subset sweep
     canonical_max_n: int = 10    # refinement search; slowest on regular graphs, where no cell splits
     trees_max_n: int = 18

@@ -378,8 +378,8 @@ def sigma01(g: Graph) -> SigmaPair:
     first cycle it raises, and the graph goes whole to
     ``sigma01_recursive``, which strips its isolated vertices and splits
     its components, trees included, by itself.  The result always equals
-    sigma01_recursive(g).  Neither route has a cap of its own: ``Graph``
-    enforces ``Limits.graph_max_n`` on every graph when it is built.
+    sigma01_recursive(g).  Neither route has a cap of its own: ``Graph(n, adj)``
+    enforces ``Limits.graph_max_n``; generated graphs keep lower caps (18, 14, 8).
     """
     try:
         return sigma01_tree_dp(g)

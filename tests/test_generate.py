@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import nearindep.generate as generate
 from nearindep.generate import (
     ClassSpec,
     _is_center_rooted,
@@ -16,6 +17,7 @@ from nearindep.generate import (
     gen_trees,
 )
 from nearindep.graphs import (
+    Graph,
     canonical_code,
     canonical_form,
     connected_components,
@@ -23,7 +25,7 @@ from nearindep.graphs import (
     make_graph,
     max_degree,
 )
-from nearindep.limits import CapabilityError
+from nearindep.limits import CapabilityError, Limits
 from nearindep.sigma import q_ratio, sigma01
 
 from conftest import brute_force_automorphisms, subset_image
@@ -319,6 +321,46 @@ def test_streams_are_deterministic():
     assert a == b
     assert [t.adj for t in gen_trees(7)] == [t.adj for t in gen_trees(7)]
     assert [f.adj for f in gen_forests(6)] == [f.adj for f in gen_forests(6)]
+
+
+def assert_passes_full_check(g: Graph) -> None:
+    """The generators build through ``Graph._unchecked``: the full validator
+    must accept the graph, and the validated copy equal and hash like it."""
+    checked = Graph(g.n, g.adj)
+    assert checked == g and hash(checked) == hash(g), g
+
+
+@pytest.mark.parametrize("gen, cap", [(gen_trees, Limits.trees_max_n), (gen_forests, Limits.forests_max_n)])
+def test_generated_trees_and_forests_pass_the_full_check(gen, cap):
+    for n in range(1, cap + 1):
+        for g in gen(n):
+            assert_passes_full_check(g)
+
+
+def test_graph_classes_pass_the_full_check():
+    for n in range(Limits.graphs_max_n + 1):
+        for g, _ in _graph_classes(n):
+            assert_passes_full_check(g)
+
+
+def test_generators_do_not_run_the_full_check(monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"Graph.__post_init__ ran on generated {g}")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    assert len(list(gen_trees(9))) == 47 and len(list(gen_forests(7))) == 37
+    assert len(_graph_classes.__wrapped__(5)) == 34
+
+
+def test_every_graph_given_to_canonical_form_passes_the_full_check(monkeypatch):
+    seen = []
+    real = generate.canonical_form
+    monkeypatch.setattr(generate, "canonical_form", lambda g: seen.append(g) or real(g))
+    _graph_classes.cache_clear()
+    _graph_classes(7)
+    assert {g.n for g in seen} == set(range(1, 8))
+    for g in seen:
+        assert_passes_full_check(g)
 
 
 def test_caps_and_ranges():

@@ -16,6 +16,7 @@ from nearindep.graphs import (
     max_degree,
 )
 from nearindep.generate import gen_trees
+from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.limits import CapabilityError
 
 from conftest import brute_force_automorphisms, graphs, random_graph
@@ -58,6 +59,27 @@ def test_graph_invariants_enforced():
         Graph(1, (0b1,))             # loop
     with pytest.raises(ValueError):
         Graph(1, (0b10,))            # stray bit
+    with pytest.raises(ValueError, match="tuple"):
+        Graph(2, [0b10, 0b01])       # a list: unhashable, and its rows could change after the check
+    with pytest.raises(ValueError, match="int rows"):
+        Graph(2, (2.0, 0b01))        # float row
+    with pytest.raises(ValueError, match="int rows"):
+        Graph(2, (0b10, 1.0))        # float row, reached by the symmetry test of an earlier row
+    with pytest.raises(ValueError, match="int rows"):
+        Graph(1, ("0",))             # str row
+    with pytest.raises(ValueError, match="non-negative int"):
+        Graph(2.0, (0b10, 0b01))     # float order
+
+
+def test_make_graph_and_parse_graph6_run_the_full_check(monkeypatch):
+    """Only the generators build through ``Graph._unchecked``: graphs made
+    from edge lists or read from graph6 still pass ``__post_init__``."""
+    checked = []
+    real = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: checked.append(g) or real(g))
+    g = make_graph(4, [(0, 1), (1, 2)])
+    h = parse_graph6(emit_graph6(g))
+    assert len(checked) == 2 and checked[0] is g and checked[1] is h and g == h
 
 
 def test_graph_order_cap():
