@@ -173,6 +173,7 @@ def gen_trees(n: int) -> Iterator[Graph]:
     free trees", SIAM J. Comput. 15, 1986) advances its first root
     subtree at once, so few visited sequences are rejected (about 4% at
     n = 18).  Every yielded sequence still passes ``_is_center_rooted``.
+    Preorder labels give every vertex but 0 one lower neighbour, its parent.
     """
     if n < 1:
         raise ValueError(f"gen_trees needs n >= 1, got {n}")
@@ -212,6 +213,7 @@ def gen_forests(n: int) -> Iterator[Graph]:
     A forest class is the multiset of its tree components, so the stream
     walks integer partitions of n and, for each part size, multisets of
     tree classes of that size; no post-hoc deduplication is needed.
+    Each tree keeps its labels, shifted: no vertex has two lower neighbours.
     """
     if n < 1:
         raise ValueError(f"gen_forests needs n >= 1, got {n}")

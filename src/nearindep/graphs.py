@@ -97,8 +97,12 @@ class Graph:
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges are collapsed."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"order must be a non-negative int, got {n!r}")
     adj = [0] * n
     for u, v in edges:
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise ValueError(f"edge ({u!r},{v!r}) must join two int vertices")
         if u == v:
             raise ValueError(f"loop ({u},{v}) rejected")
         if not (0 <= u < n and 0 <= v < n):
@@ -115,8 +119,8 @@ def make_named(family: str, n: int, t: int | None = None) -> Graph:
     matching_plus_isolated: t disjoint edges (2i, 2i+1) plus n-2t
     isolated vertices (requires t).
     """
-    if n < 0:
-        raise ValueError(f"negative order {n}")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"order must be a non-negative int, got {n!r}")
     if family != "matching_plus_isolated" and t is not None:
         raise ValueError(f"parameter t is only valid for matching_plus_isolated, not {family}")
     if family == "star":
@@ -130,7 +134,7 @@ def make_named(family: str, n: int, t: int | None = None) -> Graph:
     if family == "matching_plus_isolated":
         if t is None:
             raise ValueError("matching_plus_isolated requires t")
-        if t < 0 or 2 * t > n:
+        if not isinstance(t, int) or t < 0 or 2 * t > n:
             raise ValueError(f"invalid t={t} for order {n}")
         return make_graph(n, [(2 * i, 2 * i + 1) for i in range(t)])
     raise ValueError(f"unknown family {family!r}")

@@ -22,14 +22,14 @@ Three mutually checking routes are implemented:
   first rule only, its own memo of counts) instead of spawning pairs.
   Paths and cycles cost polynomial time, and the work on other graphs
   grows with how slowly deletions break them apart;
-* a linear-time rooted DP for forests (``sigma01_tree_dp``).  One BFS
-  walk per component (``_rooted_branches``) gives the order and parents
-  and folds ``_graft`` over them; ``leaf_deletion_counts``, for the leaf
-  checks of ``verify``, reroots the same branch states with ``_prune``.
+* a linear-time rooted DP for forests (``sigma01_tree_dp``), which folds
+  ``_graft`` onto parents in label order or, failing that, along one BFS
+  walk per component (``_rooted_branches``); ``leaf_deletion_counts``, for
+  the leaf checks of ``verify``, reroots the BFS states with ``_prune``.
 
 None of the three calls another, so each checks the other two.
-``sigma01`` tries the tree DP, whose walk stops at the first cycle, and
-sends a graph with a cycle whole to the recursion, which splits it into
+``sigma01`` tries the tree DP, which stops at the first cycle, and sends
+a graph with a cycle whole to the recursion, which splits it into
 components itself, trees included.
 
 Counts for vertex-disjoint unions combine bilinearly:
@@ -301,20 +301,29 @@ def _root_pair(root: State) -> Pair:
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1) of a forest by rooted DP per component.
 
-    Each component is walked from its smallest vertex by
-    ``_rooted_branches``, which folds ``_graft`` over it and stops at the
-    first cycle; the root's state counts the component, and the
-    components are folded with the union rule.  Raises ValueError on a
-    graph with a cycle.
+    A graph where no vertex has two lower neighbours is a forest (a cycle's
+    top vertex has two), and ``_graft`` folds z = n-1 ... 0 onto that parent,
+    as in every generated forest.  Else ``_rooted_branches`` walks each
+    component and raises ValueError at a cycle.  Roots fold by the union rule.
     """
-    n = g.n
-    parent, down = [-1] * n, [LEAF] * n
+    n, adj = g.n, g.adj
+    down, roots = [LEAF] * n, []
+    for z in range(n - 1, -1, -1):
+        low = adj[z] & ((1 << z) - 1)
+        if not low:
+            roots.append(z)
+        elif not low & (low - 1):
+            p = low.bit_length() - 1
+            down[p] = _graft(down[p], down[z])
+        else:  # two lower neighbours: start again with the BFS walk
+            parent, down = [-1] * n, [LEAF] * n
+            for root in range(n):  # a vertex with a parent was walked from a smaller root
+                if parent[root] < 0 and _rooted_branches(adj, root, parent, down) is None:
+                    raise ValueError("sigma01_tree_dp requires acyclic input")
+            roots = [v for v in range(n) if parent[v] < 0]
+            break
     s0, s1 = 1, 0
-    for root in range(n):
-        if parent[root] >= 0:  # walked already, from a smaller root
-            continue
-        if _rooted_branches(g.adj, root, parent, down) is None:
-            raise ValueError("sigma01_tree_dp requires acyclic input")
+    for root in roots:
         c0, c1 = _root_pair(down[root])
         s0, s1 = s0 * c0, s1 * c0 + c1 * s0
     return SigmaPair(s0, s1)
@@ -374,8 +383,8 @@ def sigma01(g: Graph) -> SigmaPair:
     """Exact (sigma0, sigma1): a forest by the tree DP, any other graph by
     the deletion recursion.
 
-    The tree DP is tried first, and its walk is the forest test: at the
-    first cycle it raises, and the graph goes whole to
+    The tree DP is tried first; its test (no vertex with two lower
+    neighbours, else a BFS walk) finds any cycle, and the graph goes whole to
     ``sigma01_recursive``, which strips its isolated vertices and splits
     its components, trees included, by itself.  The result always equals
     sigma01_recursive(g).  Neither route has a cap of its own: ``Graph(n, adj)``

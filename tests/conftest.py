@@ -19,7 +19,8 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
 
 @st.composite
 def forests(draw, min_n: int = 1, max_n: int = 10) -> Graph:
-    """Random labelled forest: random parent links, some dropped."""
+    """Random labelled forest: random parent links, some dropped.  Each
+    parent is below its child, so the tree DP folds it in label order."""
     n = draw(st.integers(min_n, max_n))
     edges = []
     for v in range(1, n):

@@ -12,8 +12,9 @@ sorted centre-rooted encodings of the components, built by leaf
 stripping in ``neighbour_lists_certificate``), which the tests use to
 tell tree and forest classes apart without canonical codes.  So do the
 graph helpers only the tests need (``closed_neighborhood``,
-``is_forest``, ``disjoint_union``, ``relabel``, ``strip_isolated``) and
-``combine_union``, the union rule of the counts as a function.
+``is_forest``, ``lower_degrees``, ``disjoint_union``, ``relabel``,
+``strip_isolated``) and ``combine_union``, the union rule of the counts
+as a function.
 """
 
 from itertools import permutations, product
@@ -46,6 +47,11 @@ def is_forest(g: Graph) -> bool:
     exactly for a tree, so the count rule holds iff every component is one.
     """
     return g.edge_count() == g.n - len(connected_components(g))
+
+
+def lower_degrees(g: Graph) -> list[int]:
+    """How many lower-numbered neighbours each vertex has."""
+    return [(row & ((1 << v) - 1)).bit_count() for v, row in enumerate(g.adj)]
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

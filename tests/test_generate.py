@@ -37,6 +37,7 @@ from oracles import (
     labelled_connected_count,
     labelled_forest_count,
     leaf_extension_tree_certs,
+    lower_degrees,
     min_column_code,
     packed_code,
     prufer_decode,
@@ -332,9 +333,15 @@ def assert_passes_full_check(g: Graph) -> None:
 
 @pytest.mark.parametrize("gen, cap", [(gen_trees, Limits.trees_max_n), (gen_forests, Limits.forests_max_n)])
 def test_generated_trees_and_forests_pass_the_full_check(gen, cap):
+    """Also the labelling ``sigma01_tree_dp`` folds without a BFS walk:
+    every vertex has at most one lower neighbour, and in a tree only
+    vertex 0 has none."""
     for n in range(1, cap + 1):
         for g in gen(n):
             assert_passes_full_check(g)
+            lower = lower_degrees(g)
+            assert max(lower) <= 1, g
+            assert gen is gen_forests or lower.count(0) == 1, g
 
 
 def test_graph_classes_pass_the_full_check():

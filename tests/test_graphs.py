@@ -69,6 +69,12 @@ def test_graph_invariants_enforced():
         Graph(1, ("0",))             # str row
     with pytest.raises(ValueError, match="non-negative int"):
         Graph(2.0, (0b10, 0b01))     # float order
+    with pytest.raises(ValueError, match="non-negative int"):
+        make_graph(2.0, [])          # float order, before the rows are built
+    with pytest.raises(ValueError, match="int vertices"):
+        make_graph(3, [(0, 1.0)])    # float endpoint
+    with pytest.raises(ValueError, match="non-negative int"):
+        make_named("path", 2.0)      # float order, before the edge list is built
 
 
 def test_make_graph_and_parse_graph6_run_the_full_check(monkeypatch):
@@ -98,6 +104,8 @@ def test_make_named():
     assert make_named("path", 1).n == 1
     with pytest.raises(ValueError):
         make_named("matching_plus_isolated", 5, 3)
+    with pytest.raises(ValueError, match="invalid t"):
+        make_named("matching_plus_isolated", 5, 2.0)
     with pytest.raises(ValueError):
         make_named("matching_plus_isolated", 5)
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs
-from oracles import combine_union, disjoint_union, relabel
+from oracles import combine_union, disjoint_union, is_forest, lower_degrees, relabel
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
@@ -71,9 +71,20 @@ def test_sigma_is_isomorphism_invariant(g, rnd):
     assert sigma01(relabel(g, perm)) == sigma01(g)
 
 
-@given(forests(max_n=12))
-def test_tree_dp_agrees_with_recursion(f):
-    assert sigma01_tree_dp(f) == sigma01_recursive(f)
+@given(forests(max_n=12), st.randoms(use_true_random=False))
+def test_tree_dp_agrees_with_recursion(f, rnd):
+    perm = list(range(f.n))
+    rnd.shuffle(perm)
+    for h in (f, relabel(f, perm)):  # label order, then most likely not
+        assert sigma01_tree_dp(h) == sigma01_recursive(h)
+
+
+@given(graphs(max_n=9))
+def test_at_most_one_lower_neighbour_each_makes_a_forest(g):
+    """The highest vertex of a cycle has two lower neighbours on it, which
+    is what lets ``sigma01_tree_dp`` skip its BFS walk."""
+    if max(lower_degrees(g), default=0) <= 1:
+        assert is_forest(g)
 
 
 @given(graphs(max_n=12))

@@ -5,10 +5,11 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import nearindep.graphs
 import nearindep.sigma
+from nearindep.generate import gen_forests, gen_trees
 from nearindep.graphs import make_graph, make_named
 from nearindep.limits import CapabilityError
 from nearindep.sigma import (
@@ -23,7 +24,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs, random_graph
-from oracles import combine_union, disjoint_union, graph_from_pair_mask, is_forest
+from oracles import combine_union, disjoint_union, graph_from_pair_mask, is_forest, relabel
 
 
 def all_labelled(n):
@@ -69,16 +70,43 @@ def test_tree_dp_examples():
 
 
 def test_tree_dp_matches_recursion_on_all_trees():
-    from nearindep.generate import gen_trees
-
     for n in range(1, 11):
         for t in gen_trees(n):
             assert sigma01_tree_dp(t) == sigma01_recursive(t)
 
 
-@given(forests(max_n=16))
-def test_forest_scorers_agree(f):
-    assert sigma01(f) == sigma01_tree_dp(f) == sigma01_recursive(f)
+@given(forests(max_n=16), st.randoms(use_true_random=False))
+def test_forest_scorers_agree(f, rnd):
+    """``forests`` draws each parent below its child, so ``f`` is folded in
+    label order; a shuffled copy is walked by BFS instead."""
+    perm = list(range(f.n))
+    rnd.shuffle(perm)
+    for h in (f, relabel(f, perm)):
+        assert sigma01(h) == sigma01_tree_dp(h) == sigma01_recursive(h)
+
+
+def test_tree_dp_walks_by_bfs_only_off_label_order(monkeypatch):
+    """Generated trees and forests give every vertex at most one lower
+    neighbour, so no BFS walk runs; a shuffled path is walked, and counts
+    as the path in order: F(42) and sigma1 of P40."""
+    walked = []
+    real = nearindep.sigma._rooted_branches
+
+    def spy(adj, root, parent, down):
+        walked.append(root)
+        return real(adj, root, parent, down)
+
+    monkeypatch.setattr(nearindep.sigma, "_rooted_branches", spy)
+    generated = [t for n in range(1, 13) for t in gen_trees(n)]
+    generated += [f for n in range(1, 11) for f in gen_forests(n)]
+    for g in generated:
+        sigma01_tree_dp(g)
+    assert walked == []
+    p40 = make_named("path", 40)
+    perm = list(range(40))
+    random.Random(0).shuffle(perm)
+    assert sigma01_tree_dp(relabel(p40, perm)) == sigma01_tree_dp(p40) == SigmaPair(267914296, 1810142185)
+    assert walked == [0]
 
 
 def test_tree_dp_rejects_a_cycle_in_a_later_component():
