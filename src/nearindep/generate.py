@@ -30,7 +30,7 @@ output depends only on the set of classes and not on how it was found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
@@ -48,23 +48,26 @@ VIEWS: dict[str, Callable[[Graph, int | None], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(namedtuple("ClassSpec", "family n delta")):
     """Names one of the graph universes the verifiers quantify over."""
 
-    family: str
-    n: int
-    delta: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` validates too
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if (self.delta is not None) != (self.family == "bounded_degree_graphs"):
+    def __new__(cls, family: str, n: int, delta: int | None = None) -> ClassSpec:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if (delta is not None) != (family == "bounded_degree_graphs"):
             raise ValueError("delta is required for bounded_degree_graphs and invalid otherwise")
-        if self.n < 0:
-            raise ValueError(f"negative order {self.n}")
-        if self.delta is not None and self.delta < 0:
-            raise ValueError(f"negative maximum degree {self.delta}")
+        if not isinstance(n, int):
+            raise ValueError(f"order must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"negative order {n}")
+        if delta is not None and not isinstance(delta, int):
+            raise ValueError(f"maximum degree must be an int, got {delta!r}")
+        if delta is not None and delta < 0:
+            raise ValueError(f"negative maximum degree {delta}")
+        return tuple.__new__(cls, (family, n, delta))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ labelling, the vertex order that spells the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .limits import Limits, check_cap
@@ -43,16 +43,20 @@ def mask_of(vertices: Iterable[int]) -> VertexMask:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj")):
     """Immutable simple graph: vertex count plus per-vertex neighbour masks.
-    ``Graph(n, adj)`` validates both; generators, valid by construction, use ``_unchecked``."""
+    ``Graph(n, adj)`` validates both in ``_check`` before the tuple is built;
+    generators, valid by construction, build through ``_unchecked``."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` validates too
 
-    def __post_init__(self) -> None:
-        n, adj = self.n, self.adj
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        cls._check(n, adj)
+        return tuple.__new__(cls, (n, adj))
+
+    @staticmethod
+    def _check(n: int, adj: tuple[int, ...]) -> None:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"order must be a non-negative int, got {n!r}")
         check_cap(n, Limits.graph_max_n, "Graph")
@@ -76,10 +80,7 @@ class Graph:
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> Graph:
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
+        return tuple.__new__(cls, (n, adj))
 
     @property
     def full_mask(self) -> VertexMask:
@@ -197,8 +198,7 @@ def max_degree(g: Graph) -> int:
 # canonical codes (exact, individualisation-refinement)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalCode:
+class CanonicalCode(namedtuple("CanonicalCode", "n code")):
     """Upper-triangle adjacency bit-string of the canonical labelling.
 
     Bits are packed column by column ((0,1), (0,2), (1,2), (0,3), ...),
@@ -207,8 +207,7 @@ class CanonicalCode:
     codes <=> isomorphic graphs within the canonicalisation cap.
     """
 
-    n: int
-    code: int
+    __slots__ = ()
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:

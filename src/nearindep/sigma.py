@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graphs import Graph, bits, split_components
@@ -54,34 +54,38 @@ from .graphs import connected_components, induced_subgraph  # noqa: F401
 from .limits import Limits, check_cap
 
 
-@dataclass(frozen=True)
-class SigmaPair:
+class SigmaPair(namedtuple("SigmaPair", "sigma0 sigma1")):
     """Exact (sigma0, sigma1) of one graph."""
 
-    sigma0: int
-    sigma1: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` validates too
 
-    def __post_init__(self) -> None:
-        if self.sigma0 < 1:
+    def __new__(cls, sigma0: int, sigma1: int) -> SigmaPair:
+        if not (isinstance(sigma0, int) and isinstance(sigma1, int)):
+            raise ValueError(f"counts must be ints, got ({sigma0!r}, {sigma1!r})")
+        if sigma0 < 1:
             raise ValueError("sigma0 >= 1 always (the empty subset is independent)")
-        if self.sigma1 < 0:
+        if sigma1 < 0:
             raise ValueError("sigma1 is a count")
+        return tuple.__new__(cls, (sigma0, sigma1))
 
     @property
     def q(self) -> Fraction:
         return Fraction(self.sigma1, self.sigma0)
 
 
-@dataclass(frozen=True)
-class SigmaDistribution:
+class SigmaDistribution(namedtuple("SigmaDistribution", "n counts")):
     """counts[k] = number of vertex subsets inducing exactly k edges."""
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` validates too
 
-    def __post_init__(self) -> None:
-        if sum(self.counts) != 1 << self.n:
+    def __new__(cls, n: int, counts: tuple[int, ...]) -> SigmaDistribution:
+        if not (isinstance(n, int) and all(isinstance(c, int) for c in counts)):
+            raise ValueError(f"order and counts must be ints, got {n!r} and {counts!r}")
+        if sum(counts) != 1 << n:
             raise ValueError("distribution does not cover all 2^n subsets")
+        return tuple.__new__(cls, (n, counts))
 
     @property
     def sigma0(self) -> int:

@@ -36,11 +36,10 @@ tree and every deletion of it from one set of rooted branch states
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Callable
 
 from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
@@ -56,24 +55,20 @@ ONE_THIRD = Fraction(1, 3)
 Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q), Q None if unread
 
 
-@dataclass(frozen=True)
-class Violation:
-    graph6: str
-    lhs: Fraction
-    rhs: Fraction
-    context: str = ""
+class Violation(namedtuple("Violation", "graph6 lhs rhs context", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass
 class VerificationReport:
-    theorem_id: str
-    spec: ClassSpec
-    checked: int
-    violations: list[Violation] = field(default_factory=list)
-    equality_witnesses: list[str] = field(default_factory=list)
-    min_witness: tuple[str, Fraction] | None = None
-    max_witness: tuple[str, Fraction] | None = None
-    notes: dict = field(default_factory=dict)
+    def __init__(self, theorem_id: str, spec: ClassSpec, checked: int) -> None:
+        self.theorem_id = theorem_id
+        self.spec = spec
+        self.checked = checked
+        self.violations: list[Violation] = []
+        self.equality_witnesses: list[str] = []
+        self.min_witness: tuple[str, Fraction] | None = None
+        self.max_witness: tuple[str, Fraction] | None = None
+        self.notes: dict = {}
 
     @property
     def passed(self) -> bool:
@@ -104,8 +99,10 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple(
+    "Check", "theorem_id op bound extremal off miss exempt note_attained",
+    defaults=(None, "", "", None, False),
+)):
     """A bound ``Q op bound(spec)`` over a universe; ``bound`` may return
     None at orders where nothing is compared.
 
@@ -115,18 +112,14 @@ class Check:
     not compared.  ``note_attained`` notes whether the bound is attained.
     """
 
-    theorem_id: str
-    op: str
-    bound: Callable[[ClassSpec], Fraction | None]
-    extremal: Callable[[Graph, ClassSpec], bool] | None = None
-    off: str = ""
-    miss: str = ""
-    exempt: Callable[[Graph], bool] | None = None
-    note_attained: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` validates too
 
-    def __post_init__(self) -> None:
-        if self.op not in (">=", "<="):
+    def __new__(cls, *args, **kwargs) -> Check:
+        check = super().__new__(cls, *args, **kwargs)
+        if check.op not in (">=", "<="):
             raise ValueError("comparison must be '>=' or '<='")
+        return check
 
 
 def is_star_plus_isolated(g: Graph, k: int) -> bool:
@@ -144,7 +137,7 @@ STAR_LOWER = Check(
     "thm-3.2", ">=", lambda s: star_q(s.n), lambda g, s: is_star_graph(g),
     off="bound attained by a non-star graph", miss="star does not attain the bound",
 )
-TREE_LOWER = replace(STAR_LOWER, theorem_id="cor-3.3", off="bound attained by a non-star tree")
+TREE_LOWER = STAR_LOWER._replace(theorem_id="cor-3.3", off="bound attained by a non-star tree")
 GENERAL_LOWER = Check(  # the star bound of 3.5 applies from order 4 on
     "thm-3.1+3.5", ">=", lambda s: star_q(s.n) if s.n >= 4 else None,
     exempt=lambda g: g.edge_count() == 0,
@@ -242,9 +235,9 @@ def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     attained, so no extremal graph is named and the gap is noted."""
     check = MAX_DEGREE_LOWER
     if spec.delta == 1:
-        check = replace(check, theorem_id="prop-3.4")
+        check = check._replace(theorem_id="prop-3.4")
     elif spec.delta == 2:
-        check = replace(check, extremal=None)
+        check = check._replace(extremal=None)
     report = _scan(check, spec, rows)
     if spec.delta == 2 and not report.equality_witnesses:
         report.notes["anomaly"] = (

@@ -268,6 +268,17 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_cli_import_loads_no_dataclasses():
+    """Every ``nearindep`` process imports the CLI first.  ``dataclasses``
+    (with ``inspect``, ``ast``, ``dis`` and ``tokenize``) took about 15 ms
+    of that import, so the engine's records are built without it."""
+    src = str(Path(nearindep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, nearindep.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
 def run_example(capsys, monkeypatch, command: str) -> list[str]:
     """The output lines of one README shell line, run in-process: printf,
     nearindep and head stages joined by '|', optionally followed by

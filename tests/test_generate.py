@@ -351,10 +351,10 @@ def test_graph_classes_pass_the_full_check():
 
 
 def test_generators_do_not_run_the_full_check(monkeypatch):
-    def refuse(g):
-        raise AssertionError(f"Graph.__post_init__ ran on generated {g}")
+    def refuse(n, adj):
+        raise AssertionError(f"Graph._check ran on generated ({n}, {adj})")
 
-    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Graph, "_check", refuse)
     assert len(list(gen_trees(9))) == 47 and len(list(gen_forests(7))) == 37
     assert len(_graph_classes.__wrapped__(5)) == 34
 
@@ -392,6 +392,10 @@ def test_class_spec_validation():
         ClassSpec("bounded_degree_graphs", 4)
     with pytest.raises(ValueError):
         ClassSpec("bounded_degree_graphs", 4, -1)
+    with pytest.raises(ValueError, match="maximum degree must be an int"):
+        ClassSpec("bounded_degree_graphs", 4, 1.5)   # was an empty universe
+    with pytest.raises(ValueError, match="order must be an int"):
+        ClassSpec("trees", 2.5)                      # was a TypeError deep in generation
     assert [g.edge_count() for g in gen_class(ClassSpec("bounded_degree_graphs", 4, 0))] == [0]
     spec = ClassSpec("bounded_degree_graphs", 4, 1)
     assert sum(1 for _ in gen_class(spec)) == 2

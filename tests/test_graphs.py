@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearindep.graphs import (
+    CanonicalCode,
     Graph,
     canonical_code,
     canonical_form,
@@ -15,9 +17,11 @@ from nearindep.graphs import (
     make_named,
     max_degree,
 )
-from nearindep.generate import gen_trees
+from nearindep.generate import ClassSpec, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.limits import CapabilityError
+from nearindep.sigma import SigmaDistribution, SigmaPair
+from nearindep.verify import STAR_LOWER, Check, Violation
 
 from conftest import brute_force_automorphisms, graphs, random_graph
 from oracles import (
@@ -79,13 +83,50 @@ def test_graph_invariants_enforced():
 
 def test_make_graph_and_parse_graph6_run_the_full_check(monkeypatch):
     """Only the generators build through ``Graph._unchecked``: graphs made
-    from edge lists or read from graph6 still pass ``__post_init__``."""
+    from edge lists or read from graph6 still pass ``Graph._check``, which
+    sees the fields before the graph is built."""
     checked = []
-    real = Graph.__post_init__
-    monkeypatch.setattr(Graph, "__post_init__", lambda g: checked.append(g) or real(g))
+    real = Graph._check
+    monkeypatch.setattr(Graph, "_check", lambda n, adj: checked.append((n, adj)) or real(n, adj))
     g = make_graph(4, [(0, 1), (1, 2)])
     h = parse_graph6(emit_graph6(g))
-    assert len(checked) == 2 and checked[0] is g and checked[1] is h and g == h
+    assert len(checked) == 2 and checked[0] == (g.n, g.adj) and checked[1] == (h.n, h.adj) and g == h
+    assert checked[0][1] is g.adj and checked[1][1] is h.adj
+
+
+def _bound(spec):
+    return Fraction(1, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_graph(3, [(0, 1), (1, 2)]),
+    lambda: CanonicalCode(3, 0b011),
+    lambda: SigmaPair(5, 4),
+    lambda: SigmaDistribution(2, (3, 1)),
+    lambda: ClassSpec("bounded_degree_graphs", 4, 2),
+    lambda: Violation("Bw", Fraction(1, 2), Fraction(1, 3), "context"),
+    lambda: Check("scan", "<=", _bound, note_attained=True),
+], ids=lambda make: type(make()).__name__)
+def test_records_are_immutable_and_hash_by_value(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    with pytest.raises(AttributeError):
+        a.extra = 0  # no instance dict either
+
+
+def test_replace_validates_like_the_constructor():
+    with pytest.raises(ValueError, match="comparison"):
+        STAR_LOWER._replace(op="==")
+    with pytest.raises(ValueError, match="sigma0 >= 1"):
+        SigmaPair(2, 1)._replace(sigma0=0)
+    with pytest.raises(ValueError, match="negative order"):
+        ClassSpec("trees", 4)._replace(n=-1)
+    with pytest.raises(ValueError, match="asymmetric"):
+        make_graph(2, [(0, 1)])._replace(adj=(0b10, 0))
+    assert STAR_LOWER._replace(theorem_id="x")[1:] == STAR_LOWER[1:]
 
 
 def test_graph_order_cap():

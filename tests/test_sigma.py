@@ -278,6 +278,14 @@ def test_sigma_pair_validation():
         SigmaPair(0, 0)
     with pytest.raises(ValueError):
         SigmaPair(1, -1)
+    with pytest.raises(ValueError, match="counts must be ints"):
+        SigmaPair(1.5, 0)
+    with pytest.raises(ValueError, match="counts must be ints"):
+        SigmaPair(1, Fraction(1))
+    with pytest.raises(ValueError, match="must be ints"):
+        SigmaDistribution(1, (1.5, 0.5))
+    with pytest.raises(ValueError, match="must be ints"):
+        SigmaDistribution(1.0, (2,))
 
 
 def fibonacci(k):
