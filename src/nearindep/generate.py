@@ -19,13 +19,14 @@ A class on n-1 vertices is extended by a new vertex v joined to one
 subset per orbit of its automorphism group (orbits marked over all
 2^(n-1) subsets from generators carried over from the order below).  The
 child is kept only if v is the vertex a canonical-deletion rule would
-remove: v must have the largest (degree, triangles) key, refined once by
-its neighbours' keys, and on a tie it must share an automorphism orbit
-with the tied vertex the canonical labelling places last.  Each class is
-then found exactly once; ``canonical_form`` runs only on kept children
-and on ties.  Every class is emitted in its canonical labelling, the
-graph spelled by its canonical code, in increasing code order, so the
-output depends only on the set of classes and not on how it was found.
+remove: v must have the largest degree and, among the vertices of that
+degree, the most triangles, and on a tie it must share an automorphism
+orbit with the tied vertex the canonical labelling places last.  Each
+class is then found exactly once; ``canonical_form`` runs only on kept
+children and on ties.  Every class is emitted in its canonical
+labelling, the graph spelled by its canonical code, in increasing code
+order, so the output depends only on the set of classes and not on how
+it was found.
 """
 
 from __future__ import annotations
@@ -289,32 +290,21 @@ def _orbit_of(w: int, gens: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _deletion_ties(adj: list[int], rivals: int) -> int | None:
-    """Mask of the vertices whose key equals that of the new vertex
-    v = len(adj) - 1, v included, or None if some vertex has a larger key.
+    """Mask of v = len(adj) - 1 and of the ``rivals`` (old vertices of v's
+    degree) with as many triangles as v, or None if a rival has more."""
+    def triangles(x: int) -> int:  # twice the count at x
+        row = adj[x]
+        return sum((adj[y] & row).bit_count() for y in bits(row))
 
-    The key is (degree, triangles at x), refined once by the sorted keys
-    of the neighbours; ``rivals`` are the old vertices of v's degree.
-    """
-    keys = [
-        row.bit_count() << 16 | sum((adj[y] & row).bit_count() for y in bits(row)) >> 1
-        for row in adj
-    ]
     v = len(adj) - 1
-    ties = 0
-    for x in bits(rivals):
-        if keys[x] > keys[v]:
-            return None
-        if keys[x] == keys[v]:
-            ties |= 1 << x
+    mine = triangles(v)
     out = 1 << v
-    if ties:
-        mine = sorted(keys[y] for y in bits(adj[v]))
-        for x in bits(ties):
-            theirs = sorted(keys[y] for y in bits(adj[x]))
-            if theirs > mine:
-                return None
-            if theirs == mine:
-                out |= 1 << x
+    for x in bits(rivals):
+        theirs = triangles(x)
+        if theirs > mine:
+            return None
+        if theirs == mine:
+            out |= 1 << x
     return out
 
 
@@ -329,12 +319,12 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
     once per orbit of the parent's automorphism group.  A child is kept
     only if v lies in the orbit that a canonical-deletion rule picks, so
     it is found from exactly one (parent, orbit) pair and no dedup is
-    needed.  The rule wants the largest key, (degree, triangles at x)
-    refined once by the sorted keys of the neighbours; most children fail
-    it on degree alone and never reach ``canonical_form``.  If v is the
-    only vertex with the largest key it is kept.  On a tie, v is kept iff
-    it shares an Aut(child)-orbit with the tied vertex the canonical
-    labelling places last.
+    needed.  The rule wants the largest (degree, triangles at x) key.  Most
+    children fail it on degree alone, so triangles are counted only at v
+    and at the old vertices of v's degree.  If v is the only vertex with
+    the largest key it is kept.  On a tie, v is kept iff it shares an
+    Aut(child)-orbit with the tied vertex the canonical labelling places
+    last.
 
     Every kept class is emitted in its canonical labelling, so each graph
     is the one spelled by its canonical code, and the same set of classes

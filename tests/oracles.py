@@ -17,7 +17,7 @@ graph helpers only the tests need (``closed_neighborhood``,
 as a function.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable
 
 from nearindep.graphs import (
@@ -270,6 +270,17 @@ def graph_from_code(n: int, code: int) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(n, tuple(adj))
+
+
+def deletion_keys(g: Graph) -> list[tuple[int, int]]:
+    """The (degree, triangles at x) key of every vertex x, read off the
+    edge list: x's neighbours, and the pairs of them that are edges."""
+    edges = set(g.edges())
+    keys = []
+    for x in range(g.n):
+        ys = [y for y in range(g.n) if (min(x, y), max(x, y)) in edges]
+        keys.append((len(ys), sum(1 for pair in combinations(ys, 2) if pair in edges)))
+    return keys
 
 
 def packed_code(g: Graph, order) -> int:

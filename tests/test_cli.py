@@ -79,13 +79,15 @@ def test_gen_tree_and_forest_bytes(capsys, family, n, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("family, lines, digest", [
-    ("graphs", 1044, "12db98d4b9059bda3ac38b5ec86a51a8d9b8258c748f030aece8692e9f3ddc84"),
-    ("connected", 853, "127c41ab469ddbb4e2860ba8dbae27953d8fe51077eb2967442b71ffb433eda0"),
-], ids=["graphs-7", "connected-7"])
-def test_gen_graph_bytes(capsys, family, lines, digest):
+@pytest.mark.parametrize("family, n, lines, digest", [
+    ("graphs", "7", 1044, "12db98d4b9059bda3ac38b5ec86a51a8d9b8258c748f030aece8692e9f3ddc84"),
+    ("connected", "7", 853, "127c41ab469ddbb4e2860ba8dbae27953d8fe51077eb2967442b71ffb433eda0"),
+    ("graphs", "8", 12346, "47182265d0d560b6543735acb1d953f620644e6d2897e033e58d6196aafa4ab5"),
+    ("connected", "8", 11117, "1934c20ab9b447faa4c3688bb0030dfad51e4af5f342d3d6d7ebbfd46fb5fcd1"),
+], ids=["graphs-7", "connected-7", "graphs-8", "connected-8"])
+def test_gen_graph_bytes(capsys, family, n, lines, digest):
     """Each class is emitted in its canonical labelling, in code order."""
-    code, out, _ = run_cli(capsys, "gen", "--class", family, "--n", "7")
+    code, out, _ = run_cli(capsys, "gen", "--class", family, "--n", n)
     assert code == 0 and len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from nearindep.generate import (
     _is_center_rooted,
     _layout_to_graph,
     _next_rooted_layout,
+    _deletion_ties,
     _graph_classes,
     _orbit_min_subsets,
     gen_class,
@@ -30,6 +32,7 @@ from nearindep.sigma import q_ratio, sigma01
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
+    deletion_keys,
     forest_certificate,
     graph_from_pair_mask,
     is_forest,
@@ -301,6 +304,44 @@ def test_orbit_min_subsets_match_the_brute_force_group():
             ]
             assert list(_orbit_min_subsets(n, canonical_form(g)[1])) == minima
             assert list(_orbit_min_subsets(n, carried)) == minima
+
+
+def test_deletion_ties_match_the_key_oracle():
+    """Every child at order <= 7 (each class below plus v joined to any
+    subset) that passes the degree filter and has rivals: ``_deletion_ties``
+    gives None exactly when some vertex's (degree, triangles) key exceeds
+    v's, and otherwise the mask of the vertices whose key equals v's."""
+    outcomes = Counter()
+    for n in range(2, 8):
+        v = n - 1
+        for parent, _ in _graph_classes(v):
+            for s in range(1 << v):
+                adj = [row | 1 << v if s >> x & 1 else row for x, row in enumerate(parent.adj)]
+                adj.append(s)
+                keys = deletion_keys(Graph(n, tuple(adj)))
+                mine = keys[v]
+                rivals = sum(1 << x for x in range(v) if keys[x][0] == mine[0])
+                if max(key[0] for key in keys) > mine[0] or not rivals:
+                    continue
+                want = None if max(keys) > mine else sum(
+                    1 << x for x, key in enumerate(keys) if key == mine
+                )
+                assert _deletion_ties(adj, rivals) == want, (adj, rivals)
+                outcomes["outranked" if want is None else "alone" if want == 1 << v else "tied"] += 1
+    assert outcomes == {"outranked": 561, "alone": 231, "tied": 1152}
+
+
+def test_canonical_form_calls_are_pinned(monkeypatch):
+    """The work of generation up to order 7, one call per kept child and
+    per tie: the deletion rule counts triangles only at v and its rivals,
+    and the canonical labelling settles every tie that leaves."""
+    calls = []
+    real = generate.canonical_form
+    monkeypatch.setattr(generate, "canonical_form", lambda g: calls.append(g) or real(g))
+    _graph_classes.cache_clear()
+    _graph_classes(7)
+    _graph_classes.cache_clear()
+    assert len(calls) == 1355
 
 
 def test_delta_filter():
