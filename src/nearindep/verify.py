@@ -28,7 +28,8 @@ The catalogue of named checks (the ``--theorem`` ids of the CLI):
 * 4.5  forests: Q <= n/4 - 1/6, tight at order 2.
 
 A bound check is a ``Check`` record, applied by the one scan loop
-(``_scan``) to a scored table of (graph, Q) rows.  A graph6 string is
+(``_scan``) to a scored table of (graph, Q) rows, with 3.1's per-row
+zero test and the extremal rule in the same pass.  A graph6 string is
 emitted only for a graph that a report names.  The leaf checks count a
 tree and every deletion of it from one set of rooted branch states
 (``sigma.leaf_deletion_counts``), the tree DP's own, in one walk.
@@ -37,6 +38,7 @@ tree and every deletion of it from one set of rooted branch states
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -107,9 +109,10 @@ class Check(namedtuple(
     None at orders where nothing is compared.
 
     Only graphs accepted by ``extremal`` may attain the bound (else a
-    violation with context ``off``), and the first graph it accepts must
-    attain it (else context ``miss``).  Graphs accepted by ``exempt`` are
-    not compared.  ``note_attained`` notes whether the bound is attained.
+    violation with context ``off``), and one it accepts must attain it
+    (else context ``miss``, naming the first graph it accepts).  Graphs
+    accepted by ``exempt`` are not compared.  ``note_attained`` notes
+    whether the bound is attained.
     """
 
     __slots__ = ()
@@ -148,6 +151,10 @@ MAX_DEGREE_LOWER = Check(
     off="bound attained off the star-plus-isolated graph",
     miss="star-plus-isolated graph misses the bound", note_attained=True,
 )
+_MAX_DEGREE_AT = {  # 3.4 is 3.6 at delta 1; at delta 2 no graph attains the bound
+    1: MAX_DEGREE_LOWER._replace(theorem_id="prop-3.4"),
+    2: MAX_DEGREE_LOWER._replace(extremal=None),
+}
 FOREST_BOUNDS = {
     "thm41": Check("thm-4.1", "<=", lambda s: Fraction(s.n - 1, 3), note_attained=True),
     "thm45": Check("thm-4.5", "<=", lambda s: Fraction(s.n, 4) - Fraction(1, 6), note_attained=True),
@@ -161,22 +168,23 @@ def _score(spec: ClassSpec, q: bool = True) -> list[Row]:
 
 
 def _scan(
-    check: Check, spec: ClassSpec, rows: list[Row], at: list[int] | None = None
+    check: Check, spec: ClassSpec, rows: list[Row], row_test: Callable | None = None
 ) -> VerificationReport:
-    """The one loop comparing Q with a bound: ``check`` over the scored
-    rows of ``spec``, plus the extremal witnesses.  ``at``, if given,
-    receives the row index of each violation, in step with them (the
-    count of rows for a missing extremal graph)."""
+    """The one loop over the scored rows of ``spec``: ``row_test``, if
+    given, whose violations come ahead of the row's bound violations,
+    then ``check`` and its extremal rule; plus the extremal witnesses.
+    The rows are walked again only to name a missing extremal graph."""
     report = VerificationReport(check.theorem_id, spec, len(rows))
     if rows:
         lo, hi = min(rows, key=itemgetter(1)), max(rows, key=itemgetter(1))
         report.min_witness = emit_graph6(lo[0]), lo[1]
         report.max_witness = emit_graph6(hi[0]), hi[1]
     bound = check.bound(spec)
-    if bound is None:
-        return report
-    for i, (g, q) in enumerate(rows):
-        if check.exempt and check.exempt(g):
+    attained = False
+    for g, q in rows:
+        if row_test:
+            report.violations += row_test(g, q)
+        if bound is None or check.exempt and check.exempt(g):
             continue
         if (q < bound) if check.op == ">=" else (q > bound):
             report.violations.append(Violation(emit_graph6(g), q, bound))
@@ -185,41 +193,32 @@ def _scan(
             report.equality_witnesses.append(g6)
             if check.extremal and not check.extremal(g, spec):
                 report.violations.append(Violation(g6, q, bound, check.off))
-        if at is not None:
-            at += [i] * (len(report.violations) - len(at))
-    if check.extremal:
-        first = next(((g, q) for g, q in rows if check.extremal(g, spec)), None)
-        if first is None or first[1] != bound:
-            g6, q = (emit_graph6(first[0]), first[1]) if first else ("", Fraction(0))
-            report.violations.append(Violation(g6, q, bound, check.miss))
-            if at is not None:
-                at.append(len(rows))
-    report.notes["bound"] = bound
-    if check.note_attained:
-        report.notes["bound_attained"] = bool(report.equality_witnesses)
+            else:
+                attained = True
+    if bound is not None:
+        if check.extremal and not attained:
+            named = ((emit_graph6(g), q) for g, q in rows if check.extremal(g, spec))
+            report.violations.append(Violation(*next(named, ("", Fraction(0))), bound, check.miss))
+        report.notes["bound"] = bound
+        if check.note_attained:
+            report.notes["bound_attained"] = bool(report.equality_witnesses)
     return report
 
 
+def _zero_test(g: Graph, q: Fraction) -> list[Violation]:
+    """Theorem 3.1 at one row: Q >= 0, zero exactly for the edgeless graph."""
+    empty = g.edge_count() == 0
+    fails = {"negative ratio": q < 0, "edgeless graph with nonzero ratio": empty and q != 0,
+             "zero ratio off the edgeless graph": not empty and q == 0}
+    return [Violation(emit_graph6(g), q, Fraction(0), context) for context, bad in fails.items() if bad]
+
+
 def _general_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
-    """Checks 3.1 and 3.5: the star bound, the zero-iff-edgeless test and
-    the second-smallest Q."""
-    at: list[int] = []
-    report = _scan(GENERAL_LOWER, spec, rows, at)
+    """Checks 3.1 and 3.5: the zero-iff-edgeless test of each row, run in
+    ``_scan``'s loop ahead of the star bound, and the second-smallest Q."""
+    report = _scan(GENERAL_LOWER, spec, rows, _zero_test)
     if spec.n < 4:
         report.theorem_id = "thm-3.1"
-    zero, found = Fraction(0), []
-    for i, (g, q) in enumerate(rows):
-        empty = g.edge_count() == 0
-        for context, fails in (
-            ("negative ratio", q < 0),
-            ("edgeless graph with nonzero ratio", empty and q != 0),
-            ("zero ratio off the edgeless graph", not empty and q == 0),
-        ):
-            if fails:
-                found.append((i, Violation(emit_graph6(g), q, zero, context)))
-    if found:  # graph by graph, the zero test's violations come first
-        found += zip(at, report.violations)
-        report.violations = [v for _, v in sorted(found, key=itemgetter(0))]
     nonzero = [(g, q) for g, q in rows if g.edge_count()]
     if nonzero:
         second = min(q for _, q in nonzero)
@@ -233,12 +232,7 @@ def _general_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
 def _max_degree_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     """Check 3.6, which is 3.4 at delta 1.  At delta 2 the bound is not
     attained, so no extremal graph is named and the gap is noted."""
-    check = MAX_DEGREE_LOWER
-    if spec.delta == 1:
-        check = check._replace(theorem_id="prop-3.4")
-    elif spec.delta == 2:
-        check = check._replace(extremal=None)
-    report = _scan(check, spec, rows)
+    report = _scan(_MAX_DEGREE_AT.get(spec.delta, MAX_DEGREE_LOWER), spec, rows)
     if spec.delta == 2 and not report.equality_witnesses:
         report.notes["anomaly"] = (
             "stated bound 1/3 is strictly below the class minimum for maximum degree 2"

@@ -316,3 +316,19 @@ def test_readme_examples(capsys, monkeypatch):
             head, tail = shown[:gap], shown[gap + 1:]
             assert len(got) > len(head) + len(tail), command
             assert (got[:gap], got[len(got) - len(tail):]) == (head, tail), command
+
+
+def test_readme_library_example():
+    """Every line of the README's Library block runs, and each expression
+    line evaluates to the repr its comment shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("\n```", 1)[0]
+    namespace, shown = {}, 0
+    for line in block.splitlines():
+        code, _, expected = line.partition("#")
+        if expected:
+            assert repr(eval(code, namespace)) == expected.strip(), line
+            shown += 1
+        else:
+            exec(code, namespace)
+    assert shown == 3

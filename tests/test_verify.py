@@ -391,6 +391,30 @@ def test_violation_paths(monkeypatch, case):
     assert not report.passed
 
 
+def test_extremal_rule_reads_each_row_once(monkeypatch):
+    """The scan records attainment as it goes, so the extremal predicate
+    runs on equality rows only: on the star of order 10, which
+    ``gen_trees`` yields last of the 106 trees."""
+    calls = Counter()
+
+    def counting_star(g):
+        calls["star"] += 1
+        return is_star_graph(g)
+
+    monkeypatch.setattr(verify_module, "is_star_graph", counting_star)
+    report = verify_module._verify("3.3", 10)
+    assert report.passed and calls["star"] == 1
+
+
+def test_extremal_rule_needs_one_accepted_graph_to_attain(monkeypatch):
+    """With two extremal graphs per order, the path (yielded first, above
+    the bound) and the star (attaining it), the bound is met: a graph that
+    ``extremal`` accepts must attain it, not the first one."""
+    monkeypatch.setattr(verify_module, "is_star_graph", lambda g: max_degree(g) in (2, g.n - 1))
+    report = verify_module._verify("3.3", 6)
+    assert (report.violations, report.equality_witnesses) == ([], ["Esa?"])
+
+
 # the pair of T from leaf_deletion_counts perturbed on the trees of order
 # n only: each mutant breaks one side of the leaf identities; (sha256 of
 # the reports' JSON for n = 2..8, violations by lemma), recorded when the
