@@ -64,7 +64,7 @@ def _record_row(g: Graph) -> dict:
 
 def _emit_rows(rows: Iterator[dict], fmt: str, fieldnames: list[str]) -> None:
     if fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="extremal Q over a class")
     add_class(p)
     p.add_argument("--objective", choices=("min", "max"), default=None)
-    p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="accepted and ignored; scans run in one process")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="run the named bound checks up to an order")

@@ -13,13 +13,15 @@ Three mutually checking routes are implemented:
   surviving-vertex mask loses its isolated vertices (a factor 2 on both
   counts each) and is split into connected components (by
   ``graphs.split_components``), folded with the union rule below.  Each
-  component is memoised by its mask and solved by deletion on a pivot v:
+  component is memoised by its mask and solved by deletion on a pivot v
+  of maximum degree, ties to the smallest index (``_pivot_vertex``):
   sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
   sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
               + sum over u in N(v) of sigma0(G-N[v]-N[u]).
-  The deg(v) neighbour terms need sigma0 alone, so they go to a
-  sigma0-only side recursion (the same decomposition and pivot, the
-  first rule only, its own memo of counts) instead of spawning pairs.
+  ``_solve`` memoises pairs and applies both rules.  The deg(v) neighbour
+  terms need sigma0 alone, so they go to ``_solve0``: the same
+  decomposition and pivot, the first rule only, and its own memo of
+  counts; a component ``_solve`` has met is read from the pair memo.
   Paths and cycles cost polynomial time, and the work on other graphs
   grows with how slowly deletions break them apart;
 * a linear-time rooted DP for forests (``sigma01_tree_dp``), which folds
@@ -43,7 +45,6 @@ Everything is arbitrary-precision integer arithmetic; ratios are exact
 
 from __future__ import annotations
 
-import random
 from array import array
 from collections import namedtuple
 from fractions import Fraction
@@ -122,12 +123,8 @@ def sigma_distribution_bruteforce(g: Graph) -> SigmaDistribution:
     return SigmaDistribution(n, tuple(hist))
 
 
-def _pivot_vertex(comp: int, adj: tuple[int, ...], rng: random.Random | None) -> int:
-    """A vertex of maximum degree inside ``comp``, ties to the smallest
-    index, or a uniformly random vertex of ``comp`` under ``rng``."""
-    if rng is not None:
-        vs = list(bits(comp))
-        return vs[rng.randrange(len(vs))]
+def _pivot_vertex(comp: int, adj: tuple[int, ...]) -> int:
+    """A vertex of maximum degree inside ``comp``, ties to the smallest index."""
     v, best = -1, -1
     rest = comp
     while rest:
@@ -141,13 +138,9 @@ def _pivot_vertex(comp: int, adj: tuple[int, ...], rng: random.Random | None) ->
 
 
 def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
-           memo0: dict[int, int], rng: random.Random | None) -> tuple[int, int]:
-    """(sigma0, sigma1) of the subgraph induced on ``mask``.
-
-    The components of the mask are folded with the union rule.  Each
-    isolated vertex doubles both counts; any other component is looked
-    up in, or pivoted into, the connected-mask memo of pairs.
-    """
+           memo0: dict[int, int]) -> tuple[int, int]:
+    """(sigma0, sigma1) of the subgraph induced on ``mask``; a component
+    missing from the pair memo is pivoted with both deletion rules."""
     if not mask & (mask - 1):  # no vertex or one: skip the split
         return (2, 0) if mask else (1, 0)
     comps, isolated = split_components(mask, adj)
@@ -155,41 +148,22 @@ def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[
     for comp in comps:
         pair = memo.get(comp)
         if pair is None:
-            pair = memo[comp] = _pivot(comp, adj, closed, memo, memo0, rng)
+            v = _pivot_vertex(comp, adj)
+            a0, a1 = _solve(comp & ~(1 << v), adj, closed, memo, memo0)
+            far = comp & ~closed[v]
+            b0, b1 = _solve(far, adj, closed, memo, memo0)
+            for u in bits(adj[v] & comp):
+                a1 += _solve0(far & ~closed[u], adj, closed, memo, memo0)
+            pair = memo[comp] = a0 + b0, a1 + b1
         c0, c1 = pair
         s0, s1 = s0 * c0, s1 * c0 + c1 * s0
     return s0 << isolated, s1 << isolated
 
 
-def _pivot(comp: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
-           memo0: dict[int, int], rng: random.Random | None) -> tuple[int, int]:
-    """(sigma0, sigma1) of a connected mask by deletion on one pivot v.
-
-    sigma0 = s0(M-v) + s0(M-N[v]) and
-    sigma1 = s1(M-v) + s1(M-N[v]) + sum over u in N(v) of s0(M-N[v]-N[u]).
-    The two deletions are solved as pairs by ``_solve``; the neighbour
-    terms need sigma0 alone, so they go to ``_solve0``.
-    """
-    v = _pivot_vertex(comp, adj, rng)
-    a0, a1 = _solve(comp & ~(1 << v), adj, closed, memo, memo0, rng)
-    far = comp & ~closed[v]
-    b0, b1 = _solve(far, adj, closed, memo, memo0, rng)
-    s1 = a1 + b1
-    for u in bits(adj[v] & comp):
-        s1 += _solve0(far & ~closed[u], adj, closed, memo, memo0, rng)
-    return a0 + b0, s1
-
-
 def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
-            memo0: dict[int, int], rng: random.Random | None) -> int:
-    """sigma0 of the subgraph induced on ``mask``.
-
-    The same decomposition as ``_solve``, on sigma0 alone: each isolated
-    vertex doubles the count and the components multiply.  A component
-    is read from ``memo0``, or from the pair memo when ``_solve`` has
-    already met it, or else solved by deletion on the same pivot rule,
-    sigma0(M) = sigma0(M-v) + sigma0(M-N[v]), and kept in ``memo0``.
-    """
+            memo0: dict[int, int]) -> int:
+    """sigma0 of the subgraph induced on ``mask``; a component missing from
+    both memos is pivoted with the sigma0 rule alone."""
     if not mask & (mask - 1):
         return 2 if mask else 1
     comps, isolated = split_components(mask, adj)
@@ -199,38 +173,28 @@ def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict
         if c0 is None:
             pair = memo.get(comp)
             if pair is None:
-                v = _pivot_vertex(comp, adj, rng)
-                c0 = memo0[comp] = (_solve0(comp & ~(1 << v), adj, closed, memo, memo0, rng)
-                                    + _solve0(comp & ~closed[v], adj, closed, memo, memo0, rng))
+                v = _pivot_vertex(comp, adj)
+                c0 = memo0[comp] = (_solve0(comp & ~(1 << v), adj, closed, memo, memo0)
+                                    + _solve0(comp & ~closed[v], adj, closed, memo, memo0))
             else:
                 c0 = pair[0]
         s0 *= c0
     return s0
 
 
-def sigma01_recursive(g: Graph, *, pivot_rng: random.Random | None = None) -> SigmaPair:
-    """Exact (sigma0, sigma1) by deletion recursion that decomposes.
+def sigma01_recursive(g: Graph) -> SigmaPair:
+    """Exact (sigma0, sigma1) by deletion recursion that decomposes, as
+    the module docstring states it.
 
-    Every vertex mask the recursion meets is solved in three steps: its
-    isolated vertices are stripped (k of them multiply both counts by
-    2^k), the rest is split into connected components that are folded
-    with the union rule, and each component of two or more vertices is
-    memoised by its mask.  A component missing from the memo is solved
-    by deletion on a pivot v of maximum degree.  sigma1 of a component
-    needs the pair (sigma0, sigma1) of M - v and M - N[v], but only
-    sigma0 of each M - N[v] - N[u], u in N(v); those neighbour terms go
-    to a sigma0-only side recursion with the same decomposition, the
-    two-branch rule sigma0(M) = sigma0(M-v) + sigma0(M-N[v]) and its own
-    memo of counts, which first reads a pair already memoised.  Any
-    pivot gives the same counts, and ``pivot_rng`` picks random pivots
-    in both recursions, which the property tests use.  The memos live
-    only for this call; the helpers are plain functions, not closures,
-    so no reference cycle keeps them alive after the call returns.
-    Paths and cycles cost time polynomial in n.
+    Both recursions look up the module-level ``_pivot_vertex`` at every
+    pivot, so a test can swap in another rule there (any pivot gives the
+    same counts).  The memos live only for this call; the helpers are
+    plain functions, not closures, so no reference cycle keeps them alive
+    after the call returns.
     """
     adj = g.adj
     closed = tuple(row | 1 << v for v, row in enumerate(adj))
-    s0, s1 = _solve(g.full_mask, adj, closed, {}, {}, pivot_rng)
+    s0, s1 = _solve(g.full_mask, adj, closed, {}, {})
     return SigmaPair(s0, s1)
 
 

@@ -14,12 +14,16 @@ tell tree and forest classes apart without canonical codes.  So do the
 graph helpers only the tests need (``closed_neighborhood``,
 ``is_forest``, ``lower_degrees``, ``disjoint_union``, ``relabel``,
 ``strip_isolated``) and ``combine_union``, the union rule of the counts
-as a function.
+as a function.  ``random_pivots`` swaps the deletion recursion's pivot
+rule for a random one, which must give the same counts.
 """
 
+import random
+from contextlib import contextmanager
 from itertools import combinations, permutations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
+import nearindep.sigma
 from nearindep.graphs import (
     Graph,
     VertexMask,
@@ -379,3 +383,21 @@ def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
         out.append((v, *((p.sigma0, p.sigma1) for p in pairs)))
     t = sigma01_recursive(tree)
     return (t.sigma0, t.sigma1), out
+
+
+@contextmanager
+def random_pivots(rng: random.Random) -> Iterator[None]:
+    """Within the block, the deletion recursion pivots on a uniformly random
+    vertex of each component, drawn by ``rng.randrange``; the real rule is
+    put back on exit.  A context manager, so hypothesis tests can use it."""
+    real = nearindep.sigma._pivot_vertex
+
+    def rule(comp: int, adj: tuple[int, ...]) -> int:
+        vs = list(bits(comp))
+        return vs[rng.randrange(len(vs))]
+
+    nearindep.sigma._pivot_vertex = rule
+    try:
+        yield
+    finally:
+        nearindep.sigma._pivot_vertex = real

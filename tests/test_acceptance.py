@@ -47,6 +47,7 @@ from oracles import (
     graph_from_pair_mask,
     labelled_connected_count,
     prufer_tree_certs,
+    random_pivots,
     relabel,
     strip_isolated,
 )
@@ -194,8 +195,9 @@ def test_criterion_8_randomized_property_suites():
 
         for _ in range(200):  # recursion result is pivot independent
             g = random_graph(rng.randint(0, 8), rng)
-            r = random.Random(rng.getrandbits(32))
-            assert sigma01_recursive(g, pivot_rng=r) == sigma01_recursive(g)
+            with random_pivots(random.Random(rng.getrandbits(32))):
+                got = sigma01_recursive(g)
+            assert got == sigma01_recursive(g)
 
         for _ in range(200):  # subset sweep covers all 2^n subsets
             g = random_graph(rng.randint(0, 10), rng)

@@ -57,6 +57,17 @@ def test_compute_csv(capsys, tmp_path):
     assert lines[1] == "A_,2,1,3,1,1,3"
 
 
+def test_csv_rows_end_in_a_bare_newline(capsys, monkeypatch):
+    outs = []
+    for command in ("compute", "distribution"):
+        feed_stdin(monkeypatch, "A_\nCh\n")
+        outs.append(run_cli(capsys, command, "--format", "csv")[1])
+    outs.append(run_cli(capsys, "verify", "--theorem", "3.4", "--n-max", "4", "--format", "csv")[1])
+    for out in outs:
+        assert out.endswith("\n") and "\r" not in out
+    assert outs[1].split("\n")[2] == "Ch,4,8 5 2 1"
+
+
 def test_distribution(capsys, monkeypatch):
     feed_stdin(monkeypatch, "Bw\n")
     code, out, _ = run_cli(capsys, "distribution")
@@ -154,9 +165,9 @@ def test_jobs_do_not_change_output(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--theorem", "3.3", "--n-max", "6", "--jobs", "1")
     _, out2, _ = run_cli(capsys, "verify", "--theorem", "3.3", "--n-max", "6", "--jobs", "2")
     assert out1 == out2
-    _, s1, _ = run_cli(capsys, "scan", "--class", "graphs", "--n", "5", "--jobs", "1")
-    _, s2, _ = run_cli(capsys, "scan", "--class", "graphs", "--n", "5", "--jobs", "2")
-    assert s1 == s2
+    with pytest.raises(SystemExit) as e:  # only verify keeps the flag
+        main(["scan", "--class", "graphs", "--n", "5", "--jobs", "1"])
+    assert e.value.code == 2
 
 
 def test_verify_all_within_caps_exits_zero(capsys):

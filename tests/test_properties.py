@@ -21,7 +21,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs
-from oracles import combine_union, disjoint_union, is_forest, lower_degrees, relabel
+from oracles import combine_union, disjoint_union, is_forest, lower_degrees, random_pivots, relabel
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
@@ -55,12 +55,15 @@ def test_distribution_sums_to_all_subsets(g):
 
 @given(graphs(max_n=8), st.integers(0, 2**32 - 1))
 def test_recursion_is_pivot_independent(g, seed):
-    assert sigma01_recursive(g, pivot_rng=random.Random(seed)) == sigma01_recursive(g)
+    with random_pivots(random.Random(seed)):
+        got = sigma01_recursive(g)
+    assert got == sigma01_recursive(g)
 
 
 @given(graphs(max_n=12), st.integers(0, 2**32 - 1))
 def test_random_pivot_sigma0_matches_the_subset_sweep(g, seed):
-    got = sigma01_recursive(g, pivot_rng=random.Random(seed)).sigma0
+    with random_pivots(random.Random(seed)):
+        got = sigma01_recursive(g).sigma0
     assert got == sigma_distribution_bruteforce(g).sigma0
 
 

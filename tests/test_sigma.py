@@ -1,6 +1,8 @@
 import gc
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 
@@ -24,7 +26,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs, random_graph
-from oracles import combine_union, disjoint_union, graph_from_pair_mask, is_forest, relabel
+from oracles import combine_union, disjoint_union, graph_from_pair_mask, is_forest, random_pivots, relabel
 
 
 def all_labelled(n):
@@ -242,29 +244,77 @@ def test_oracle_equivalence_exhaustive_small():
             assert sigma_distribution_bruteforce(g).pair() == sigma01_recursive(g)
 
 
+class AskingRandom(random.Random):
+    """A seeded rng for ``random_pivots`` that notes in ``askers``, at each
+    pivot, which function of ``nearindep.sigma`` asked the random rule."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.askers = []
+
+    def randrange(self, *args):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] != "nearindep.sigma":
+            frame = frame.f_back
+        self.askers.append(frame.f_code.co_name)
+        return super().randrange(*args)
+
+
+@contextmanager
+def pivots(seed):
+    """The real pivot rule for seed None, else random pivots drawn from
+    AskingRandom(seed); yields the functions that asked the random rule."""
+    if seed is None:
+        yield []
+        return
+    r = AskingRandom(seed)
+    with random_pivots(r):
+        yield r.askers
+
+
 @pytest.fixture
-def solve0_rngs(monkeypatch):
-    """The ``pivot_rng`` of every call into the sigma0-only side recursion."""
+def solve0_calls(monkeypatch):
+    """The mask of every call into the sigma0-only side recursion."""
     seen = []
     real = nearindep.sigma._solve0
 
     def spy(*args):
-        seen.append(args[-1])
+        seen.append(args[0])
         return real(*args)
 
     monkeypatch.setattr(nearindep.sigma, "_solve0", spy)
     return seen
 
 
-def test_pivot_independence(rng, solve0_rngs):
+def test_pivot_independence(rng, solve0_calls):
     for _ in range(60):
         g = random_graph(rng.randint(0, 8), rng)
         reference = sigma01_recursive(g)
-        r = random.Random(rng.getrandbits(32))
-        del solve0_rngs[:]
-        assert sigma01_recursive(g, pivot_rng=r) == reference
-        assert all(seen is r for seen in solve0_rngs)
-        assert bool(solve0_rngs) == (g.edge_count() > 0)
+        r = AskingRandom(rng.getrandbits(32))
+        del solve0_calls[:]
+        with random_pivots(r):
+            assert sigma01_recursive(g) == reference
+        assert bool(r.askers) == (g.edge_count() > 0)
+        assert bool(solve0_calls) == (g.edge_count() > 0)
+
+
+def test_the_pivot_rule_counts_degree_inside_the_mask():
+    # vertex 0 has degree 5 in the graph and 3 has degree 3, but the mask
+    # 0..4 leaves 0 only the neighbour 1
+    g = make_graph(9, [(0, 1), (0, 5), (0, 6), (0, 7), (0, 8), (3, 1), (3, 2), (3, 4)])
+    assert nearindep.sigma._pivot_vertex(0b11111, g.adj) == 3
+
+
+def test_the_pivot_rule_breaks_ties_to_the_smallest_index():
+    p6 = make_named("path", 6)
+    assert nearindep.sigma._pivot_vertex(0b111100, p6.adj) == 3  # P4 on 2..5: 3 and 4 tie
+    assert nearindep.sigma._pivot_vertex(0b101101, p6.adj) == 2  # 2-3 and 0, 5: 2 and 3 tie
+
+
+def test_the_pivot_rule_picks_the_hub_of_a_star_in_the_mask():
+    # the star centred at 4 on 1..4, plus the edge 0-1 outside the mask
+    g = make_graph(6, [(0, 1), (4, 1), (4, 2), (4, 3), (5, 0)])
+    assert nearindep.sigma._pivot_vertex(0b011110, g.adj) == 4
 
 
 def test_edge_removal_can_raise_q():
@@ -323,33 +373,36 @@ def test_closed_forms_small():
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_cycle_closed_form_at_order_64(seed, solve0_rngs):
-    rng = None if seed is None else random.Random(seed)
-    assert sigma01_recursive(cycle(64), pivot_rng=rng) == SigmaPair(lucas(64), 64 * fibonacci(62))
-    assert solve0_rngs and all(seen is rng for seen in solve0_rngs)
+def test_cycle_closed_form_at_order_64(seed, solve0_calls):
+    with pivots(seed) as askers:
+        assert sigma01_recursive(cycle(64)) == SigmaPair(lucas(64), 64 * fibonacci(62))
+    assert solve0_calls
+    assert set(askers) == (set() if seed is None else {"_solve", "_solve0"})
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_path_closed_form_at_order_64(seed, solve0_rngs):
-    rng = None if seed is None else random.Random(seed)
+def test_path_closed_form_at_order_64(seed, solve0_calls):
     p64 = make_named("path", 64)
-    got = sigma01_recursive(p64, pivot_rng=rng)
-    assert solve0_rngs and all(seen is rng for seen in solve0_rngs)
+    with pivots(seed) as askers:
+        got = sigma01_recursive(p64)
+    assert solve0_calls
+    assert set(askers) == (set() if seed is None else {"_solve", "_solve0"})
     assert got.sigma0 == fibonacci(66)
     assert got == sigma01_tree_dp(p64) == path_pair(64)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
-def test_union_of_cycles_paths_and_isolated_vertices(seed, solve0_rngs):
+def test_union_of_cycles_paths_and_isolated_vertices(seed, solve0_calls):
     parts = [(cycle(5), cycle_pair(5)), (make_named("path", 9), path_pair(9)),
              (make_named("empty", 3), SigmaPair(8, 0)), (cycle(20), cycle_pair(20)),
              (make_named("path", 1), path_pair(1)), (make_named("path", 26), path_pair(26))]
     g = reduce(disjoint_union, [graph for graph, _ in parts])
     assert g.n == 64
     want = reduce(combine_union, [pair for _, pair in parts])
-    rng = None if seed is None else random.Random(seed)
-    assert sigma01_recursive(g, pivot_rng=rng) == want
-    assert solve0_rngs and all(seen is rng for seen in solve0_rngs)
+    with pivots(seed) as askers:
+        assert sigma01_recursive(g) == want
+    assert solve0_calls
+    assert set(askers) == (set() if seed is None else {"_solve", "_solve0"})
     assert sigma01(g) == want
 
 
@@ -390,20 +443,23 @@ GRID_COUNTS = {
 @pytest.mark.parametrize("k, seed", [(6, None), (6, 1), (6, 2), (7, None), (7, 1), (7, 2), (8, None)])
 def test_grid_counts_match_the_transfer_matrix(k, seed):
     assert grid_transfer_matrix(k) == GRID_COUNTS[k]
-    rng = None if seed is None else random.Random(seed)
-    assert sigma01_recursive(grid(k), pivot_rng=rng) == GRID_COUNTS[k]
+    with pivots(seed):
+        assert sigma01_recursive(grid(k)) == GRID_COUNTS[k]
 
 
-def test_recursion_leaves_no_cyclic_garbage(solve0_rngs):
+def test_recursion_leaves_no_cyclic_garbage(solve0_calls):
     g = make_graph(12, [(v, (v + 1) % 12) for v in range(12)] + [(0, 6), (3, 9), (1, 4)])
-    r = random.Random(5)
+    r = AskingRandom(5)
     gc.collect()
     gc.disable()
     try:
         sigma01_recursive(g)
-        sigma01_recursive(g, pivot_rng=r)
+        default_calls = len(solve0_calls)
+        with random_pivots(r):
+            sigma01_recursive(g)
         sigma01(disjoint_union(g, make_named("path", 4)))
         assert gc.collect() == 0
-        assert None in solve0_rngs and r in solve0_rngs
+        assert 0 < default_calls < len(solve0_calls)
+        assert set(r.askers) == {"_solve", "_solve0"}
     finally:
         gc.enable()
