@@ -7,8 +7,6 @@ from .graphs import (
     CanonicalCode,
     Graph,
     canonical_code,
-    connected_components,
-    induced_subgraph,
     is_connected,
     make_graph,
     make_named,
@@ -32,12 +30,6 @@ from .verify import (
     Violation,
     extremal_scan,
     run_theorem,
-    verify_connected_lower,
-    verify_forest_upper,
-    verify_general_lower,
-    verify_leaf_lemmas,
-    verify_max_degree_lower,
-    verify_tree_lower,
 )
 
 __version__ = "0.1.0"
@@ -54,14 +46,12 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "canonical_code",
-    "connected_components",
     "emit_graph6",
     "extremal_scan",
     "gen_class",
     "gen_forests",
     "gen_graphs",
     "gen_trees",
-    "induced_subgraph",
     "is_connected",
     "make_graph",
     "make_named",
@@ -74,10 +64,4 @@ __all__ = [
     "sigma01_tree_dp",
     "sigma_distribution_bruteforce",
     "star_q",
-    "verify_connected_lower",
-    "verify_forest_upper",
-    "verify_general_lower",
-    "verify_leaf_lemmas",
-    "verify_max_degree_lower",
-    "verify_tree_lower",
 ]

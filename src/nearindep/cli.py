@@ -92,7 +92,7 @@ def _cmd_distribution(args) -> int:
 
 def _class_spec(args) -> ClassSpec:
     family = CLI_FAMILIES[args.cls]
-    delta = getattr(args, "delta", None)
+    delta = args.delta
     if delta is not None:
         if args.cls != "graphs":
             raise ValueError("--delta applies to --class graphs only")

@@ -32,7 +32,7 @@ it was found.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
 
@@ -191,7 +191,7 @@ def gen_trees(n: int) -> Iterator[Graph]:
             layout = _next_centred_layout(layout)
 
 
-@lru_cache(maxsize=32)
+@cache
 def _tree_list(n: int) -> tuple[Graph, ...]:
     return tuple(gen_trees(n))
 
@@ -308,7 +308,7 @@ def _deletion_ties(adj: list[int], rivals: int) -> int | None:
     return out
 
 
-@lru_cache(maxsize=16)
+@cache
 def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]:
     """All isomorphism classes on n vertices, with generators of their
     automorphism groups, sorted by canonical code.

@@ -141,6 +141,7 @@ def make_named(family: str, n: int, t: int | None = None) -> Graph:
     raise ValueError(f"unknown family {family!r}")
 
 
+# No caller in the engine, but perfbench/tracer.py binds it where sigma.py and verify.py import it.
 def induced_subgraph(g: Graph, keep: VertexMask) -> Graph:
     """Subgraph induced on ``keep``, relabelled compactly in index order."""
     if keep & ~g.full_mask:
@@ -174,6 +175,7 @@ def split_components(mask: VertexMask, adj: tuple[int, ...]) -> tuple[list[Verte
     return comps, isolated
 
 
+# No caller in the engine, but perfbench/tracer.py binds it here and where sigma.py imports it.
 def connected_components(g: Graph) -> list[VertexMask]:
     """Partition of the vertices into maximal connected masks.
 

@@ -251,9 +251,17 @@ def leaf_lemma_failures(
     tree of order n breaks, given the (sigma0, sigma1) pairs of T, T-v,
     T-N[v] and T-N[u].
 
+    For a leaf v with support vertex u (its unique neighbour):
+
+    * 4.2: sigma0(T-N[v]) / sigma0(T-v) <= 1 - 1/(2^(n-2)+1)
+    * 4.3: Q(T) <= (r Q(T-v) + 1 + Q(T-N[v])) / (1 + r)
+      with r = sigma0(T-v) / sigma0(T-N[v])
+    * 4.4: sigma0(T) = 2 sigma0(T-N[v]) + sigma0(T-N[u])
+    * 4.4: Q(T) = (2 sigma0(T-N[v]) / sigma0(T)) (Q(T-v) + Q(T-N[v])) / 2
+                  + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
+
     Each test is an integer identity or inequality; the Fractions are
-    built only for a failure, with the values of the rational forms in
-    ``verify_leaf_lemmas``.
+    built only for a failure, with the values of the rational forms above.
     """
     (t0, t1), (v0, v1), (nv0, nv1), (nu0, nu1) = t, minus_v, minus_nv, minus_nu
     out = []
@@ -316,15 +324,18 @@ THEOREMS = tuple(CATALOGUE)
 
 def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> VerificationReport:
     """One report of catalogue id ``theorem`` (from its series-th universe),
-    with n checked against the orders the catalogue runs it for."""
-    make, family, lowest, cap, *_ = CATALOGUE[theorem][series]
+    with n and delta checked against the orders and degrees it runs for."""
+    make, family, lowest, cap, *deltas = CATALOGUE[theorem][series]
     if n < lowest:
         raise ValueError(f"check {theorem} needs n >= {lowest}")
     check_cap(n, cap, f"check {theorem}")
-    spec = ClassSpec(family, n, delta)
-    return make(spec, _score(spec, make is not _leaf_lemmas))
+    allowed = deltas[0](n) if deltas else (None,)
+    if delta not in allowed:
+        raise ValueError(f"check {theorem} at n={n} needs delta in {list(allowed)}, got delta={delta}")
+    return _reports([(make, ClassSpec(family, n, delta))])[0]
 
 
+# No caller in the engine, but perfbench/tracer.py rebinds these six in this module.
 def verify_connected_lower(n: int) -> VerificationReport:
     """Connected graphs on n vertices: Q >= Q(star), equality only at the star."""
     return _verify("3.2", n)
@@ -347,8 +358,6 @@ def verify_max_degree_lower(n: int, delta: int) -> VerificationReport:
     3-vertex path plus isolated vertices); the observed minimum is
     reported instead of being treated as a failure.
     """
-    if not 1 <= delta <= n - 1:
-        raise ValueError(f"need 1 <= delta <= n-1, got delta={delta}, n={n}")
     return _verify("3.6", n, delta)
 
 
@@ -371,16 +380,8 @@ def verify_forest_upper(n: int, which: str, universe: str = "forests") -> Verifi
 def verify_leaf_lemmas(n: int) -> VerificationReport:
     """Per-leaf checks over every tree of order n: the sigma0 deletion
     ratio bound, the leaf upper bound on Q, and both exact identities
-    relating a tree to its leaf deletions.
-
-    For a leaf v with support vertex u (its unique neighbour):
-
-    * sigma0(T-N[v]) / sigma0(T-v) <= 1 - 1/(2^(n-2)+1)
-    * Q(T) <= (r Q(T-v) + 1 + Q(T-N[v])) / (1 + r)
-      with r = sigma0(T-v) / sigma0(T-N[v])
-    * sigma0(T) = 2 sigma0(T-N[v]) + sigma0(T-N[u])
-    * Q(T) = (2 sigma0(T-N[v]) / sigma0(T)) (Q(T-v) + Q(T-N[v])) / 2
-             + (sigma0(T-N[u]) / sigma0(T)) (1 + Q(T-v))
+    relating a tree to its leaf deletions (their rational forms are in
+    ``leaf_lemma_failures``).
 
     The counts of T and of the three deletions come from one
     ``leaf_deletion_counts`` walk: T's are the root state of the tree
@@ -388,8 +389,8 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
     identities are not an independent check of that fold: they test the
     rerooting by ``_prune`` and the leaf factors.  The tests compare T
     and the deletions with counts of T and of the deleted subgraphs.
-    Each line is tested as the integer form of ``leaf_lemma_failures``;
-    a violation reports the rational sides above.
+    Each line is tested in its integer form; a violation reports the
+    rational sides.
     """
     return _verify("4.2", n)
 
@@ -400,26 +401,10 @@ def extremal_scan(spec: ClassSpec) -> VerificationReport:
     return _scan(Check("scan", ">=", lambda s: None), spec, _score(spec))
 
 
-def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
-    """Run one named check for every order up to n_max (clamped to the
-    documented cap of its universe); 'all' runs the whole catalogue.
-    A negative n_max is a ValueError.
-
-    Each universe is scored once per order, one table at a time, and each
-    distinct report is made once; 'all' still lists one report per check
-    and order, so 3.1/3.5, 3.4/3.6 and 4.2/4.3/4.4 repeat theirs.
-    """
-    if theorem != "all" and theorem not in CATALOGUE:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    if n_max < 0:
-        raise ValueError(f"negative order bound n_max={n_max}")
-    plan = [
-        (make, ClassSpec(family, n, d))
-        for t in (THEOREMS if theorem == "all" else (theorem,))
-        for make, family, lowest, cap, *deltas in CATALOGUE[t]
-        for n in range(lowest, min(n_max, cap) + 1)
-        for d in (deltas[0](n) if deltas else (None,))
-    ]
+def _reports(plan: list[tuple[Callable, ClassSpec]]) -> list[VerificationReport]:
+    """The report of each (make, spec) step of ``plan``, in plan order: each
+    universe is scored once per order, one table at a time (a view filters
+    the table of all graphs), and each distinct step is made once."""
 
     def table_of(spec: ClassSpec) -> ClassSpec:
         return ClassSpec("all_graphs", spec.n) if spec.family in VIEWS else spec
@@ -433,3 +418,24 @@ def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
             reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec.delta)] if keep else rows)
         del rows  # release this table before the next one is built
     return [reports[step] for step in plan]
+
+
+def run_theorem(theorem: str, n_max: int) -> list[VerificationReport]:
+    """Run one named check for every order up to n_max (clamped to the
+    documented cap of its universe); 'all' runs the whole catalogue.
+    A negative n_max is a ValueError.
+
+    'all' lists one report per check and order, so 3.1/3.5, 3.4/3.6 and
+    4.2/4.3/4.4 repeat the one report ``_reports`` makes for each.
+    """
+    if theorem != "all" and theorem not in CATALOGUE:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    if n_max < 0:
+        raise ValueError(f"negative order bound n_max={n_max}")
+    return _reports([
+        (make, ClassSpec(family, n, d))
+        for t in (THEOREMS if theorem == "all" else (theorem,))
+        for make, family, lowest, cap, *deltas in CATALOGUE[t]
+        for n in range(lowest, min(n_max, cap) + 1)
+        for d in (deltas[0](n) if deltas else (None,))
+    ])

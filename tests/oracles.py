@@ -11,11 +11,13 @@ complete isomorphism invariant for forests of any supported order (the
 sorted centre-rooted encodings of the components, built by leaf
 stripping in ``neighbour_lists_certificate``), which the tests use to
 tell tree and forest classes apart without canonical codes.  So do the
-graph helpers only the tests need (``closed_neighborhood``,
-``is_forest``, ``lower_degrees``, ``disjoint_union``, ``relabel``,
-``strip_isolated``) and ``combine_union``, the union rule of the counts
-as a function.  ``random_pivots`` swaps the deletion recursion's pivot
-rule for a random one, which must give the same counts.
+graph helpers only the tests need (``components``, ``is_connected`` and
+``induced``, read off the edge list rather than the engine's component
+splitter; ``closed_neighborhood``, ``is_forest``, ``lower_degrees``,
+``disjoint_union``, ``relabel``, ``strip_isolated``) and
+``combine_union``, the union rule of the counts as a function.
+``random_pivots`` swaps the deletion recursion's pivot rule for a random
+one, which must give the same counts.
 """
 
 import random
@@ -24,17 +26,39 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
 import nearindep.sigma
-from nearindep.graphs import (
-    Graph,
-    VertexMask,
-    bits,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-    make_graph,
-    mask_of,
-)
-from nearindep.sigma import SigmaPair, sigma01, sigma01_recursive
+from nearindep.graphs import Graph, VertexMask, bits, make_graph
+from nearindep.sigma import SigmaPair, sigma01_recursive
+
+
+def components(g: Graph) -> list[VertexMask]:
+    """The vertex masks of g's connected components, ordered by smallest
+    member, by union-find over the edge list: not the engine's BFS
+    splitter, which the deletion recursion and its connectivity filter use."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for u, v in g.edges():
+        root[find(u)] = find(v)
+    comps: dict[int, VertexMask] = {}
+    for v in range(g.n):  # a root is first met at its smallest member
+        r = find(v)
+        comps[r] = comps.get(r, 0) | 1 << v
+    return list(comps.values())
+
+
+def is_connected(g: Graph) -> bool:
+    return len(components(g)) <= 1
+
+
+def induced(g: Graph, keep: VertexMask) -> Graph:
+    """The subgraph induced on ``keep``, relabelled in index order, from
+    the edge list."""
+    index = {v: i for i, v in enumerate(bits(keep))}
+    return make_graph(len(index), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index])
 
 
 def closed_neighborhood(g: Graph, v: int) -> VertexMask:
@@ -50,7 +74,7 @@ def is_forest(g: Graph) -> bool:
     Every component on k vertices has at least k - 1 edges, with equality
     exactly for a tree, so the count rule holds iff every component is one.
     """
-    return g.edge_count() == g.n - len(connected_components(g))
+    return g.edge_count() == g.n - len(components(g))
 
 
 def lower_degrees(g: Graph) -> list[int]:
@@ -72,13 +96,13 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
         raise ValueError("perm is not a permutation of the vertices")
     adj = [0] * g.n
     for v in range(g.n):
-        adj[p[v]] = mask_of(p[u] for u in bits(g.adj[v]))
+        adj[p[v]] = sum(1 << p[u] for u in bits(g.adj[v]))
     return Graph(g.n, tuple(adj))
 
 
 def strip_isolated(g: Graph) -> Graph:
     """The subgraph induced by the vertices of positive degree."""
-    return induced_subgraph(g, mask_of(v for v in range(g.n) if g.adj[v]))
+    return induced(g, sum(1 << v for v in range(g.n) if g.adj[v]))
 
 
 def combine_union(a: SigmaPair, b: SigmaPair) -> SigmaPair:
@@ -185,8 +209,8 @@ def forest_certificate(g: Graph) -> tuple:
     if not is_forest(g):
         raise ValueError("forest_certificate requires acyclic input")
     encodings = []
-    for comp in connected_components(g):
-        tree = induced_subgraph(g, comp)
+    for comp in components(g):
+        tree = induced(g, comp)
         encodings += neighbour_lists_certificate([list(bits(row)) for row in tree.adj])
     return tuple(sorted(encodings))
 
@@ -369,9 +393,9 @@ def min_column_code(g: Graph) -> int:
 def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
     """(sigma of T, leaves), leaves holding (v, sigma of T-v, sigma of
     T-N[v], sigma of T-N[u]) for every leaf v of a tree, u its support
-    vertex, each sigma a (sigma0, sigma1) pair: T by the deletion
-    recursion, which never walks the tree DP's fold, and one
-    ``induced_subgraph`` and one ``sigma01`` per deleted set."""
+    vertex, each sigma a (sigma0, sigma1) pair, all by the deletion
+    recursion, which never walks the tree DP's fold: T whole, and one
+    ``induced`` subgraph per deleted set."""
     full = tree.full_mask
     out = []
     for v in range(tree.n):
@@ -379,7 +403,7 @@ def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
             continue
         u = tree.adj[v].bit_length() - 1
         kept = (full & ~(1 << v), full & ~closed_neighborhood(tree, v), full & ~closed_neighborhood(tree, u))
-        pairs = [sigma01(induced_subgraph(tree, mask)) for mask in kept]
+        pairs = [sigma01_recursive(induced(tree, mask)) for mask in kept]
         out.append((v, *((p.sigma0, p.sigma1) for p in pairs)))
     t = sigma01_recursive(tree)
     return (t.sigma0, t.sigma1), out

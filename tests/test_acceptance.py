@@ -30,14 +30,7 @@ from nearindep.sigma import (
     sigma_distribution_bruteforce,
     star_q,
 )
-from nearindep.verify import (
-    is_star_graph,
-    verify_connected_lower,
-    verify_forest_upper,
-    verify_general_lower,
-    verify_leaf_lemmas,
-    verify_max_degree_lower,
-)
+from nearindep.verify import is_star_graph, run_theorem
 
 from conftest import random_graph
 from oracles import (
@@ -114,8 +107,9 @@ def test_criterion_2_cross_algorithm_equivalence():
 def test_criterion_3_connected_lower_bound():
     with criterion(3, "connected graphs n<=8: Q >= star bound, equality at star",
                    budget=300):
-        for n in range(1, 9):
-            report = verify_connected_lower(n)
+        reports = run_theorem("3.2", 8)
+        assert [r.spec.n for r in reports] == list(range(1, 9))
+        for report in reports:
             assert report.passed, report.violations[:3]
             assert len(report.equality_witnesses) == 1
             assert is_star_graph(parse_graph6(report.equality_witnesses[0]))
@@ -124,53 +118,54 @@ def test_criterion_3_connected_lower_bound():
 def test_criterion_4_general_lower_bound():
     with criterion(4, "all graphs 4<=n<=7: zero iff edgeless, else Q >= star bound",
                    budget=120):
-        for n in range(4, 8):
-            report = verify_general_lower(n)
+        reports = run_theorem("3.5", 7)
+        assert [r.spec.n for r in reports] == list(range(4, 8))
+        for report in reports:
             assert report.passed, report.violations[:3]
             assert report.min_witness[1] == 0
             assert parse_graph6(report.min_witness[0]).edge_count() == 0
-            assert report.notes["second_smallest"] >= star_q(n)
+            assert report.notes["second_smallest"] >= star_q(report.spec.n)
 
 
 def test_criterion_5_max_degree_lower_bound():
     with criterion(5, "graphs n<=7 by exact max degree: Q >= min(1/3, star bound)"):
         anomalies = 0
-        for n in range(2, 8):
-            for delta in range(1, n):
-                report = verify_max_degree_lower(n, delta)
-                assert report.passed, (n, delta, report.violations[:3])
-                if delta == 2:
-                    assert not report.notes["bound_attained"]
-                    anomalies += 1
-                else:
-                    witnesses = [parse_graph6(w) for w in report.equality_witnesses]
-                    assert len(witnesses) == 1
-                    core = strip_isolated(witnesses[0])
-                    assert core.n == delta + 1 and is_star_graph(core)
+        reports = run_theorem("3.6", 7)
+        assert [(r.spec.n, r.spec.delta) for r in reports] == [(n, d) for n in range(2, 8) for d in range(1, n)]
+        for report in reports:
+            n, delta = report.spec.n, report.spec.delta
+            assert report.passed, (n, delta, report.violations[:3])
+            if delta == 2:
+                assert not report.notes["bound_attained"]
+                anomalies += 1
+            else:
+                witnesses = [parse_graph6(w) for w in report.equality_witnesses]
+                assert len(witnesses) == 1
+                core = strip_isolated(witnesses[0])
+                assert core.n == delta + 1 and is_star_graph(core)
         assert anomalies == 5  # delta = 2 exists for every n in 3..7
 
 
 def test_criterion_6_forest_upper_bounds():
-    with criterion(6, "forests n<=12 and trees n<=16: both upper bounds", budget=300):
-        for n in range(1, 13):
-            for which in ("thm41", "thm45"):
-                report = verify_forest_upper(n, which, universe="forests")
-                assert report.passed, (n, which, report.violations[:3])
-                if which == "thm41" and n in (1, 2):
-                    assert report.equality_witnesses  # P1 and P2 are tight
-                if which == "thm45" and n == 2:
-                    assert report.equality_witnesses  # P2 is tight
-        for n in range(1, 17):
-            for which in ("thm41", "thm45"):
-                report = verify_forest_upper(n, which, universe="trees")
-                assert report.passed, (n, which, report.violations[:3])
+    with criterion(6, "forests n<=14 and trees n<=16: both upper bounds", budget=300):
+        for theorem, tight in (("4.1", (1, 2)), ("4.5", (2,))):
+            reports = run_theorem(theorem, 16)
+            assert [(r.spec.family, r.spec.n) for r in reports] == (
+                [("forests", n) for n in range(1, 15)] + [("trees", n) for n in range(1, 17)]
+            )
+            for report in reports:
+                assert report.passed, (report.spec, report.theorem_id, report.violations[:3])
+                if report.spec.family == "forests" and report.spec.n in tight:
+                    assert report.equality_witnesses  # P1 and P2 are tight for 4.1, P2 for 4.5
 
 
 def test_criterion_7_leaf_lemmas():
     with criterion(7, "per-leaf ratio bound and identities on all trees n<=16"):
         leaves = all_trees = 0
-        for n in range(2, 17):
-            report = verify_leaf_lemmas(n)
+        reports = run_theorem("4.2", 16)
+        assert [r.spec.n for r in reports] == list(range(2, 17))
+        for report in reports:
+            n = report.spec.n
             assert report.passed, (n, report.violations[:3])
             trees = sum(1 for _ in gen_trees(n))
             assert report.checked >= 2 * trees  # every tree has >= 2 leaves

@@ -342,4 +342,4 @@ def test_readme_library_example():
             shown += 1
         else:
             exec(code, namespace)
-    assert shown == 3
+    assert shown == 5

@@ -22,8 +22,6 @@ from nearindep.graphs import (
     Graph,
     canonical_code,
     canonical_form,
-    connected_components,
-    is_connected,
     make_graph,
     max_degree,
 )
@@ -32,9 +30,11 @@ from nearindep.sigma import q_ratio, sigma01
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
+    components,
     deletion_keys,
     forest_certificate,
     graph_from_pair_mask,
+    is_connected,
     is_forest,
     labelled_class_count,
     labelled_connected_count,
@@ -354,7 +354,7 @@ def test_delta_filter():
 
 def test_connected_stream_is_connected():
     for g in gen_class(ClassSpec("connected_graphs", 5)):
-        assert len(connected_components(g)) == 1
+        assert len(components(g)) == 1
 
 
 def test_streams_are_deterministic():

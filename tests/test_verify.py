@@ -17,17 +17,13 @@ from nearindep.limits import CapabilityError
 from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
 from nearindep.verify import (
     Check,
+    _verify,
     extremal_scan,
     is_star_graph,
     is_star_plus_isolated,
     leaf_lemma_failures,
     run_theorem,
-    verify_connected_lower,
     verify_forest_upper,
-    verify_general_lower,
-    verify_leaf_lemmas,
-    verify_max_degree_lower,
-    verify_tree_lower,
 )
 
 import oracles
@@ -35,22 +31,22 @@ from oracles import closed_neighborhood, is_forest, strip_isolated
 
 
 def test_connected_lower_small():
-    r = verify_connected_lower(4)
+    r = _verify("3.2", 4)
     assert r.checked == 6 and r.passed
     assert len(r.equality_witnesses) == 1
     assert is_star_graph(parse_graph6(r.equality_witnesses[0]))
-    r1 = verify_connected_lower(1)
+    r1 = _verify("3.2", 1)
     assert r1.checked == 1 and r1.passed and len(r1.equality_witnesses) == 1
 
 
 def test_connected_lower_n7():
-    r = verify_connected_lower(7)
+    r = _verify("3.2", 7)
     assert r.checked == 853 and r.passed
     assert [parse_graph6(w).n for w in r.equality_witnesses] == [7]
 
 
 def test_general_lower_n4():
-    r = verify_general_lower(4)
+    r = _verify("3.1", 4)
     assert r.passed and r.checked == 11
     assert r.min_witness is not None and r.min_witness[1] == 0
     assert parse_graph6(r.min_witness[0]).edge_count() == 0
@@ -61,14 +57,14 @@ def test_general_lower_n4():
 
 
 def test_general_lower_n5():
-    r = verify_general_lower(5)
+    r = _verify("3.1", 5)
     assert r.checked == 34 and r.passed
     assert r.notes["bound"] == Fraction(4, 17)
 
 
 def test_max_degree_one():
     for n in (2, 4, 6):
-        r = verify_max_degree_lower(n, 1)
+        r = _verify("3.6", n, 1)
         assert r.theorem_id == "prop-3.4" and r.passed
         assert r.notes["bound"] == Fraction(1, 3)
         core = strip_isolated(parse_graph6(r.equality_witnesses[0]))
@@ -77,14 +73,14 @@ def test_max_degree_one():
 
 
 def test_max_degree_three():
-    r = verify_max_degree_lower(5, 3)
+    r = _verify("3.6", 5, 3)
     assert r.passed and r.notes["bound"] == Fraction(1, 3)
     core = strip_isolated(parse_graph6(r.equality_witnesses[0]))
     assert core.n == 4 and is_star_graph(core)
 
 
 def test_max_degree_two_anomaly():
-    r = verify_max_degree_lower(4, 2)
+    r = _verify("3.6", 4, 2)
     assert r.passed  # the bound itself holds
     assert not r.notes["bound_attained"]
     assert r.min_witness[1] == Fraction(2, 5)
@@ -111,38 +107,40 @@ def test_star_plus_isolated_matches_networkx():
 
 def test_max_degree_validation():
     with pytest.raises(ValueError):
-        verify_max_degree_lower(4, 0)
+        _verify("3.6", 4, 0)
     with pytest.raises(ValueError):
-        verify_max_degree_lower(4, 4)
+        _verify("3.6", 4, 4)
     with pytest.raises(CapabilityError):
-        verify_max_degree_lower(8, 1)
+        _verify("3.6", 8, 1)
+    with pytest.raises(ValueError):
+        _verify("3.4", 5, 2)  # 3.4 is maximum degree 1 only
 
 
 def test_tree_lower():
-    r = verify_tree_lower(5)
+    r = _verify("3.3", 5)
     assert r.passed and r.min_witness[1] == Fraction(4, 17)
     assert len(r.equality_witnesses) == 1
     assert is_star_graph(parse_graph6(r.equality_witnesses[0]))
 
 
 def test_forest_upper_small_orders():
-    r1 = verify_forest_upper(1, "thm41")
+    r1 = _verify("4.1", 1)
     assert r1.passed and r1.equality_witnesses  # the single vertex is tight
-    r2 = verify_forest_upper(2, "thm41")
+    r2 = _verify("4.1", 2)
     assert r2.passed
     tight = [parse_graph6(w) for w in r2.equality_witnesses]
     assert any(g.edge_count() == 1 for g in tight)
-    r45 = verify_forest_upper(2, "thm45")
+    r45 = _verify("4.5", 2)
     assert r45.passed and r45.notes["bound"] == Fraction(1, 3) and r45.equality_witnesses
 
 
 def test_forest_upper_n6():
-    r = verify_forest_upper(6, "thm41")
+    r = _verify("4.1", 6)
     assert r.checked == 20 and r.passed
     assert r.max_witness[1] == Fraction(1)  # three disjoint edges
     g = parse_graph6(r.max_witness[0])
     assert g.edge_count() == 3 and is_forest(g)
-    r45 = verify_forest_upper(6, "thm45", universe="trees")
+    r45 = _verify("4.5", 6, series=1)
     assert r45.checked == 6 and r45.passed
 
 
@@ -154,31 +152,27 @@ def test_forest_upper_validation():
 
 
 def test_leaf_lemmas_small():
-    r = verify_leaf_lemmas(2)
+    r = _verify("4.2", 2)
     assert r.passed and r.checked == 2  # both ends of the single edge
-    for n in range(2, 9):
-        assert verify_leaf_lemmas(n).passed
+    assert all(r.passed for r in run_theorem("4.2", 8))
 
 
 def test_leaf_lemma_identity_examples():
-    from nearindep.graphs import induced_subgraph
-    from nearindep.sigma import sigma01
-
     # both deletions of the single edge leave nothing: 3 = 2*1 + 1
     p2 = make_named("path", 2)
     assert sigma01(p2).sigma0 == 3 == 2 * 1 + 1
 
     # endpoint of the 3-path: the deletion ratio is tight, 2/3 = 1 - 1/(2+1)
     p3 = make_named("path", 3)
-    minus_v = induced_subgraph(p3, p3.full_mask & ~1)
-    minus_nv = induced_subgraph(p3, p3.full_mask & ~closed_neighborhood(p3, 0))
+    minus_v = oracles.induced(p3, p3.full_mask & ~1)
+    minus_nv = oracles.induced(p3, p3.full_mask & ~closed_neighborhood(p3, 0))
     ratio = Fraction(sigma01(minus_nv).sigma0, sigma01(minus_v).sigma0)
     assert ratio == Fraction(2, 3) == 1 - Fraction(1, (1 << 1) + 1)
 
     # sigma0(S5) = 17 = 2 * sigma0(empty 3) + sigma0(empty 0) = 2*8 + 1
     s5 = make_named("star", 5)
     assert sigma01(s5).sigma0 == 17
-    r = verify_leaf_lemmas(5)
+    r = _verify("4.2", 5)
     assert r.passed
 
 
@@ -202,7 +196,7 @@ def test_check_rejects_an_unknown_comparison():
 
 
 def test_witnesses_reverify():
-    for rep in (verify_connected_lower(5), verify_forest_upper(6, "thm41")):
+    for rep in (_verify("3.2", 5), _verify("4.1", 6)):
         for g6, q in (rep.min_witness, rep.max_witness):
             assert q_ratio(parse_graph6(g6)) == q
         for g6 in rep.equality_witnesses:
@@ -210,7 +204,7 @@ def test_witnesses_reverify():
 
 
 def test_report_json_shape():
-    doc = verify_connected_lower(3).to_json()
+    doc = _verify("3.2", 3).to_json()
     assert doc["theorem"] == "thm-3.2" and doc["passed"] is True
     assert doc["family"] == "connected_graphs" and doc["checked"] == 2
     assert doc["min_witness"]["q_num"] == "2" and doc["min_witness"]["q_den"] == "5"
@@ -276,14 +270,14 @@ GENERAL_4_SHIFTED = [
 VIOLATION_CASES = {
     "3.1+3.5": (
         {"q_ratio": _shifted_q(F(-1, 3))},
-        lambda: verify_general_lower(4),
+        lambda: _verify("3.1", 4),
         GENERAL_4_SHIFTED,
         ["CK"],
         ["second_smallest", "second_smallest_witnesses", "bound"],
     ),
     "3.1": (
         {"q_ratio": _shifted_q(F(-1, 3))},
-        lambda: verify_general_lower(3),
+        lambda: _verify("3.1", 3),
         [("B?", F(-1, 3), F(0), "negative ratio"),
          ("B?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
          ("BG", F(0), F(0), "zero ratio off the edgeless graph")],
@@ -299,7 +293,7 @@ VIOLATION_CASES = {
     ),
     "3.2-below": (
         {"star_q": lambda n: F(1, 2)},
-        lambda: verify_connected_lower(4),
+        lambda: _verify("3.2", 4),
         [("CF", F(1, 3), F(1, 2), ""),
          ("CF", F(1, 3), F(1, 2), "star does not attain the bound")],
         [],
@@ -307,7 +301,7 @@ VIOLATION_CASES = {
     ),
     "3.2-off": (
         {"is_star_graph": lambda g: g.edge_count() == g.n},
-        lambda: verify_connected_lower(4),
+        lambda: _verify("3.2", 4),
         [("CF", F(1, 3), F(1, 3), "bound attained by a non-star graph"),
          ("CN", F(5, 7), F(1, 3), "star does not attain the bound")],
         ["CF"],
@@ -315,7 +309,7 @@ VIOLATION_CASES = {
     ),
     "3.3-off": (
         {"is_star_graph": lambda g: max_degree(g) == 2},
-        lambda: verify_tree_lower(6),
+        lambda: _verify("3.3", 6),
         [("Esa?", F(5, 33), F(5, 33), "bound attained by a non-star tree"),
          ("Eh_G", F(20, 21), F(5, 33), "star does not attain the bound")],
         ["Esa?"],
@@ -323,7 +317,7 @@ VIOLATION_CASES = {
     ),
     "3.4-below": (
         {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1, 2)},
-        lambda: verify_max_degree_lower(4, 1),
+        lambda: _verify("3.4", 4, 1),
         [("C@", F(1, 3), F(1, 2), ""),
          ("C@", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
         [],
@@ -331,7 +325,7 @@ VIOLATION_CASES = {
     ),
     "3.6-below": (
         {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1, 2)},
-        lambda: verify_max_degree_lower(5, 3),
+        lambda: _verify("3.6", 5, 3),
         [("D?[", F(1, 3), F(1, 2), ""),
          ("D?[", F(1, 3), F(1, 2), "star-plus-isolated graph misses the bound")],
         [],
@@ -339,14 +333,14 @@ VIOLATION_CASES = {
     ),
     "3.6-delta2": (
         {"star_q": lambda n: F(1, 2), "ONE_THIRD": F(1)},
-        lambda: verify_max_degree_lower(5, 2),
+        lambda: _verify("3.6", 5, 2),
         [("D?K", F(2, 5), F(1, 2), "")],
         [],
         ["bound", "bound_attained", "anomaly"],
     ),
     "3.4-off": (
         {"is_star_plus_isolated": lambda g, k: False},
-        lambda: verify_max_degree_lower(4, 1),
+        lambda: _verify("3.4", 4, 1),
         [("C@", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
          ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
         ["C@"],
@@ -354,7 +348,7 @@ VIOLATION_CASES = {
     ),
     "3.6-off": (
         {"is_star_plus_isolated": lambda g, k: False},
-        lambda: verify_max_degree_lower(5, 3),
+        lambda: _verify("3.6", 5, 3),
         [("D?[", F(1, 3), F(1, 3), "bound attained off the star-plus-isolated graph"),
          ("", F(0), F(1, 3), "star-plus-isolated graph misses the bound")],
         ["D?["],
@@ -362,14 +356,14 @@ VIOLATION_CASES = {
     ),
     "4.1": (
         {"q_ratio": _shifted_q(F(1, 2))},
-        lambda: verify_forest_upper(4, "thm41"),
+        lambda: _verify("4.1", 4),
         [("Ck", F(9, 8), F(1), ""), ("C`", F(7, 6), F(1), "")],
         [],
         ["bound", "bound_attained"],
     ),
     "4.5": (
         {"q_ratio": _shifted_q(F(1, 3))},
-        lambda: verify_forest_upper(5, "thm45", "trees"),
+        lambda: _verify("4.5", 5, series=1),
         [("DkC", F(43, 39), F(13, 12), "")],
         [],
         ["bound", "bound_attained"],
@@ -402,7 +396,7 @@ def test_extremal_rule_reads_each_row_once(monkeypatch):
         return is_star_graph(g)
 
     monkeypatch.setattr(verify_module, "is_star_graph", counting_star)
-    report = verify_module._verify("3.3", 10)
+    report = _verify("3.3", 10)
     assert report.passed and calls["star"] == 1
 
 
@@ -411,7 +405,7 @@ def test_extremal_rule_needs_one_accepted_graph_to_attain(monkeypatch):
     the bound) and the star (attaining it), the bound is met: a graph that
     ``extremal`` accepts must attain it, not the first one."""
     monkeypatch.setattr(verify_module, "is_star_graph", lambda g: max_degree(g) in (2, g.n - 1))
-    report = verify_module._verify("3.3", 6)
+    report = _verify("3.3", 6)
     assert (report.violations, report.equality_witnesses) == ([], ["Esa?"])
 
 
@@ -455,7 +449,7 @@ def test_leaf_lemma_violation_paths(monkeypatch, mutant):
             return (perturb(*t) if g.n == n else t), leaves
 
         monkeypatch.setattr(verify_module, "leaf_deletion_counts", mutant_counts)
-        report = verify_module._verify("4.2", n)
+        report = _verify("4.2", n)
         docs.append(report.to_json())
         found.update(v.context.rsplit(" leaf ", 1)[0] for v in report.violations)
     assert dict(found) == by_lemma
@@ -469,7 +463,7 @@ def test_leaf_deletion_counts_match_subgraph_oracle():
             got = leaf_deletion_counts(tree)
             assert got == oracles.leaf_deletion_counts(tree)
             leaves += len(got[1])
-    assert leaves == sum(r.checked for r in map(verify_leaf_lemmas, range(2, 11)))
+    assert leaves == sum(r.checked for r in run_theorem("4.2", 10))
 
 
 @st.composite
@@ -515,7 +509,7 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     trees = sum(1 for n in range(2, 13) for _ in gen_trees(n))
     assert calls["walk"] == trees == 986 and all(r.passed for r in reports)
     assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
-    assert verify_leaf_lemmas(9).to_json() == scored[7].to_json()
+    assert _verify("4.2", 9).to_json() == scored[7].to_json()
 
 
 def test_leaf_deletion_counts_leave_no_cyclic_garbage():
@@ -531,7 +525,7 @@ def test_leaf_deletion_counts_leave_no_cyclic_garbage():
 
 def fraction_leaf_failures(n, t, minus_v, minus_nv, minus_nu):
     """The leaf lemmas as the rational comparisons written out in
-    ``verify_leaf_lemmas``, term by term."""
+    ``leaf_lemma_failures``' docstring, term by term."""
     q = lambda p: Fraction(p[1], p[0])  # noqa: E731
     ratio_cap = 1 - Fraction(1, (1 << (n - 2)) + 1)
     q_t, out = q(t), []
