@@ -24,14 +24,16 @@ Three mutually checking routes are implemented:
   counts; a component ``_solve`` has met is read from the pair memo.
   Paths and cycles cost polynomial time, and the work on other graphs
   grows with how slowly deletions break them apart;
-* a linear-time rooted DP for forests (``sigma01_tree_dp``), which folds
-  ``_graft`` onto parents in label order or, failing that, along one BFS
-  walk per component (``_rooted_branches``); ``leaf_deletion_counts``, for
-  the leaf checks of ``verify``, reroots the BFS states with ``_prune``.
+* a linear-time rooted DP for forests in label order, where each vertex
+  has at most one lower neighbour, its parent (``sigma01_tree_dp``): it
+  folds ``_graft`` onto the parents from the highest label down;
+  ``leaf_deletion_counts``, for the leaf checks of ``verify``, reroots
+  the same states with ``_prune``.
 
 None of the three calls another, so each checks the other two.
-``sigma01`` tries the tree DP, which stops at the first cycle, and sends
-a graph with a cycle whole to the recursion, which splits it into
+``sigma01`` tries the tree DP, which stops at the first vertex with two
+lower neighbours, and sends such a graph (any graph with a cycle, and a
+forest outside label order) whole to the recursion, which splits it into
 components itself, trees included.
 
 Counts for vertex-disjoint unions combine bilinearly:
@@ -229,37 +231,6 @@ def _prune(whole: State, branch: State) -> State:
     return ra0, (a1 - ra0 * (cb1 + ca0)) // cb0, rb0, (b1 - rb0 * (cb1 + ca1)) // out0
 
 
-def _rooted_branches(adj: tuple[int, ...], root: int, parent: list[int], down: list[State]) -> list[int] | None:
-    """The BFS order of the component of ``root``, or None at its first
-    back edge.
-
-    In a tree the only neighbour of v that the BFS has already seen is
-    v's parent, so a second one closes a cycle.  The walk sets parent[z]
-    for every z but the root, and the fold then grafts bottom-up, so that
-    down[z] is the branch at z away from its parent.  ``down`` must hold
-    LEAF for every vertex of the component.
-    """
-    seen = 1 << root
-    order = [root]
-    for v in order:  # grows while it is walked: a BFS queue
-        row = adj[v]
-        back = row & seen
-        if back != (1 << parent[v] if v != root else 0):
-            return None
-        kids = row ^ back
-        seen |= kids
-        while kids:
-            low = kids & -kids
-            z = low.bit_length() - 1
-            parent[z] = v
-            order.append(z)
-            kids ^= low
-    for z in reversed(order[1:]):
-        p = parent[z]
-        down[p] = _graft(down[p], down[z])
-    return order
-
-
 def _root_pair(root: State) -> Pair:
     """(sigma0, sigma1) of a tree from its root state: root in plus root out."""
     a0, a1, b0, b1 = root
@@ -267,12 +238,13 @@ def _root_pair(root: State) -> Pair:
 
 
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1) of a forest by rooted DP per component.
+    """Exact (sigma0, sigma1) of a forest in label order by rooted DP per
+    component.
 
     A graph where no vertex has two lower neighbours is a forest (a cycle's
     top vertex has two), and ``_graft`` folds z = n-1 ... 0 onto that parent,
-    as in every generated forest.  Else ``_rooted_branches`` walks each
-    component and raises ValueError at a cycle.  Roots fold by the union rule.
+    as in every generated forest.  Any other graph, cyclic or not, raises
+    ValueError.  Roots fold by the union rule.
     """
     n, adj = g.n, g.adj
     down, roots = [LEAF] * n, []
@@ -283,13 +255,8 @@ def sigma01_tree_dp(g: Graph) -> SigmaPair:
         elif not low & (low - 1):
             p = low.bit_length() - 1
             down[p] = _graft(down[p], down[z])
-        else:  # two lower neighbours: start again with the BFS walk
-            parent, down = [-1] * n, [LEAF] * n
-            for root in range(n):  # a vertex with a parent was walked from a smaller root
-                if parent[root] < 0 and _rooted_branches(adj, root, parent, down) is None:
-                    raise ValueError("sigma01_tree_dp requires acyclic input")
-            roots = [v for v in range(n) if parent[v] < 0]
-            break
+        else:
+            raise ValueError("sigma01_tree_dp requires acyclic input in label order")
     s0, s1 = 1, 0
     for root in roots:
         c0, c1 = _root_pair(down[root])
@@ -302,14 +269,13 @@ def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair,
     (sigma0, sigma1) pair: leaves holds (v, sigma of T-v, sigma of T-N[v],
     sigma of T-N[u]) for every leaf v, in vertex order, u its support vertex.
 
-    The tree DP's walk from vertex 0 (``_rooted_branches``) gives, for
-    every vertex z, ``down[z]``: the branch at z away from its BFS
-    parent, built bottom-up by ``_graft``, and it rejects a cycle.  The
-    root state down[0] counts T by ``_root_pair``, as in
-    ``sigma01_tree_dp``.
-    Top-down, the whole tree rooted at each vertex follows, and ``up[z]``,
-    the branch at the parent away from z, is that whole tree at the
-    parent with down[z] cut away by ``_prune``.  That is O(n) per tree.
+    T must be in label order: each vertex z > 0 has one lower neighbour,
+    parent[z], so T is rooted at vertex 0.  The tree DP's ``_graft`` fold
+    of z = n-1 ... 1 gives ``down[z]``, the branch at z away from its
+    parent, and the root state down[0] counts T by ``_root_pair``.
+    Top-down, z = 1 ... n-1, the whole tree rooted at each vertex follows,
+    and ``up[z]``, the branch at the parent away from z, is that whole tree
+    at the parent with down[z] cut away by ``_prune``.  O(n) per tree.
 
     At the support vertex u, the whole tree rooted there has parts
     A (u included) and B (u excluded), and the leaf v contributes the
@@ -320,13 +286,18 @@ def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair,
     """
     adj = tree.adj
     n = tree.n
+    if not n:
+        raise ValueError("leaf_deletion_counts requires a tree in label order")
     parent, down = [-1] * n, [LEAF] * n
-    order = _rooted_branches(adj, 0, parent, down) if n else None
-    if order is None or len(order) != n:
-        raise ValueError("leaf_deletion_counts requires a tree")
+    for z in range(n - 1, 0, -1):
+        low = adj[z] & ((1 << z) - 1)
+        if low.bit_count() != 1:
+            raise ValueError("leaf_deletion_counts requires a tree in label order")
+        p = parent[z] = low.bit_length() - 1
+        down[p] = _graft(down[p], down[z])
     up, whole = [LEAF] * n, [LEAF] * n
     whole[0] = down[0]
-    for z in order[1:]:  # a parent comes before its children
+    for z in range(1, n):  # a parent is below its children
         up[z] = _prune(whole[parent[z]], down[z])
         whole[z] = _graft(down[z], up[z])
     out = []
@@ -348,15 +319,17 @@ def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair,
 
 
 def sigma01(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1): a forest by the tree DP, any other graph by
-    the deletion recursion.
+    """Exact (sigma0, sigma1): a forest in label order by the tree DP, any
+    other graph by the deletion recursion.
 
-    The tree DP is tried first; its test (no vertex with two lower
-    neighbours, else a BFS walk) finds any cycle, and the graph goes whole to
-    ``sigma01_recursive``, which strips its isolated vertices and splits
-    its components, trees included, by itself.  The result always equals
-    sigma01_recursive(g).  Neither route has a cap of its own: ``Graph(n, adj)``
-    enforces ``Limits.graph_max_n``; generated graphs keep lower caps (18, 14, 8).
+    The tree DP is tried first.  A graph in which some vertex has two lower
+    neighbours (any graph with a cycle, and a forest outside label order)
+    goes whole to ``sigma01_recursive``, which strips its isolated vertices
+    and splits its components, trees included, by itself.  The result always
+    equals sigma01_recursive(g).  Neither route has a cap of its own:
+    ``Graph(n, adj)`` enforces ``Limits.graph_max_n``; generated graphs keep
+    the lower caps ``Limits.trees_max_n``, ``Limits.forests_max_n`` and
+    ``Limits.graphs_max_n``.
     """
     try:
         return sigma01_tree_dp(g)

@@ -14,7 +14,7 @@ tell tree and forest classes apart without canonical codes.  So do the
 graph helpers only the tests need (``components``, ``is_connected`` and
 ``induced``, read off the edge list rather than the engine's component
 splitter; ``closed_neighborhood``, ``is_forest``, ``lower_degrees``,
-``disjoint_union``, ``relabel``, ``strip_isolated``) and
+``disjoint_union``, ``relabel``, ``in_label_order``, ``strip_isolated``) and
 ``combine_union``, the union rule of the counts as a function.
 ``random_pivots`` swaps the deletion recursion's pivot rule for a random
 one, which must give the same counts.
@@ -98,6 +98,29 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     for v in range(g.n):
         adj[p[v]] = sum(1 << p[u] for u in bits(g.adj[v]))
     return Graph(g.n, tuple(adj))
+
+
+def in_label_order(g: Graph) -> Graph:
+    """g relabelled in the visiting order of a BFS over the edge list, from
+    each unvisited vertex in turn: not the engine's walk.  In a forest each
+    vertex then has at most one lower neighbour, its BFS parent, and a tree
+    has vertex 0 as its root."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    label: dict[int, int] = {}
+    for root in range(g.n):
+        if root in label:
+            continue
+        label[root] = len(label)
+        queue = [root]
+        for v in queue:  # grows while it is walked
+            for u in nbrs[v]:
+                if u not in label:
+                    label[u] = len(label)
+                    queue.append(u)
+    return relabel(g, [label[v] for v in range(g.n)])
 
 
 def strip_isolated(g: Graph) -> Graph:

@@ -374,9 +374,9 @@ def assert_passes_full_check(g: Graph) -> None:
 
 @pytest.mark.parametrize("gen, cap", [(gen_trees, Limits.trees_max_n), (gen_forests, Limits.forests_max_n)])
 def test_generated_trees_and_forests_pass_the_full_check(gen, cap):
-    """Also the labelling ``sigma01_tree_dp`` folds without a BFS walk:
-    every vertex has at most one lower neighbour, and in a tree only
-    vertex 0 has none."""
+    """Also the label order that ``sigma01_tree_dp`` and
+    ``leaf_deletion_counts`` fold: every vertex has at most one lower
+    neighbour, and in a tree only vertex 0 has none."""
     for n in range(1, cap + 1):
         for g in gen(n):
             assert_passes_full_check(g)

@@ -21,7 +21,7 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs
-from oracles import combine_union, disjoint_union, is_forest, lower_degrees, random_pivots, relabel
+from oracles import combine_union, disjoint_union, in_label_order, is_forest, lower_degrees, random_pivots, relabel
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
@@ -76,16 +76,19 @@ def test_sigma_is_isomorphism_invariant(g, rnd):
 
 @given(forests(max_n=12), st.randoms(use_true_random=False))
 def test_tree_dp_agrees_with_recursion(f, rnd):
+    """``f`` is drawn in label order, and its shuffled copy most likely is
+    not: the DP reads that copy relabelled into label order."""
     perm = list(range(f.n))
     rnd.shuffle(perm)
-    for h in (f, relabel(f, perm)):  # label order, then most likely not
-        assert sigma01_tree_dp(h) == sigma01_recursive(h)
+    h = relabel(f, perm)
+    assert sigma01_tree_dp(f) == sigma01_recursive(f)
+    assert sigma01_tree_dp(in_label_order(h)) == sigma01(h) == sigma01_recursive(h) == sigma01_tree_dp(f)
 
 
 @given(graphs(max_n=9))
 def test_at_most_one_lower_neighbour_each_makes_a_forest(g):
     """The highest vertex of a cycle has two lower neighbours on it, which
-    is what lets ``sigma01_tree_dp`` skip its BFS walk."""
+    is why ``sigma01_tree_dp``'s label-order fold rejects every cycle."""
     if max(lower_degrees(g), default=0) <= 1:
         assert is_forest(g)
 

@@ -26,7 +26,16 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs, random_graph
-from oracles import combine_union, disjoint_union, graph_from_pair_mask, is_forest, random_pivots, relabel
+from oracles import (
+    combine_union,
+    disjoint_union,
+    graph_from_pair_mask,
+    in_label_order,
+    is_forest,
+    lower_degrees,
+    random_pivots,
+    relabel,
+)
 
 
 def all_labelled(n):
@@ -80,42 +89,43 @@ def test_tree_dp_matches_recursion_on_all_trees():
 @given(forests(max_n=16), st.randoms(use_true_random=False))
 def test_forest_scorers_agree(f, rnd):
     """``forests`` draws each parent below its child, so ``f`` is folded in
-    label order; a shuffled copy is walked by BFS instead."""
+    label order; a shuffled copy goes to the DP relabelled into label
+    order, and as it is to ``sigma01`` and the recursion."""
     perm = list(range(f.n))
     rnd.shuffle(perm)
-    for h in (f, relabel(f, perm)):
-        assert sigma01(h) == sigma01_tree_dp(h) == sigma01_recursive(h)
+    h = relabel(f, perm)
+    assert sigma01(f) == sigma01_tree_dp(f) == sigma01_recursive(f)
+    assert sigma01(h) == sigma01_tree_dp(in_label_order(h)) == sigma01_recursive(h) == sigma01(f)
 
 
-def test_tree_dp_walks_by_bfs_only_off_label_order(monkeypatch):
+def test_only_forests_off_label_order_reach_the_recursion(monkeypatch):
     """Generated trees and forests give every vertex at most one lower
-    neighbour, so no BFS walk runs; a shuffled path is walked, and counts
-    as the path in order: F(42) and sigma1 of P40."""
-    walked = []
-    real = nearindep.sigma._rooted_branches
-
-    def spy(adj, root, parent, down):
-        walked.append(root)
-        return real(adj, root, parent, down)
-
-    monkeypatch.setattr(nearindep.sigma, "_rooted_branches", spy)
+    neighbour, so ``sigma01`` never sends one to the recursion; a shuffled
+    path makes the DP raise, and the recursion counts it as the path in
+    order: F(42) and sigma1 of P40."""
+    calls = []
+    real = nearindep.sigma.sigma01_recursive
+    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
     generated = [t for n in range(1, 13) for t in gen_trees(n)]
     generated += [f for n in range(1, 11) for f in gen_forests(n)]
     for g in generated:
-        sigma01_tree_dp(g)
-    assert walked == []
+        sigma01(g)
+    assert calls == []
     p40 = make_named("path", 40)
     perm = list(range(40))
     random.Random(0).shuffle(perm)
-    assert sigma01_tree_dp(relabel(p40, perm)) == sigma01_tree_dp(p40) == SigmaPair(267914296, 1810142185)
-    assert walked == [0]
+    shuffled = relabel(p40, perm)
+    with pytest.raises(ValueError, match="label order"):
+        sigma01_tree_dp(shuffled)
+    assert sigma01(shuffled) == sigma01_tree_dp(p40) == SigmaPair(267914296, 1810142185)
+    assert len(calls) == 1 and calls[0] is shuffled
 
 
 def test_tree_dp_rejects_a_cycle_in_a_later_component():
     p3 = make_named("path", 3)
     with pytest.raises(ValueError, match="acyclic"):
         sigma01_tree_dp(disjoint_union(p3, make_named("complete", 3)))
-    # the cycle away from the BFS root, and an even cycle
+    # the cycle away from vertex 0, and an even cycle
     tail = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
     for g in (tail, disjoint_union(p3, cycle(4)), disjoint_union(make_named("empty", 2), cycle(6))):
         with pytest.raises(ValueError, match="acyclic"):
@@ -124,8 +134,16 @@ def test_tree_dp_rejects_a_cycle_in_a_later_component():
 
 @given(graphs(max_n=9))
 def test_tree_dp_accepts_exactly_the_forests(g):
-    if is_forest(g):
+    """The DP accepts exactly the graphs in label order (no vertex with two
+    lower neighbours), counts every forest relabelled into label order, and
+    rejects a cycle in any labelling."""
+    if max(lower_degrees(g), default=0) <= 1:
         assert sigma01_tree_dp(g) == sigma01_recursive(g)
+    else:
+        with pytest.raises(ValueError, match="label order"):
+            sigma01_tree_dp(g)
+    if is_forest(g):
+        assert sigma01_tree_dp(in_label_order(g)) == sigma01_recursive(g)
     else:
         with pytest.raises(ValueError, match="acyclic"):
             sigma01_tree_dp(g)
@@ -174,6 +192,15 @@ def test_sigma01_sends_a_forest_to_the_tree_dp(monkeypatch):
     monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
     assert sigma01(f) == combine_union(SigmaPair(17, 4), SigmaPair(8, 5))
     assert len(calls) == 1 and calls[0] is f
+
+
+def test_sigma01_sends_a_tree_off_label_order_to_the_recursion(monkeypatch):
+    t = relabel(make_named("star", 6), [5, 4, 3, 2, 1, 0])  # the centre has five lower neighbours
+    calls = []
+    real = nearindep.sigma.sigma01_recursive
+    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
+    assert sigma01(t) == SigmaPair(33, 5)
+    assert len(calls) == 1 and calls[0] is t
 
 
 def test_sigma01_when_the_walk_meets_the_cycle_last():

@@ -474,7 +474,15 @@ def labelled_trees(draw, max_n: int = 16):
 
 @given(labelled_trees())
 def test_leaf_deletion_counts_on_labelled_trees(tree):
-    assert leaf_deletion_counts(tree) == oracles.leaf_deletion_counts(tree)
+    """Counted relabelled into label order; as drawn, a tree outside label
+    order is refused."""
+    ordered = oracles.in_label_order(tree)
+    assert leaf_deletion_counts(ordered) == oracles.leaf_deletion_counts(ordered)
+    if oracles.lower_degrees(tree)[1:] == [1] * (tree.n - 1):
+        assert leaf_deletion_counts(tree) == oracles.leaf_deletion_counts(tree)
+    else:
+        with pytest.raises(ValueError, match="requires a tree"):
+            leaf_deletion_counts(tree)
 
 
 def test_leaf_deletion_counts_reject_non_trees():
@@ -491,29 +499,33 @@ def test_leaf_deletion_counts_reject_non_trees():
 def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     """Run alone, the leaf checks score no Q: each tree is walked once,
     for its own counts and those of its leaf deletions, and the reports
-    are those made from Q-scored rows."""
+    are those made from Q-scored rows.  One walk of a tree on n vertices
+    is n - 1 grafts up and n - 1 down."""
     scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
               for spec in (ClassSpec("trees", n) for n in range(2, 13))]
     calls = Counter()
 
-    def counting_walk(*args, real=sigma_module._rooted_branches):
-        calls["walk"] += 1
+    def counting_graft(*args, real=sigma_module._graft):
+        calls["graft"] += 1
         return real(*args)
 
     def no_q(g):
         raise AssertionError("Q scored for the leaf checks alone")
 
-    monkeypatch.setattr(sigma_module, "_rooted_branches", counting_walk)
+    monkeypatch.setattr(sigma_module, "_graft", counting_graft)
     monkeypatch.setattr(verify_module, "q_ratio", no_q)
     reports = run_theorem("4.4", 12)
-    trees = sum(1 for n in range(2, 13) for _ in gen_trees(n))
-    assert calls["walk"] == trees == 986 and all(r.passed for r in reports)
+    grafts = sum(2 * (n - 1) for n in range(2, 13) for _ in gen_trees(n))
+    assert calls["graft"] == grafts == 20038 and all(r.passed for r in reports)
     assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
     assert _verify("4.2", 9).to_json() == scored[7].to_json()
 
 
 def test_leaf_deletion_counts_leave_no_cyclic_garbage():
-    tree = oracles.prufer_decode(12, (3, 3, 7, 0, 11, 7, 7, 2, 9, 0))
+    drawn = oracles.prufer_decode(12, (3, 3, 7, 0, 11, 7, 7, 2, 9, 0))
+    with pytest.raises(ValueError, match="requires a tree"):  # vertices 1 and 2 have no lower neighbour
+        leaf_deletion_counts(drawn)
+    tree = oracles.in_label_order(drawn)
     gc.collect()
     gc.disable()
     try:
