@@ -13,24 +13,26 @@ Three mutually checking routes are implemented:
   surviving-vertex mask loses its isolated vertices (a factor 2 on both
   counts each) and is split into connected components (by
   ``graphs.split_components``), folded with the union rule below.  Each
-  component is memoised by its mask and solved by deletion on a pivot v
-  of maximum degree, ties to the smallest index (``_pivot_vertex``):
+  component is memoised by its mask: a tree is counted by one ``_graft``
+  fold (``_tree_pair``), any other component by deletion on a pivot v of
+  maximum degree, ties to the smallest index (``_pivot_vertex``):
   sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
   sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
               + sum over u in N(v) of sigma0(G-N[v]-N[u]).
   ``_solve`` memoises pairs and applies both rules.  The deg(v) neighbour
   terms need sigma0 alone, so they go to ``_solve0``: the same
-  decomposition and pivot, the first rule only, and its own memo of
+  decomposition, fold and pivot, the first rule only, and its own memo of
   counts; a component ``_solve`` has met is read from the pair memo.
   Paths and cycles cost polynomial time, and the work on other graphs
-  grows with how slowly deletions break them apart;
+  grows with how slowly deletions break them into trees;
 * a linear-time rooted DP for forests in label order, where each vertex
   has at most one lower neighbour, its parent (``sigma01_tree_dp``): it
   folds ``_graft`` onto the parents from the highest label down;
   ``leaf_deletion_counts``, for the leaf checks of ``verify``, reroots
   the same states with ``_prune``.
 
-None of the three calls another, so each checks the other two.
+The sweep shares no code with the others, and the recursion only ``_graft``
+with the DP: none under the tests' never-folding ``oracles.random_pivots``.
 ``sigma01`` tries the tree DP, which stops at the first vertex with two
 lower neighbours, and sends such a graph (any graph with a cycle, and a
 forest outside label order) whole to the recursion, which splits it into
@@ -125,32 +127,53 @@ def sigma_distribution_bruteforce(g: Graph) -> SigmaDistribution:
     return SigmaDistribution(n, tuple(hist))
 
 
-def _pivot_vertex(comp: int, adj: tuple[int, ...]) -> int:
-    """A vertex of maximum degree inside ``comp``, ties to the smallest index."""
-    v, best = -1, -1
+def _pivot_vertex(comp: int, adj: tuple[int, ...]) -> int | None:
+    """A vertex of maximum degree inside ``comp``, ties to the smallest index;
+    None on a tree: a connected ``comp`` whose degrees sum to 2(|comp| - 1)."""
+    v, best, total = -1, -1, 0
     rest = comp
     while rest:
         low = rest & -rest
         u = low.bit_length() - 1
         d = (adj[u] & comp).bit_count()
+        total += d
         if d > best:
             v, best = u, d
         rest ^= low
-    return v
+    return None if total == 2 * comp.bit_count() - 2 else v
+
+
+def _tree_pair(comp: int, adj: tuple[int, ...]) -> Pair:
+    """(sigma0, sigma1) of the tree on ``comp``: ``_graft`` folds a walk from
+    its lowest vertex backwards, each vertex onto the one that reached it."""
+    root = comp & -comp
+    walk, rest = [(root.bit_length() - 1, -1)], comp ^ root
+    for v, _ in walk:  # the walk grows as it is read
+        fresh = adj[v] & rest
+        rest ^= fresh
+        while fresh:
+            low = fresh & -fresh
+            walk.append((low.bit_length() - 1, v))
+            fresh ^= low
+    down = [LEAF] * len(adj)
+    for u, p in walk[:0:-1]:  # children before their parents, the root left out
+        down[p] = _graft(down[p], down[u])
+    return _root_pair(down[walk[0][0]])
 
 
 def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
            memo0: dict[int, int]) -> tuple[int, int]:
     """(sigma0, sigma1) of the subgraph induced on ``mask``; a component
-    missing from the pair memo is pivoted with both deletion rules."""
+    missing from the pair memo is folded (a tree) or pivoted (both rules)."""
     if not mask & (mask - 1):  # no vertex or one: skip the split
         return (2, 0) if mask else (1, 0)
     comps, isolated = split_components(mask, adj)
     s0, s1 = 1, 0
     for comp in comps:
         pair = memo.get(comp)
+        if pair is None and (v := _pivot_vertex(comp, adj)) is None:
+            pair = memo[comp] = _tree_pair(comp, adj)
         if pair is None:
-            v = _pivot_vertex(comp, adj)
             a0, a1 = _solve(comp & ~(1 << v), adj, closed, memo, memo0)
             far = comp & ~closed[v]
             b0, b1 = _solve(far, adj, closed, memo, memo0)
@@ -165,7 +188,7 @@ def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[
 def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
             memo0: dict[int, int]) -> int:
     """sigma0 of the subgraph induced on ``mask``; a component missing from
-    both memos is pivoted with the sigma0 rule alone."""
+    both memos is folded (a tree) or pivoted (the sigma0 rule alone)."""
     if not mask & (mask - 1):
         return 2 if mask else 1
     comps, isolated = split_components(mask, adj)
@@ -174,8 +197,9 @@ def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict
         c0 = memo0.get(comp)
         if c0 is None:
             pair = memo.get(comp)
+            if pair is None and (v := _pivot_vertex(comp, adj)) is None:
+                pair = memo[comp] = _tree_pair(comp, adj)
             if pair is None:
-                v = _pivot_vertex(comp, adj)
                 c0 = memo0[comp] = (_solve0(comp & ~(1 << v), adj, closed, memo, memo0)
                                     + _solve0(comp & ~closed[v], adj, closed, memo, memo0))
             else:
@@ -189,10 +213,11 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
     the module docstring states it.
 
     Both recursions look up the module-level ``_pivot_vertex`` at every
-    pivot, so a test can swap in another rule there (any pivot gives the
-    same counts).  The memos live only for this call; the helpers are
-    plain functions, not closures, so no reference cycle keeps them alive
-    after the call returns.
+    memo miss, so a test can swap in another rule there (any pivot gives
+    the same counts); ``oracles.random_pivots`` never returns None, so it
+    folds no tree and shares no code with the tree DP.  The memos live
+    only for this call; the helpers are plain functions, not closures, so
+    no reference cycle keeps them alive after the call returns.
     """
     adj = g.adj
     closed = tuple(row | 1 << v for v, row in enumerate(adj))

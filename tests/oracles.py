@@ -17,12 +17,17 @@ splitter; ``closed_neighborhood``, ``is_forest``, ``lower_degrees``,
 ``disjoint_union``, ``relabel``, ``in_label_order``, ``strip_isolated``) and
 ``combine_union``, the union rule of the counts as a function.
 ``random_pivots`` swaps the deletion recursion's pivot rule for a random
-one, which must give the same counts.
+one, which must give the same counts; under it the recursion folds no
+tree, and ``fold_free_recursion`` counts that way for the checks of the
+tree DP and the leaf checks.  ``aut_count`` counts automorphisms
+by backtracking, and ``labelled_connected_graphs`` counts labelled
+connected graphs by recurrence, for the orbit-stabiliser identity.
 """
 
 import random
 from contextlib import contextmanager
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Iterable, Iterator
 
 import nearindep.sigma
@@ -309,6 +314,39 @@ def labelled_forest_count(n: int) -> int:
     return labelled_class_count(n, keep=is_forest)
 
 
+def labelled_connected_graphs(n: int) -> int:
+    """Labelled connected graphs on n vertices (OEIS A001187), by the
+    standard recurrence: of the 2^C(n,2) labelled graphs, remove those whose
+    component at vertex 0 has k < n vertices."""
+    c = [1, 1]
+    for m in range(2, n + 1):
+        c.append((1 << comb(m, 2)) - sum(comb(m - 1, k - 1) * c[k] * (1 << comb(m - k, 2)) for k in range(1, m)))
+    return c[n]
+
+
+def aut_count(g: Graph) -> int:
+    """|Aut(g)| by backtracking over g's rows alone, no engine code: map
+    the vertices 0, 1, ... in turn, each to an unused vertex of its degree
+    whose neighbours among the images so far are the images of its own
+    lower neighbours."""
+    n, adj = g.n, g.adj
+    deg = [row.bit_count() for row in adj]
+    image = [0] * n
+
+    def extend(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        want = sum(1 << image[u] for u in range(v) if adj[v] >> u & 1)
+        total = 0
+        for w in range(n):
+            if not used >> w & 1 and deg[w] == deg[v] and adj[w] & used == want:
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)
+
+
 def graph_from_code(n: int, code: int) -> Graph:
     """The graph on 0..n-1 spelled by a column-packed code (the inverse of
     ``packed_code`` under the identity order)."""
@@ -416,9 +454,9 @@ def min_column_code(g: Graph) -> int:
 def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
     """(sigma of T, leaves), leaves holding (v, sigma of T-v, sigma of
     T-N[v], sigma of T-N[u]) for every leaf v of a tree, u its support
-    vertex, each sigma a (sigma0, sigma1) pair, all by the deletion
-    recursion, which never walks the tree DP's fold: T whole, and one
-    ``induced`` subgraph per deleted set."""
+    vertex, each sigma a (sigma0, sigma1) pair, all by
+    ``fold_free_recursion``, which never walks the tree DP's fold: T whole,
+    and one ``induced`` subgraph per deleted set."""
     full = tree.full_mask
     out = []
     for v in range(tree.n):
@@ -426,9 +464,9 @@ def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
             continue
         u = tree.adj[v].bit_length() - 1
         kept = (full & ~(1 << v), full & ~closed_neighborhood(tree, v), full & ~closed_neighborhood(tree, u))
-        pairs = [sigma01_recursive(induced(tree, mask)) for mask in kept]
+        pairs = [fold_free_recursion(induced(tree, mask)) for mask in kept]
         out.append((v, *((p.sigma0, p.sigma1) for p in pairs)))
-    t = sigma01_recursive(tree)
+    t = fold_free_recursion(tree)
     return (t.sigma0, t.sigma1), out
 
 
@@ -448,3 +486,11 @@ def random_pivots(rng: random.Random) -> Iterator[None]:
         yield
     finally:
         nearindep.sigma._pivot_vertex = real
+
+
+def fold_free_recursion(g: Graph) -> SigmaPair:
+    """``sigma01_recursive`` of g under ``random_pivots``, whose rule never
+    reports a tree, so no component is folded and the count shares no code
+    with the tree DP's ``_graft``."""
+    with random_pivots(random.Random(0)):
+        return sigma01_recursive(g)

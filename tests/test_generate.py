@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from itertools import product
+from math import comb, factorial
 
 import pytest
 
@@ -30,6 +31,7 @@ from nearindep.sigma import q_ratio, sigma01
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
+    aut_count,
     components,
     deletion_keys,
     forest_certificate,
@@ -38,6 +40,7 @@ from oracles import (
     is_forest,
     labelled_class_count,
     labelled_connected_count,
+    labelled_connected_graphs,
     labelled_forest_count,
     leaf_extension_tree_certs,
     lower_degrees,
@@ -355,6 +358,19 @@ def test_delta_filter():
 def test_connected_stream_is_connected():
     for g in gen_class(ClassSpec("connected_graphs", 5)):
         assert len(components(g)) == 1
+
+
+def test_graph_streams_meet_the_orbit_stabiliser_identity():
+    """A class G on n vertices holds n!/|Aut(G)| labelled graphs, so the
+    stream's masses sum to 2^C(n,2), and its connected view's to the
+    labelled connected graphs (Harary and Palmer, Graphical Enumeration,
+    1973): a dropped or repeated class moves the sum.  |Aut| comes from
+    a backtracking count that shares no code with ``canonical_form``."""
+    for n in range(9):
+        aut = {g: aut_count(g) for g in gen_graphs(n)}
+        assert sum(factorial(n) // aut[g] for g in gen_graphs(n)) == 1 << comb(n, 2)
+        connected = gen_class(ClassSpec("connected_graphs", n))
+        assert sum(factorial(n) // aut[g] for g in connected) == labelled_connected_graphs(n)
 
 
 def test_streams_are_deterministic():

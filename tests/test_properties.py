@@ -21,7 +21,16 @@ from nearindep.sigma import (
 )
 
 from conftest import forests, graphs
-from oracles import combine_union, disjoint_union, in_label_order, is_forest, lower_degrees, random_pivots, relabel
+from oracles import (
+    combine_union,
+    disjoint_union,
+    fold_free_recursion,
+    in_label_order,
+    is_forest,
+    lower_degrees,
+    random_pivots,
+    relabel,
+)
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
@@ -77,12 +86,14 @@ def test_sigma_is_isomorphism_invariant(g, rnd):
 @given(forests(max_n=12), st.randoms(use_true_random=False))
 def test_tree_dp_agrees_with_recursion(f, rnd):
     """``f`` is drawn in label order, and its shuffled copy most likely is
-    not: the DP reads that copy relabelled into label order."""
+    not: the DP reads that copy relabelled into label order.  The recursion
+    also runs fold-free, sharing no ``_graft`` with the DP."""
     perm = list(range(f.n))
     rnd.shuffle(perm)
     h = relabel(f, perm)
-    assert sigma01_tree_dp(f) == sigma01_recursive(f)
+    assert sigma01_tree_dp(f) == sigma01_recursive(f) == fold_free_recursion(f)
     assert sigma01_tree_dp(in_label_order(h)) == sigma01(h) == sigma01_recursive(h) == sigma01_tree_dp(f)
+    assert fold_free_recursion(h) == sigma01_tree_dp(f)
 
 
 @given(graphs(max_n=9))

@@ -29,10 +29,13 @@ from conftest import forests, graphs, random_graph
 from oracles import (
     combine_union,
     disjoint_union,
+    fold_free_recursion,
     graph_from_pair_mask,
     in_label_order,
+    induced,
     is_forest,
     lower_degrees,
+    prufer_decode,
     random_pivots,
     relabel,
 )
@@ -90,12 +93,14 @@ def test_tree_dp_matches_recursion_on_all_trees():
 def test_forest_scorers_agree(f, rnd):
     """``forests`` draws each parent below its child, so ``f`` is folded in
     label order; a shuffled copy goes to the DP relabelled into label
-    order, and as it is to ``sigma01`` and the recursion."""
+    order, and as it is to ``sigma01`` and the recursion, which folds its
+    trees with the DP's ``_graft`` unless it runs fold-free."""
     perm = list(range(f.n))
     rnd.shuffle(perm)
     h = relabel(f, perm)
-    assert sigma01(f) == sigma01_tree_dp(f) == sigma01_recursive(f)
+    assert sigma01(f) == sigma01_tree_dp(f) == sigma01_recursive(f) == fold_free_recursion(f)
     assert sigma01(h) == sigma01_tree_dp(in_label_order(h)) == sigma01_recursive(h) == sigma01(f)
+    assert fold_free_recursion(h) == sigma01(f)
 
 
 def test_only_forests_off_label_order_reach_the_recursion(monkeypatch):
@@ -136,14 +141,15 @@ def test_tree_dp_rejects_a_cycle_in_a_later_component():
 def test_tree_dp_accepts_exactly_the_forests(g):
     """The DP accepts exactly the graphs in label order (no vertex with two
     lower neighbours), counts every forest relabelled into label order, and
-    rejects a cycle in any labelling."""
+    rejects a cycle in any labelling; the recursion it is checked against
+    runs fold-free, so shares no ``_graft`` with it."""
     if max(lower_degrees(g), default=0) <= 1:
-        assert sigma01_tree_dp(g) == sigma01_recursive(g)
+        assert sigma01_tree_dp(g) == fold_free_recursion(g)
     else:
         with pytest.raises(ValueError, match="label order"):
             sigma01_tree_dp(g)
     if is_forest(g):
-        assert sigma01_tree_dp(in_label_order(g)) == sigma01_recursive(g)
+        assert sigma01_tree_dp(in_label_order(g)) == fold_free_recursion(g)
     else:
         with pytest.raises(ValueError, match="acyclic"):
             sigma01_tree_dp(g)
@@ -313,6 +319,20 @@ def solve0_calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def tree_pair_calls(monkeypatch):
+    """The mask of every tree component that the recursion folds."""
+    seen = []
+    real = nearindep.sigma._tree_pair
+
+    def spy(comp, adj):
+        seen.append(comp)
+        return real(comp, adj)
+
+    monkeypatch.setattr(nearindep.sigma, "_tree_pair", spy)
+    return seen
+
+
 def test_pivot_independence(rng, solve0_calls):
     for _ in range(60):
         g = random_graph(rng.randint(0, 8), rng)
@@ -327,21 +347,36 @@ def test_pivot_independence(rng, solve0_calls):
 
 def test_the_pivot_rule_counts_degree_inside_the_mask():
     # vertex 0 has degree 5 in the graph and 3 has degree 3, but the mask
-    # 0..4 leaves 0 only the neighbour 1
-    g = make_graph(9, [(0, 1), (0, 5), (0, 6), (0, 7), (0, 8), (3, 1), (3, 2), (3, 4)])
+    # 0..4 leaves 0 only the neighbour 1; 2-3-4 is a triangle
+    g = make_graph(9, [(0, 1), (0, 5), (0, 6), (0, 7), (0, 8), (3, 1), (3, 2), (3, 4), (2, 4)])
     assert nearindep.sigma._pivot_vertex(0b11111, g.adj) == 3
 
 
 def test_the_pivot_rule_breaks_ties_to_the_smallest_index():
-    p6 = make_named("path", 6)
-    assert nearindep.sigma._pivot_vertex(0b111100, p6.adj) == 3  # P4 on 2..5: 3 and 4 tie
-    assert nearindep.sigma._pivot_vertex(0b101101, p6.adj) == 2  # 2-3 and 0, 5: 2 and 3 tie
+    # the path 0..5 plus the chords 3-5 and 2-4
+    g = make_graph(6, [(v, v + 1) for v in range(5)] + [(3, 5), (2, 4)])
+    assert nearindep.sigma._pivot_vertex(0b111100, g.adj) == 3  # on 2..5: 3 and 4 tie
+    assert nearindep.sigma._pivot_vertex(0b111110, g.adj) == 2  # on 1..5: 2, 3 and 4 tie
 
 
 def test_the_pivot_rule_picks_the_hub_of_a_star_in_the_mask():
-    # the star centred at 4 on 1..4, plus the edge 0-1 outside the mask
-    g = make_graph(6, [(0, 1), (4, 1), (4, 2), (4, 3), (5, 0)])
+    # the star centred at 4 on 1..4 with the edge 1-2 closing a triangle,
+    # plus the edges 0-1 and 1-5 outside the mask: 1 has degree 4 in the
+    # graph, the hub 3
+    g = make_graph(6, [(0, 1), (1, 5), (4, 1), (4, 2), (4, 3), (1, 2), (5, 0)])
     assert nearindep.sigma._pivot_vertex(0b011110, g.adj) == 4
+
+
+def test_the_pivot_rule_returns_none_on_a_tree():
+    """A connected mask whose degrees sum to 2(|mask| - 1) is a tree, which
+    the recursion folds instead of pivoting on it."""
+    g = make_graph(9, [(0, 1), (0, 5), (0, 6), (0, 7), (0, 8), (3, 1), (3, 2), (3, 4)])
+    assert nearindep.sigma._pivot_vertex(0b11111, g.adj) is None  # 0-1 and the star at 3
+    assert nearindep.sigma._pivot_vertex(g.full_mask, g.adj) is None
+    star = make_graph(6, [(0, 1), (4, 1), (4, 2), (4, 3), (5, 0)])
+    assert nearindep.sigma._pivot_vertex(0b011110, star.adj) is None
+    assert nearindep.sigma._pivot_vertex(0b11, make_named("complete", 2).adj) is None
+    assert nearindep.sigma._pivot_vertex(0b111, make_named("complete", 3).adj) == 0
 
 
 def test_edge_removal_can_raise_q():
@@ -408,11 +443,14 @@ def test_cycle_closed_form_at_order_64(seed, solve0_calls):
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_path_closed_form_at_order_64(seed, solve0_calls):
+def test_path_closed_form_at_order_64(seed, solve0_calls, tree_pair_calls):
     p64 = make_named("path", 64)
     with pivots(seed) as askers:
         got = sigma01_recursive(p64)
-    assert solve0_calls
+    if seed is None:  # one fold of the whole path
+        assert tree_pair_calls == [p64.full_mask]
+    else:
+        assert solve0_calls and not tree_pair_calls
     assert set(askers) == (set() if seed is None else {"_solve", "_solve0"})
     assert got.sigma0 == fibonacci(66)
     assert got == sigma01_tree_dp(p64) == path_pair(64)
@@ -472,6 +510,47 @@ def test_grid_counts_match_the_transfer_matrix(k, seed):
     assert grid_transfer_matrix(k) == GRID_COUNTS[k]
     with pivots(seed):
         assert sigma01_recursive(grid(k)) == GRID_COUNTS[k]
+
+
+def test_folded_trees_match_the_fold_free_recursion(rng, tree_pair_calls):
+    """Beyond the subset sweep's cap: a random Pruefer tree on 30-64
+    vertices plus 1-4 extra edges reaches the fold deep inside the
+    recursion, on tree masks outside label order, and counts as the
+    recursion under random pivots, which never folds."""
+    off_order = 0
+    for _ in range(8):
+        n = rng.randint(30, 64)
+        t = prufer_decode(n, tuple(rng.randrange(n) for _ in range(n - 2)))
+        chords = rng.sample([(u, v) for v in range(n) for u in range(v) if not t.adj[v] >> u & 1],
+                            rng.randint(1, 4))
+        g = make_graph(n, t.edges() + chords)
+        del tree_pair_calls[:]
+        want = sigma01_recursive(g)
+        folded = len(tree_pair_calls)
+        assert folded and g.full_mask not in tree_pair_calls
+        off_order += any(max(lower_degrees(induced(g, comp))) > 1 for comp in tree_pair_calls)
+        with random_pivots(random.Random(rng.getrandbits(32))):
+            assert sigma01_recursive(g) == want
+        assert len(tree_pair_calls) == folded
+    assert off_order
+
+
+def readme_gnm(n, m, seed):
+    """The README's random G(n, m): m pairs sampled in graph6 column order."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return make_graph(n, random.Random(seed).sample(pairs, m))
+
+
+def test_split_calls_are_pinned(monkeypatch):
+    """The work of one recursion call, free of timing noise: every tree
+    component is folded whole, so it is never split again."""
+    calls = []
+    real = nearindep.sigma.split_components
+    monkeypatch.setattr(nearindep.sigma, "split_components", lambda mask, adj: calls.append(mask) or real(mask, adj))
+    for g, want in ((grid(6), 2008), (readme_gnm(64, 96, 1), 6258)):
+        del calls[:]
+        sigma01_recursive(g)
+        assert len(calls) == want
 
 
 def test_recursion_leaves_no_cyclic_garbage(solve0_calls):
