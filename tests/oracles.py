@@ -19,15 +19,20 @@ splitter; ``closed_neighborhood``, ``is_forest``, ``lower_degrees``,
 ``random_pivots`` swaps the deletion recursion's pivot rule for a random
 one, which must give the same counts; under it the recursion folds no
 tree, and ``fold_free_recursion`` counts that way for the checks of the
-tree DP and the leaf checks.  ``aut_count`` counts automorphisms
-by backtracking, and ``labelled_connected_graphs`` counts labelled
-connected graphs by recurrence, for the orbit-stabiliser identity.
+tree DP and the leaf checks.  For the orbit-stabiliser identity,
+``aut_count`` counts automorphisms by backtracking and
+``forest_aut_count`` those of a forest by rooted counting at each tree's
+centre, and ``labelled_connected_graphs`` and ``labelled_forests`` count
+labelled connected graphs and labelled forests by recurrence.  The
+``orbit_*_count`` functions count isomorphism classes by marking whole
+orbits of labelled graphs.
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
-from itertools import combinations, permutations, product
-from math import comb
+from itertools import combinations, groupby, permutations, product
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 import nearindep.sigma
@@ -274,7 +279,7 @@ def leaf_extension_tree_certs(n: int) -> frozenset:
     return frozenset(reps)
 
 
-def labelled_class_count(n: int, keep=None) -> int:
+def orbit_class_count(n: int, keep=None) -> int:
     """Isomorphism classes among all 2^C(n,2) labelled graphs, counted by
     marking whole permutation orbits (no canonical codes involved).
 
@@ -306,12 +311,12 @@ def labelled_class_count(n: int, keep=None) -> int:
     return count
 
 
-def labelled_connected_count(n: int) -> int:
-    return labelled_class_count(n, keep=is_connected)
+def orbit_connected_count(n: int) -> int:
+    return orbit_class_count(n, keep=is_connected)
 
 
-def labelled_forest_count(n: int) -> int:
-    return labelled_class_count(n, keep=is_forest)
+def orbit_forest_count(n: int) -> int:
+    return orbit_class_count(n, keep=is_forest)
 
 
 def labelled_connected_graphs(n: int) -> int:
@@ -345,6 +350,69 @@ def aut_count(g: Graph) -> int:
         return total
 
     return extend(0, 0)
+
+
+def labelled_forests(n: int) -> int:
+    """Labelled forests on n vertices (OEIS A001858), by the recurrence
+    f(m) = sum over k of C(m-1, k-1) k^(k-2) f(m-k): the tree at vertex 0
+    has k vertices, chosen with it in C(m-1, k-1) ways and joined in
+    k^(k-2) (Cayley)."""
+    f = [1]
+    for m in range(1, n + 1):
+        f.append(sum(comb(m - 1, k - 1) * k ** max(k - 2, 0) * f[m - k] for k in range(1, m + 1)))
+    return f[n]
+
+
+def tree_centres(nbrs: list[list[int]]) -> list[int]:
+    """The one or two centres of a tree given as neighbour lists: what is
+    left after stripping its leaves layer by layer."""
+    degree = [len(row) for row in nbrs]
+    layer, left = [v for v, d in enumerate(degree) if d <= 1], len(nbrs)
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in nbrs[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    return layer
+
+
+def rooted_aut(nbrs: list[list[int]], v: int, parent: int) -> tuple[tuple, int]:
+    """(encoding, |Aut|) of the tree ``nbrs`` rooted at v, the branch at
+    ``parent`` cut away: the encoding is the sorted tuple of the children's,
+    and |Aut| the product of the children's, times m! for each group of m
+    isomorphic children."""
+    kids = sorted(rooted_aut(nbrs, u, v) for u in nbrs[v] if u != parent)
+    aut = 1
+    for (_, kid_aut), group in groupby(kids):
+        m = len(list(group))
+        aut *= factorial(m) * kid_aut ** m
+    return tuple(code for code, _ in kids), aut
+
+
+def forest_aut_count(g: Graph) -> int:
+    """|Aut(g)| of a forest by rooted counting, no engine code.  A tree
+    with one centre counts as rooted there; one with two counts as its two
+    halves rooted at the ends of the central edge, doubled when the halves
+    are isomorphic.  Each group of m isomorphic trees adds a factor m!."""
+    aut, trees = 1, Counter()
+    for comp in components(g):
+        nbrs = [list(bits(row)) for row in induced(g, comp).adj]
+        centres = tree_centres(nbrs)
+        if len(centres) == 1:
+            key, tree_aut = rooted_aut(nbrs, centres[0], -1)
+        else:
+            u, v = centres
+            (cu, au), (cv, av) = rooted_aut(nbrs, u, v), rooted_aut(nbrs, v, u)
+            key, tree_aut = (min(cu, cv), max(cu, cv)), au * av * (2 if cu == cv else 1)
+        trees[len(centres), key] += 1
+        aut *= tree_aut
+    for m in trees.values():
+        aut *= factorial(m)
+    return aut
 
 
 def graph_from_code(n: int, code: int) -> Graph:

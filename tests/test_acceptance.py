@@ -38,7 +38,7 @@ from oracles import (
     disjoint_union,
     forest_certificate,
     graph_from_pair_mask,
-    labelled_connected_count,
+    orbit_connected_count,
     prufer_tree_certs,
     random_pivots,
     relabel,
@@ -216,7 +216,7 @@ def test_criterion_9_enumeration_counts():
         connected = [sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) for n in range(1, 7)]
         assert connected == [1, 1, 2, 6, 21, 112]
         for n in range(1, 7):
-            assert connected[n - 1] == labelled_connected_count(n)
+            assert connected[n - 1] == orbit_connected_count(n)
 
 
 def test_criterion_10_graph6_codec():

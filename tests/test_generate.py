@@ -34,17 +34,19 @@ from oracles import (
     aut_count,
     components,
     deletion_keys,
+    forest_aut_count,
     forest_certificate,
     graph_from_pair_mask,
     is_connected,
     is_forest,
-    labelled_class_count,
-    labelled_connected_count,
     labelled_connected_graphs,
-    labelled_forest_count,
+    labelled_forests,
     leaf_extension_tree_certs,
     lower_degrees,
     min_column_code,
+    orbit_class_count,
+    orbit_connected_count,
+    orbit_forest_count,
     packed_code,
     prufer_decode,
     prufer_tree_certs,
@@ -132,7 +134,7 @@ def test_forest_counts():
 
 def test_forest_counts_match_labelled_oracle():
     for n in range(1, 7):
-        assert sum(1 for _ in gen_forests(n)) == labelled_forest_count(n)
+        assert sum(1 for _ in gen_forests(n)) == orbit_forest_count(n)
 
 
 def test_forest_counts_match_euler_transform():
@@ -165,8 +167,8 @@ def test_graph_class_counts():
 
 def test_graph_counts_match_labelled_oracle():
     for n in range(1, 7):
-        assert sum(1 for _ in gen_graphs(n)) == labelled_class_count(n)
-        assert sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) == labelled_connected_count(n)
+        assert sum(1 for _ in gen_graphs(n)) == orbit_class_count(n)
+        assert sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) == orbit_connected_count(n)
 
 
 def test_connected_counts():
@@ -371,6 +373,27 @@ def test_graph_streams_meet_the_orbit_stabiliser_identity():
         assert sum(factorial(n) // aut[g] for g in gen_graphs(n)) == 1 << comb(n, 2)
         connected = gen_class(ClassSpec("connected_graphs", n))
         assert sum(factorial(n) // aut[g] for g in connected) == labelled_connected_graphs(n)
+
+
+def test_tree_stream_meets_the_orbit_stabiliser_identity():
+    """The trees of order 16 are pairwise non-isomorphic trees by
+    ``forest_certificate`` (one encoding each), and their masses
+    16!/|Aut| sum to Cayley's 16^14 labelled trees: one member per class.
+    |Aut| comes from rooted counting at the centre, no engine code."""
+    trees = list(gen_trees(16))
+    certs = {forest_certificate(t) for t in trees}
+    assert len(certs) == len(trees) and all(len(c) == 1 for c in certs)
+    assert sum(factorial(16) // forest_aut_count(t) for t in trees) == 16 ** 14
+
+
+def test_forest_stream_meets_the_orbit_stabiliser_identity():
+    """The forests of order 14 are pairwise non-isomorphic by
+    ``forest_certificate``, and their masses 14!/|Aut| sum to the labelled
+    forests on 14 vertices (OEIS A001858): one member per class."""
+    forests = list(gen_forests(14))
+    assert len({forest_certificate(f) for f in forests}) == len(forests)
+    assert labelled_forests(14) == 110_284_283_006_640
+    assert sum(factorial(14) // forest_aut_count(f) for f in forests) == labelled_forests(14)
 
 
 def test_streams_are_deterministic():

@@ -500,7 +500,7 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     """Run alone, the leaf checks score no Q: each tree is walked once,
     for its own counts and those of its leaf deletions, and the reports
     are those made from Q-scored rows.  One walk of a tree on n vertices
-    is n - 1 grafts up and n - 1 down."""
+    is n grafts up, the root's onto ``TOP`` included, and n - 1 down."""
     scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
               for spec in (ClassSpec("trees", n) for n in range(2, 13))]
     calls = Counter()
@@ -515,8 +515,8 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     monkeypatch.setattr(sigma_module, "_graft", counting_graft)
     monkeypatch.setattr(verify_module, "q_ratio", no_q)
     reports = run_theorem("4.4", 12)
-    grafts = sum(2 * (n - 1) for n in range(2, 13) for _ in gen_trees(n))
-    assert calls["graft"] == grafts == 20038 and all(r.passed for r in reports)
+    grafts = sum(2 * n - 1 for n in range(2, 13) for _ in gen_trees(n))
+    assert calls["graft"] == grafts == 21024 and all(r.passed for r in reports)
     assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
     assert _verify("4.2", 9).to_json() == scored[7].to_json()
 
