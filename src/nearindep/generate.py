@@ -18,15 +18,14 @@ Graph classes on up to eight vertices come from canonical augmentation
 A class on n-1 vertices is extended by a new vertex v joined to one
 subset per orbit of its automorphism group (orbits marked over all
 2^(n-1) subsets from generators carried over from the order below).  The
-child is kept only if v is the vertex a canonical-deletion rule would
-remove: v must have the largest degree and, among the vertices of that
-degree, the most triangles, and on a tie it must share an automorphism
-orbit with the tied vertex the canonical labelling places last.  Each
-class is then found exactly once; ``canonical_form`` runs only on kept
-children and on ties.  Every class is emitted in its canonical
-labelling, the graph spelled by its canonical code, in increasing code
-order, so the output depends only on the set of classes and not on how
-it was found.
+child passes only if v is a vertex a canonical-deletion rule may remove:
+v must have the largest degree and, among the vertices of that degree,
+the most triangles.  Every class has such a vertex, so it is reached at
+least once; a child that passes is kept unless its canonical code was
+already found.  ``canonical_form`` runs only on children that pass.
+Every class is emitted in its canonical labelling, the graph spelled by
+its canonical code, in increasing code order, so the output depends
+only on the set of classes and not on how it was found.
 """
 
 from __future__ import annotations
@@ -275,37 +274,15 @@ def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[in
                     stack.append(u)
 
 
-def _orbit_of(w: int, gens: tuple[tuple[int, ...], ...]) -> int:
-    """Mask of the orbit of vertex w under the group generated by gens."""
-    orbit = 1 << w
-    stack = [w]
-    while stack:
-        x = stack.pop()
-        for a in gens:
-            y = a[x]
-            if not orbit >> y & 1:
-                orbit |= 1 << y
-                stack.append(y)
-    return orbit
-
-
-def _deletion_ties(adj: list[int], rivals: int) -> int | None:
-    """Mask of v = len(adj) - 1 and of the ``rivals`` (old vertices of v's
-    degree) with as many triangles as v, or None if a rival has more."""
+def _outranked(adj: list[int], rivals: int) -> bool:
+    """Whether one of the ``rivals`` (old vertices of the degree of
+    v = len(adj) - 1) has more triangles than v."""
     def triangles(x: int) -> int:  # twice the count at x
         row = adj[x]
         return sum((adj[y] & row).bit_count() for y in bits(row))
 
-    v = len(adj) - 1
-    mine = triangles(v)
-    out = 1 << v
-    for x in bits(rivals):
-        theirs = triangles(x)
-        if theirs > mine:
-            return None
-        if theirs == mine:
-            out |= 1 << x
-    return out
+    mine = triangles(len(adj) - 1)
+    return any(triangles(x) > mine for x in bits(rivals))
 
 
 @cache
@@ -316,15 +293,12 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998): every class on n vertices is some class on
     n - 1 vertices plus a vertex v = n - 1 joined to a subset s, taken
-    once per orbit of the parent's automorphism group.  A child is kept
-    only if v lies in the orbit that a canonical-deletion rule picks, so
-    it is found from exactly one (parent, orbit) pair and no dedup is
-    needed.  The rule wants the largest (degree, triangles at x) key.  Most
-    children fail it on degree alone, so triangles are counted only at v
-    and at the old vertices of v's degree.  If v is the only vertex with
-    the largest key it is kept.  On a tie, v is kept iff it shares an
-    Aut(child)-orbit with the tied vertex the canonical labelling places
-    last.
+    once per orbit of the parent's automorphism group.  A child passes
+    only if v has the largest (degree, triangles at x) key, which some
+    vertex of every class has.  Most children fail it on degree alone, so
+    triangles are counted only at v and at the old vertices of v's
+    degree.  A child that passes is kept unless its canonical code is
+    already in ``found``.
 
     Every kept class is emitted in its canonical labelling, so each graph
     is the one spelled by its canonical code, and the same set of classes
@@ -335,7 +309,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
         return ((Graph._unchecked(0, ()), ()),)
     v = n - 1
     new_bit = 1 << v
-    found = []
+    found = {}
     for parent, parent_gens in _graph_classes(v):
         padj = parent.adj
         # above[k]: old vertices of degree > k; exact[k]: of degree k
@@ -354,22 +328,18 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
             rivals = exact[k] & ~s | (exact[k - 1] & s if k else 0)
             adj = [row | new_bit if s >> x & 1 else row for x, row in enumerate(padj)]
             adj.append(s)
-            ties = _deletion_ties(adj, rivals) if rivals else new_bit
-            if ties is None:
+            if rivals and _outranked(adj, rivals):
                 continue
             code, gens, order = canonical_form(Graph._unchecked(n, tuple(adj)))
-            if ties != new_bit:
-                last = next(x for x in reversed(order) if ties >> x & 1)
-                if not _orbit_of(last, gens) >> v & 1:
-                    continue
+            if code.code in found:
+                continue
             inv = [0] * n
             for pos, x in enumerate(order):
                 inv[x] = pos
             rows = [sum(1 << inv[y] for y in bits(adj[x])) for x in order]
             conj = tuple(tuple(inv[a[x]] for x in order) for a in gens)
-            found.append((code.code, Graph._unchecked(n, tuple(rows)), conj))
-    found.sort(key=lambda item: item[0])
-    return tuple((g, gens) for _, g, gens in found)
+            found[code.code] = (Graph._unchecked(n, tuple(rows)), conj)
+    return tuple(found[c] for c in sorted(found))
 
 
 def gen_graphs(n: int) -> Iterator[Graph]:

@@ -11,9 +11,9 @@ from nearindep.generate import (
     _is_center_rooted,
     _layout_to_graph,
     _next_rooted_layout,
-    _deletion_ties,
     _graph_classes,
     _orbit_min_subsets,
+    _outranked,
     gen_class,
     gen_forests,
     gen_graphs,
@@ -132,7 +132,7 @@ def test_forest_counts():
     assert [sum(1 for _ in gen_forests(n)) for n in range(1, 9)] == FOREST_COUNTS
 
 
-def test_forest_counts_match_labelled_oracle():
+def test_forest_counts_match_orbit_oracle():
     for n in range(1, 7):
         assert sum(1 for _ in gen_forests(n)) == orbit_forest_count(n)
 
@@ -165,7 +165,7 @@ def test_graph_class_counts():
     assert [sum(1 for _ in gen_graphs(n)) for n in range(0, 9)] == GRAPH_COUNTS
 
 
-def test_graph_counts_match_labelled_oracle():
+def test_graph_counts_match_orbit_oracle():
     for n in range(1, 7):
         assert sum(1 for _ in gen_graphs(n)) == orbit_class_count(n)
         assert sum(1 for _ in gen_class(ClassSpec("connected_graphs", n))) == orbit_connected_count(n)
@@ -313,9 +313,8 @@ def test_orbit_min_subsets_match_the_brute_force_group():
 
 def test_deletion_ties_match_the_key_oracle():
     """Every child at order <= 7 (each class below plus v joined to any
-    subset) that passes the degree filter and has rivals: ``_deletion_ties``
-    gives None exactly when some vertex's (degree, triangles) key exceeds
-    v's, and otherwise the mask of the vertices whose key equals v's."""
+    subset) that passes the degree filter and has rivals: ``_outranked``
+    holds exactly when some vertex's (degree, triangles) key exceeds v's."""
     outcomes = Counter()
     for n in range(2, 8):
         v = n - 1
@@ -328,25 +327,31 @@ def test_deletion_ties_match_the_key_oracle():
                 rivals = sum(1 << x for x in range(v) if keys[x][0] == mine[0])
                 if max(key[0] for key in keys) > mine[0] or not rivals:
                     continue
-                want = None if max(keys) > mine else sum(
-                    1 << x for x, key in enumerate(keys) if key == mine
-                )
-                assert _deletion_ties(adj, rivals) == want, (adj, rivals)
-                outcomes["outranked" if want is None else "alone" if want == 1 << v else "tied"] += 1
-    assert outcomes == {"outranked": 561, "alone": 231, "tied": 1152}
+                want = max(keys) > mine
+                assert _outranked(adj, rivals) == want, (adj, rivals)
+                outcomes["outranked" if want else "kept"] += 1
+    assert outcomes == {"outranked": 561, "kept": 1383}
 
 
 def test_canonical_form_calls_are_pinned(monkeypatch):
-    """The work of generation up to order 7, one call per kept child and
-    per tie: the deletion rule counts triangles only at v and its rivals,
-    and the canonical labelling settles every tie that leaves."""
-    calls = []
+    """The work of generation up to order 7, one call per child that
+    passes the deletion rule, which counts triangles only at v and its
+    rivals: 1,252 calls find the classes of orders 1-7, and the other 103
+    return a code already found."""
+    codes = []
     real = generate.canonical_form
-    monkeypatch.setattr(generate, "canonical_form", lambda g: calls.append(g) or real(g))
+
+    def spy(g):
+        out = real(g)
+        codes.append(out[0])
+        return out
+
+    monkeypatch.setattr(generate, "canonical_form", spy)
     _graph_classes.cache_clear()
     _graph_classes(7)
     _graph_classes.cache_clear()
-    assert len(calls) == 1355
+    assert len(codes) == 1355
+    assert len(set(codes)) == sum(GRAPH_COUNTS[1:8]) == 1252
 
 
 def test_delta_filter():
@@ -364,15 +369,22 @@ def test_connected_stream_is_connected():
 
 def test_graph_streams_meet_the_orbit_stabiliser_identity():
     """A class G on n vertices holds n!/|Aut(G)| labelled graphs, so the
-    stream's masses sum to 2^C(n,2), and its connected view's to the
-    labelled connected graphs (Harary and Palmer, Graphical Enumeration,
-    1973): a dropped or repeated class moves the sum.  |Aut| comes from
-    a backtracking count that shares no code with ``canonical_form``."""
+    stream's masses sum to 2^C(n,2), its connected view's to the labelled
+    connected graphs, and its bounded-degree views' together to 2^C(n,2)
+    again (Harary and Palmer, Graphical Enumeration, 1973): a dropped or
+    repeated class moves the sum.  The members are pairwise non-isomorphic
+    by ``min_column_code``, so a member relabelled into another is caught
+    even where the masses balance.  Neither |Aut|, from a backtracking
+    count, nor the code shares code with ``canonical_form``."""
     for n in range(9):
-        aut = {g: aut_count(g) for g in gen_graphs(n)}
-        assert sum(factorial(n) // aut[g] for g in gen_graphs(n)) == 1 << comb(n, 2)
+        graphs = list(gen_graphs(n))
+        assert len({min_column_code(g) for g in graphs}) == len(graphs)
+        aut = {g: aut_count(g) for g in graphs}
+        assert sum(factorial(n) // aut[g] for g in graphs) == 1 << comb(n, 2)
         connected = gen_class(ClassSpec("connected_graphs", n))
         assert sum(factorial(n) // aut[g] for g in connected) == labelled_connected_graphs(n)
+        bounded = (gen_class(ClassSpec("bounded_degree_graphs", n, delta)) for delta in range(n + 1))
+        assert sum(factorial(n) // aut[g] for view in bounded for g in view) == 1 << comb(n, 2)
 
 
 def test_tree_stream_meets_the_orbit_stabiliser_identity():
