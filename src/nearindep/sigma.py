@@ -30,7 +30,8 @@ Three mutually checking routes are implemented:
   fold, ``_label_fold``, grafts each vertex, highest label first, onto its
   parent and each root onto ``TOP``, a vertex in no subset, so the trees
   join by the union rule below; ``leaf_deletion_counts``, for the leaf
-  checks of ``verify``, reroots its states with ``_prune``.
+  checks of ``verify``, reroots its states with ``_prune``, never at a
+  leaf, and counts the deletions once per support vertex.
 
 The sweep shares no code with the others, and the recursion only ``_graft``
 with the DP: none under the tests' never-folding ``oracles.random_pivots``.
@@ -288,24 +289,26 @@ def sigma01_tree_dp(g: Graph) -> SigmaPair:
 
 
 def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair, Pair]]]:
-    """(sigma of T, leaves) for a tree T on n >= 1 vertices, each sigma a
-    (sigma0, sigma1) pair: leaves holds (v, sigma of T-v, sigma of T-N[v],
-    sigma of T-N[u]) for every leaf v, in vertex order, u its support vertex.
+    """(sigma of T, supports) for a tree T on n >= 1 vertices, each sigma a
+    (sigma0, sigma1) pair: supports holds (leaves, sigma of T-v, sigma of
+    T-N[v], sigma of T-N[u]) per support vertex u, in vertex order, leaves
+    the mask of u's degree-1 neighbours v, which all give the same counts.
 
     T must be in label order: each vertex z > 0 has one lower neighbour,
     its parent, so vertex 0 is the one root ``_label_fold`` hangs from
     ``TOP``, and a neighbour y of z is a child exactly when y > z.  The fold
     gives sigma of T and ``down[z]``, the branch at z away from its parent.
-    Top-down, z = 1 ... n-1, the whole tree rooted at each vertex follows,
-    and ``up[z]``, the branch at the parent away from z, is that whole tree
-    at the parent with down[z] cut away by ``_prune``.  O(n) per tree.
+    Top-down, at each z > 0 with children, the whole tree rooted at z
+    follows, and ``up[z]``, the branch at the parent away from z, is that
+    whole tree at the parent with down[z] cut away by ``_prune``.  No leaf
+    is rerooted: at n = 2, where u is a leaf, the first states are right.
 
     At the support vertex u, the whole tree rooted there has parts
     A (u included) and B (u excluded), and the leaf v contributes the
     factors 1 + x to A and 2 to B.  So T-N[v] = T-u-v counts B / 2,
     T-v counts A / (1 + x) + B / 2, and T-N[u] counts the product of the
-    excluded parts of the branches at u.  Plain loops, no closures and no
-    recursion.
+    excluded parts of the branches at u, 1 at a leaf.  O(n) per tree, in
+    plain loops, no closures and no recursion.
     """
     adj, n = tree.adj, tree.n
     down = _label_fold(adj) if n else None
@@ -313,24 +316,20 @@ def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair,
     if down is None or down[n][2] != down[0][0] + down[0][2]:
         raise ValueError("leaf_deletion_counts requires a tree in label order")
     up, whole = [LEAF] * n, [down[0]] * n  # whole[0] is the root's down state
-    for z in range(1, n):  # a parent is below its children
-        up[z] = _prune(whole[(adj[z] & ((1 << z) - 1)).bit_length() - 1], down[z])
-        whole[z] = _graft(down[z], up[z])
+    ends = sum(1 << v for v, row in enumerate(adj) if not row & (row - 1))  # degree <= 1: the leaves
     out = []
-    minus_nu: dict[int, Pair] = {}
-    for v in range(n):
-        if tree.degree(v) != 1:
-            continue
-        u = adj[v].bit_length() - 1
-        if u not in minus_nu:
+    for u in range(n):  # a parent is below its children
+        if u and adj[u] >> u > 1:
+            up[u] = _prune(whole[(adj[u] & ((1 << u) - 1)).bit_length() - 1], down[u])
+            whole[u] = _graft(down[u], up[u])
+        if leaves := adj[u] & ends:
             nu0, nu1 = 1, 0
-            for y in bits(adj[u]):
+            for y in bits(adj[u] ^ leaves):
                 _, _, yb0, yb1 = down[y] if y > u else up[u]
                 nu0, nu1 = nu0 * yb0, nu1 * yb0 + nu0 * yb1
-            minus_nu[u] = nu0, nu1
-        a0, a1, b0, b1 = whole[u]
-        nv0, nv1 = b0 >> 1, b1 >> 1
-        out.append((v, (a0 + nv0, a1 - a0 + nv1), (nv0, nv1), minus_nu[u]))
+            a0, a1, b0, b1 = whole[u]
+            nv0, nv1 = b0 >> 1, b1 >> 1
+            out.append((leaves, (a0 + nv0, a1 - a0 + nv1), (nv0, nv1), (nu0, nu1)))
     return down[n][2:], out
 
 

@@ -31,8 +31,8 @@ A bound check is a ``Check`` record, applied by the one scan loop
 (``_scan``) to a scored table of (graph, Q) rows, with 3.1's per-row
 zero test and the extremal rule in the same pass.  A graph6 string is
 emitted only for a graph that a report names.  The leaf checks count a
-tree and every deletion of it from one set of rooted branch states
-(``sigma.leaf_deletion_counts``), the tree DP's own, in one walk.
+tree and its deletions in one walk over the tree DP's branch states
+(``sigma.leaf_deletion_counts``), rerooting no leaf, once per support.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from operator import itemgetter
 
 from .generate import VIEWS, ClassSpec, gen_class
 from .graph6 import emit_graph6
-from .graphs import Graph, max_degree
+from .graphs import Graph, bits, max_degree
 from .limits import Limits, check_cap
 from .sigma import Pair, leaf_deletion_counts, q_ratio, star_q
 # Unused here, but perfbench/tracer.py rebinds these names in this module.
@@ -279,19 +279,20 @@ def leaf_lemma_failures(
 
 
 def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
-    """Checks 4.2-4.4, leaf by leaf, over the trees of ``rows``: sigma of
-    each tree and of its leaf deletions from one ``leaf_deletion_counts``
-    walk.  Sigma of T is its root state, the tree DP's ``_graft`` fold, so
-    4.4 tests the rerooting and the leaf factors, not the graft itself."""
+    """Checks 4.2-4.4 over the trees of ``rows``, once per support vertex
+    (its leaves share every count) and listed leaf by leaf, with the counts
+    of one ``leaf_deletion_counts`` walk.  Sigma of T is its root state, the
+    tree DP's ``_graft`` fold, so 4.4 tests the rerooting and leaf factors."""
     report = VerificationReport("lem-4.2/4.3/4.4", spec, 0)
     for tree, _ in rows:
-        t, leaves = leaf_deletion_counts(tree)
-        g6 = ""
-        for v, *deletions in leaves:
-            report.checked += 1
-            for lhs, rhs, lemma in leaf_lemma_failures(spec.n, t, *deletions):
-                g6 = g6 or emit_graph6(tree)
-                report.violations.append(Violation(g6, lhs, rhs, f"{lemma} leaf {v}"))
+        t, supports = leaf_deletion_counts(tree)
+        found = []
+        for leaves, *deletions in supports:
+            report.checked += leaves.bit_count()
+            if fails := leaf_lemma_failures(spec.n, t, *deletions):
+                found += ((v, *fail) for v in bits(leaves) for fail in fails)
+        for v, lhs, rhs, lemma in sorted(found, key=itemgetter(0)):  # stable: lemma order kept
+            report.violations.append(Violation(emit_graph6(tree), lhs, rhs, f"{lemma} leaf {v}"))
     return report
 
 
@@ -381,16 +382,16 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
     """Per-leaf checks over every tree of order n: the sigma0 deletion
     ratio bound, the leaf upper bound on Q, and both exact identities
     relating a tree to its leaf deletions (their rational forms are in
-    ``leaf_lemma_failures``).
+    ``leaf_lemma_failures``).  The leaves of one support vertex share
+    every count, so each support is tested once and reported per leaf.
 
     The counts of T and of the three deletions come from one
     ``leaf_deletion_counts`` walk: T's are the root state of the tree
-    DP's ``_graft`` fold, the deletions' are rerooted from it.  So the
-    identities are not an independent check of that fold: they test the
-    rerooting by ``_prune`` and the leaf factors.  The tests compare T
-    and the deletions with counts of T and of the deleted subgraphs.
-    Each line is tested in its integer form; a violation reports the
-    rational sides.
+    DP's ``_graft`` fold, the deletions' are rerooted from it, never at
+    a leaf.  So the identities test the rerooting by ``_prune`` and the
+    leaf factors, not that fold; the tests compare T and the deletions
+    with counts of T and of the deleted subgraphs.  Each line is tested
+    in its integer form; a violation reports the rational sides.
     """
     return _verify("4.2", n)
 

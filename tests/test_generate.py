@@ -311,7 +311,7 @@ def test_orbit_min_subsets_match_the_brute_force_group():
             assert list(_orbit_min_subsets(n, carried)) == minima
 
 
-def test_deletion_ties_match_the_key_oracle():
+def test_outranked_matches_the_key_oracle():
     """Every child at order <= 7 (each class below plus v joined to any
     subset) that passes the degree filter and has rivals: ``_outranked``
     holds exactly when some vertex's (degree, triangles) key exceeds v's."""

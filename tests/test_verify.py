@@ -12,7 +12,7 @@ import nearindep.sigma as sigma_module
 import nearindep.verify as verify_module
 from nearindep.generate import ClassSpec, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
-from nearindep.graphs import make_graph, make_named, max_degree
+from nearindep.graphs import bits, make_graph, make_named, max_degree
 from nearindep.limits import CapabilityError
 from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
 from nearindep.verify import (
@@ -456,14 +456,31 @@ def test_leaf_lemma_violation_paths(monkeypatch, mutant):
     assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
 
 
+def per_leaf(tree):
+    """``leaf_deletion_counts(tree)`` with each support record expanded to
+    one (v, ...) tuple per leaf v, in vertex order, as the oracle lists
+    them; each record's leaves must be exactly the degree-1 neighbours of
+    one support vertex u, and the supports must come in increasing u."""
+    t, supports = leaf_deletion_counts(tree)
+    out, us = [], []
+    for leaves, *deletions in supports:
+        (row,) = {tree.adj[v] for v in bits(leaves)}  # the one neighbour they share
+        u = row.bit_length() - 1
+        assert row == 1 << u and leaves == sum(1 << y for y in bits(tree.adj[u]) if tree.degree(y) == 1)
+        us.append(u)
+        out += ((v, *deletions) for v in bits(leaves))
+    assert us == sorted(set(us))
+    return t, sorted(out)
+
+
 def test_leaf_deletion_counts_match_subgraph_oracle():
     leaves = 0
-    for n in range(1, 11):
+    for n in range(1, 13):
         for tree in gen_trees(n):
-            got = leaf_deletion_counts(tree)
+            got = per_leaf(tree)
             assert got == oracles.leaf_deletion_counts(tree)
             leaves += len(got[1])
-    assert leaves == sum(r.checked for r in run_theorem("4.2", 10))
+    assert leaves == sum(r.checked for r in run_theorem("4.2", 12))
 
 
 @st.composite
@@ -477,9 +494,9 @@ def test_leaf_deletion_counts_on_labelled_trees(tree):
     """Counted relabelled into label order; as drawn, a tree outside label
     order is refused."""
     ordered = oracles.in_label_order(tree)
-    assert leaf_deletion_counts(ordered) == oracles.leaf_deletion_counts(ordered)
+    assert per_leaf(ordered) == oracles.leaf_deletion_counts(ordered)
     if oracles.lower_degrees(tree)[1:] == [1] * (tree.n - 1):
-        assert leaf_deletion_counts(tree) == oracles.leaf_deletion_counts(tree)
+        assert per_leaf(tree) == oracles.leaf_deletion_counts(tree)
     else:
         with pytest.raises(ValueError, match="requires a tree"):
             leaf_deletion_counts(tree)
@@ -493,30 +510,40 @@ def test_leaf_deletion_counts_reject_non_trees():
     for g in (cycle, make_named("empty", 2), make_named("empty", 0), lollipop, star_plus_one):
         with pytest.raises(ValueError, match="requires a tree"):
             leaf_deletion_counts(g)
-    assert leaf_deletion_counts(make_named("empty", 1)) == ((2, 0), [])
+    one = make_named("empty", 1)
+    assert per_leaf(one) == oracles.leaf_deletion_counts(one) == ((2, 0), [])
 
 
 def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     """Run alone, the leaf checks score no Q: each tree is walked once,
     for its own counts and those of its leaf deletions, and the reports
     are those made from Q-scored rows.  One walk of a tree on n vertices
-    is n grafts up, the root's onto ``TOP`` included, and n - 1 down."""
+    is n grafts up, the root's onto ``TOP`` included, and one graft and
+    one prune down per vertex that is neither the root nor a leaf; the
+    lemmas are tested once per support vertex."""
     scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
               for spec in (ClassSpec("trees", n) for n in range(2, 13))]
     calls = Counter()
 
-    def counting_graft(*args, real=sigma_module._graft):
-        calls["graft"] += 1
-        return real(*args)
+    def counting(name, module):
+        def count(*args, real=getattr(module, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, count)
 
     def no_q(g):
         raise AssertionError("Q scored for the leaf checks alone")
 
-    monkeypatch.setattr(sigma_module, "_graft", counting_graft)
+    counting("_graft", sigma_module)
+    counting("_prune", sigma_module)
+    counting("leaf_lemma_failures", verify_module)
     monkeypatch.setattr(verify_module, "q_ratio", no_q)
     reports = run_theorem("4.4", 12)
-    grafts = sum(2 * n - 1 for n in range(2, 13) for _ in gen_trees(n))
-    assert calls["graft"] == grafts == 21024 and all(r.passed for r in reports)
+    trees = [g for n in range(2, 13) for g in gen_trees(n)]
+    inner = sum(g.degree(z) > 1 for g in trees for z in range(1, g.n))
+    assert calls["_graft"] == sum(g.n for g in trees) + inner == 15362 and all(r.passed for r in reports)
+    assert calls["_prune"] == inner == 4357
+    assert calls["leaf_lemma_failures"] == 3504 and sum(r.checked for r in reports) == 5663
     assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
     assert _verify("4.2", 9).to_json() == scored[7].to_json()
 
