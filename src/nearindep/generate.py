@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Callable, Iterator
 
 from .graphs import Graph, bits, canonical_form, is_connected, max_degree
@@ -222,19 +222,13 @@ def gen_forests(n: int) -> Iterator[Graph]:
         raise ValueError(f"gen_forests needs n >= 1, got {n}")
     check_cap(n, Limits.forests_max_n, "gen_forests")
     for part in _partitions(n):
-        sizes = sorted(set(part), reverse=True)
-        mult = {s: part.count(s) for s in sizes}
-        pools = [
-            combinations_with_replacement(range(len(_tree_list(s))), mult[s])
-            for s in sizes
-        ]
+        pools = [combinations_with_replacement(_tree_list(s), part.count(s))
+                 for s in dict.fromkeys(part)]
         for choice in product(*pools):
             rows: list[int] = []
-            for s, combo in zip(sizes, choice):
-                trees = _tree_list(s)
-                for idx in combo:
-                    shift = len(rows)
-                    rows.extend(row << shift for row in trees[idx].adj)
+            for tree in chain.from_iterable(choice):
+                shift = len(rows)
+                rows.extend(row << shift for row in tree.adj)
             yield Graph._unchecked(n, tuple(rows))
 
 
@@ -312,18 +306,15 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
     found = {}
     for parent, parent_gens in _graph_classes(v):
         padj = parent.adj
-        # above[k]: old vertices of degree > k; exact[k]: of degree k
-        exact = [0] * (v + 1)
+        top = max_degree(parent)
+        exact = [0] * (v + 1)  # exact[k]: the old vertices of degree k
         for x, row in enumerate(padj):
             exact[row.bit_count()] |= 1 << x
-        above = [0] * (v + 1)
-        for k in range(v - 1, -1, -1):
-            above[k] = above[k + 1] | exact[k + 1]
         for s in _orbit_min_subsets(v, parent_gens):
             k = s.bit_count()
             # an old vertex of degree > k, or of degree k and joined to v,
             # outranks v
-            if above[k] | exact[k] & s:
+            if k < top or exact[k] & s:
                 continue
             rivals = exact[k] & ~s | (exact[k - 1] & s if k else 0)
             adj = [row | new_bit if s >> x & 1 else row for x, row in enumerate(padj)]

@@ -36,13 +36,6 @@ def bits(mask: VertexMask) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> VertexMask:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
-
-
 class Graph(namedtuple("Graph", "n adj")):
     """Immutable simple graph: vertex count plus per-vertex neighbour masks.
     ``Graph(n, adj)`` validates both in ``_check`` before the tuple is built;
@@ -148,7 +141,7 @@ def induced_subgraph(g: Graph, keep: VertexMask) -> Graph:
         raise ValueError("keep mask mentions vertices outside the graph")
     kept = list(bits(keep))
     newidx = {v: i for i, v in enumerate(kept)}
-    adj = tuple(mask_of(newidx[u] for u in bits(g.adj[v] & keep)) for v in kept)
+    adj = tuple(sum(1 << newidx[u] for u in bits(g.adj[v] & keep)) for v in kept)
     return Graph(len(kept), adj)
 
 

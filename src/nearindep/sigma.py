@@ -164,7 +164,7 @@ def _tree_pair(comp: int, adj: tuple[int, ...]) -> Pair:
     return a0 + b0, a1 + b1
 
 
-def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
+def _solve(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
            memo0: dict[int, int]) -> tuple[int, int]:
     """(sigma0, sigma1) of the subgraph induced on ``mask``; a component
     missing from the pair memo is folded (a tree) or pivoted (both rules)."""
@@ -177,18 +177,18 @@ def _solve(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[
         if pair is None and (v := _pivot_vertex(comp, adj)) is None:
             pair = memo[comp] = _tree_pair(comp, adj)
         if pair is None:
-            a0, a1 = _solve(comp & ~(1 << v), adj, closed, memo, memo0)
-            far = comp & ~closed[v]
-            b0, b1 = _solve(far, adj, closed, memo, memo0)
+            a0, a1 = _solve(comp & ~(1 << v), adj, memo, memo0)
+            far = comp & ~adj[v] ^ 1 << v  # comp - N[v]: v is in comp, never in adj[v]
+            b0, b1 = _solve(far, adj, memo, memo0)
             for u in bits(adj[v] & comp):
-                a1 += _solve0(far & ~closed[u], adj, closed, memo, memo0)
+                a1 += _solve0(far & ~adj[u], adj, memo, memo0)  # u is not in far
             pair = memo[comp] = a0 + b0, a1 + b1
         c0, c1 = pair
         s0, s1 = s0 * c0, s1 * c0 + c1 * s0
     return s0 << isolated, s1 << isolated
 
 
-def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict[int, tuple[int, int]],
+def _solve0(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
             memo0: dict[int, int]) -> int:
     """sigma0 of the subgraph induced on ``mask``; a component missing from
     both memos is folded (a tree) or pivoted (the sigma0 rule alone)."""
@@ -203,8 +203,8 @@ def _solve0(mask: int, adj: tuple[int, ...], closed: tuple[int, ...], memo: dict
             if pair is None and (v := _pivot_vertex(comp, adj)) is None:
                 pair = memo[comp] = _tree_pair(comp, adj)
             if pair is None:
-                c0 = memo0[comp] = (_solve0(comp & ~(1 << v), adj, closed, memo, memo0)
-                                    + _solve0(comp & ~closed[v], adj, closed, memo, memo0))
+                c0 = memo0[comp] = (_solve0(comp & ~(1 << v), adj, memo, memo0)
+                                    + _solve0(comp & ~adj[v] ^ 1 << v, adj, memo, memo0))
             else:
                 c0 = pair[0]
         s0 *= c0
@@ -222,9 +222,7 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
     only for this call; the helpers are plain functions, not closures, so
     no reference cycle keeps them alive after the call returns.
     """
-    adj = g.adj
-    closed = tuple(row | 1 << v for v, row in enumerate(adj))
-    s0, s1 = _solve(g.full_mask, adj, closed, {}, {})
+    s0, s1 = _solve(g.full_mask, g.adj, {}, {})
     return SigmaPair(s0, s1)
 
 

@@ -103,6 +103,16 @@ def test_gen_graph_bytes(capsys, family, n, lines, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+def test_verify_forests_and_trees_bytes(capsys):
+    """Theorem 4.1's reports over forests to order 14 and trees to order 16,
+    witnesses included, pinned byte for byte."""
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "4.1", "--n-max", "16")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "3d1d1426006510c0aa5e0cba33df346434f4eeedcf89e9d331f9e9f0cac1dc6a"
+    )
+
+
 def test_gen_pipeline_into_compute(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "gen", "--class", "connected", "--n", "5")
     assert code == 0 and len(out.splitlines()) == 21

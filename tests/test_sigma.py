@@ -543,14 +543,24 @@ def readme_gnm(n, m, seed):
 
 def test_split_calls_are_pinned(monkeypatch):
     """The work of one recursion call, free of timing noise: every tree
-    component is folded whole, so it is never split again."""
-    calls = []
-    real = nearindep.sigma.split_components
-    monkeypatch.setattr(nearindep.sigma, "split_components", lambda mask, adj: calls.append(mask) or real(mask, adj))
-    for g, want in ((grid(6), 2008), (readme_gnm(64, 96, 1), 6258)):
-        del calls[:]
+    component is folded whole, so it is never split again.  The calls of
+    ``_solve``, ``_solve0`` and ``_tree_pair`` are pinned too, so a wrong
+    N[v] or N[u] mask shows up by name."""
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(nearindep.sigma, name)
+        return lambda *args: calls.update((name,)) or real(*args)
+
+    for name in ("split_components", "_solve", "_solve0", "_tree_pair"):
+        monkeypatch.setattr(nearindep.sigma, name, spy(name))
+    for g, splits, solve, solve0, folds in ((grid(6), 2008, 405, 1637, 265),
+                                            (readme_gnm(64, 96, 1), 6258, 891, 5403, 1545),
+                                            (grid(7), 11443, 1891, 9592, 785)):
+        calls.clear()
         sigma01_recursive(g)
-        assert len(calls) == want
+        assert calls["split_components"] == splits
+        assert (calls["_solve"], calls["_solve0"], calls["_tree_pair"]) == (solve, solve0, folds)
 
 
 def test_recursion_leaves_no_cyclic_garbage(solve0_calls):
