@@ -23,9 +23,9 @@ v must have the largest degree and, among the vertices of that degree,
 the most triangles.  Every class has such a vertex, so it is reached at
 least once; a child that passes is kept unless its canonical code was
 already found.  ``canonical_form`` runs only on children that pass.
-Every class is emitted in its canonical labelling, the graph spelled by
-its canonical code, in increasing code order, so the output depends
-only on the set of classes and not on how it was found.
+Every class is emitted as the graph its canonical code spells, in code
+order, so the output depends only on the set of classes; each carries
+its (sigma0, sigma1), extended from its parent's at v, for ``verify``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from functools import cache
 from itertools import chain, combinations_with_replacement, product
 from typing import Callable, Iterator
 
-from .graphs import Graph, bits, canonical_form, is_connected, max_degree
+from .graphs import Graph, _column_rows, bits, canonical_form, is_connected, max_degree
 from .limits import Limits, check_cap
+from .sigma import Pair, _plus_vertex
 
 FAMILIES = ("trees", "forests", "all_graphs", "connected_graphs", "bounded_degree_graphs")
 
@@ -280,9 +281,9 @@ def _outranked(adj: list[int], rivals: int) -> bool:
 
 
 @cache
-def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]:
+def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...], Pair], ...]:
     """All isomorphism classes on n vertices, with generators of their
-    automorphism groups, sorted by canonical code.
+    automorphism groups and their (sigma0, sigma1), by canonical code.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998): every class on n vertices is some class on
@@ -294,18 +295,19 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
     degree.  A child that passes is kept unless its canonical code is
     already in ``found``.
 
-    Every kept class is emitted in its canonical labelling, so each graph
-    is the one spelled by its canonical code, and the same set of classes
-    gives the same tuple whatever found it.  Its generators are conjugated
-    into that labelling to seed the next order.
+    Each kept class is the graph its canonical code spells, so the same
+    set of classes gives the same tuple whatever found it.  Its generators,
+    conjugated into that labelling, seed the next order; its pair extends
+    the parent's by ``_plus_vertex``, whose memos serve all the children.
     """
     if n == 0:
-        return ((Graph._unchecked(0, ()), ()),)
+        return ((Graph._unchecked(0, ()), (), (1, 0)),)
     v = n - 1
     new_bit = 1 << v
     found = {}
-    for parent, parent_gens in _graph_classes(v):
+    for parent, parent_gens, pair in _graph_classes(v):
         padj = parent.adj
+        plus = _plus_vertex(parent, pair)
         top = max_degree(parent)
         exact = [0] * (v + 1)  # exact[k]: the old vertices of degree k
         for x, row in enumerate(padj):
@@ -324,12 +326,8 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], .
             code, gens, order = canonical_form(Graph._unchecked(n, tuple(adj)))
             if code.code in found:
                 continue
-            inv = [0] * n
-            for pos, x in enumerate(order):
-                inv[x] = pos
-            rows = [sum(1 << inv[y] for y in bits(adj[x])) for x in order]
-            conj = tuple(tuple(inv[a[x]] for x in order) for a in gens)
-            found[code.code] = (Graph._unchecked(n, tuple(rows)), conj)
+            conj = tuple(tuple(order.index(a[x]) for x in order) for a in gens)
+            found[code.code] = (Graph._unchecked(n, _column_rows(n, code.code)), conj, plus(s))
     return tuple(found[c] for c in sorted(found))
 
 
@@ -344,7 +342,7 @@ def gen_graphs(n: int) -> Iterator[Graph]:
     check_cap(n, Limits.graphs_max_n, "gen_graphs")
     if n < 0:
         raise ValueError(f"negative order {n}")
-    for g, _ in _graph_classes(n):
+    for g, _, _ in _graph_classes(n):
         yield g
 
 

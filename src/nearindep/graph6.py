@@ -15,7 +15,7 @@ are read as latin-1, and an error names the byte value and its offset.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _column_rows
 from .limits import CapabilityError, Limits, check_cap
 
 
@@ -70,25 +70,12 @@ def parse_graph6(line: str | bytes) -> Graph:
         raise Graph6Error(f"truncated bit payload: need {nbytes} bytes, got {len(s) - head}", len(s))
     if len(s) > head + nbytes:
         raise Graph6Error("trailing bytes after bit payload", head + nbytes)
-    # The inverse of emit_graph6: the payload is one integer, most
-    # significant bit first.  Column j holds the j bits of the pairs
-    # (0, j) .. (j - 1, j), pair (0, j) highest, so the columns are read
-    # from the last one up, starting just above the padding bits.
+    # The inverse of emit_graph6: one integer, its padding below the last column.
     val = _read_digits(s, head, head + nbytes, "payload")
     shift = 6 * nbytes - npairs
     if val & ((1 << shift) - 1):
         raise Graph6Error("nonzero padding bits", head + nbytes - 1)
-    adj = [0] * n
-    for j in range(n - 1, 0, -1):
-        col = val >> shift & ((1 << j) - 1)
-        shift += j
-        while col:
-            low = col & -col
-            i = j - low.bit_length()
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            col ^= low
-    return Graph(n, tuple(adj))
+    return Graph(n, _column_rows(n, val >> shift))
 
 
 def emit_graph6(g: Graph) -> str:

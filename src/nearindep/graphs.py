@@ -205,6 +205,22 @@ class CanonicalCode(namedtuple("CanonicalCode", "n code")):
     __slots__ = ()
 
 
+def _column_rows(n: int, val: int) -> tuple[int, ...]:
+    """The rows of the n-vertex graph whose upper-triangle bits ``val``
+    packs as a ``CanonicalCode`` and a graph6 payload do, last column lowest."""
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        col = val & ((1 << j) - 1)
+        val >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
+    return tuple(adj)
+
+
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
     """Refine the ordered partition ``cells`` (vertex masks) until it is
     equitable.  Each splitter w taken from ``queue`` splits every cell by

@@ -24,7 +24,8 @@ Three mutually checking routes are implemented:
   decomposition, fold and pivot, the first rule only, and its own memo of
   counts; a component ``_solve`` has met is read from the pair memo.
   Paths and cycles cost polynomial time, and the work on other graphs
-  grows with how slowly deletions break them into trees;
+  grows with how slowly deletions break them into trees.  ``_plus_vertex``
+  takes both rules at a vertex added to a graph whose pair is known;
 * a linear-time rooted DP for forests in label order, where each vertex
   has at most one lower neighbour, its parent (``sigma01_tree_dp``): one
   fold, ``_label_fold``, grafts each vertex, highest label first, onto its
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 
 from .graphs import Graph, bits, split_components
@@ -219,11 +221,24 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
     memo miss, so a test can swap in another rule there (any pivot gives
     the same counts); ``oracles.random_pivots`` never returns None, so it
     folds no tree and shares no code with the tree DP.  The memos live
-    only for this call; the helpers are plain functions, not closures, so
-    no reference cycle keeps them alive after the call returns.
+    only for this call, and no reference cycle keeps them alive after it.
     """
     s0, s1 = _solve(g.full_mask, g.adj, {}, {})
     return SigmaPair(s0, s1)
+
+
+def _plus_vertex(g: Graph, pair: Pair) -> Callable[[int], Pair]:
+    """Given pair, the (sigma0, sigma1) of g: the function from a vertex mask
+    s of g to the pair of G = g plus a vertex v joined to s, by both pivot
+    rules at v (G-v = g, G-N[v] = g-s); no mask holds v, so one memo serves all s."""
+    adj, full, memo, memo0 = g.adj, g.full_mask, {}, {}
+
+    def plus(s: int) -> Pair:
+        a0, a1 = _solve(full ^ s, adj, memo, memo0)
+        a1 += sum(_solve0(full & ~(s | adj[u]), adj, memo, memo0) for u in bits(s))
+        return pair[0] + a0, pair[1] + a1
+
+    return plus
 
 
 Pair = tuple[int, int]  # (sigma0, sigma1) of one graph

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
-from .generate import VIEWS, ClassSpec, gen_class
+from .generate import VIEWS, ClassSpec, _graph_classes, gen_class
 from .graph6 import emit_graph6
 from .graphs import Graph, bits, max_degree
 from .limits import Limits, check_cap
@@ -161,10 +161,14 @@ FOREST_BOUNDS = {
 }
 
 
-def _score(spec: ClassSpec, q: bool = True) -> list[Row]:
-    """Every member of the universe with its Q, in generation order; Q is
+def _score(table: ClassSpec, q: bool = True) -> list[Row]:
+    """Every member of a table with its Q, in generation order: a graph's from
+    the (sigma0, sigma1) its class carries, any other's by ``q_ratio``, or
     None if ``q`` is false, for a table that only ``_leaf_lemmas`` reads."""
-    return [(g, q_ratio(g) if q else None) for g in gen_class(spec)]
+    members = list(gen_class(table))  # gen_graphs checks the cap before _graph_classes runs
+    if table.family != "all_graphs":
+        return [(g, q_ratio(g) if q else None) for g in members]
+    return [(g, Fraction(s1, s0)) for g, (*_, (s0, s1)) in zip(members, _graph_classes(table.n), strict=True)]
 
 
 def _scan(
@@ -399,7 +403,7 @@ def verify_leaf_lemmas(n: int) -> VerificationReport:
 def extremal_scan(spec: ClassSpec) -> VerificationReport:
     """Generic extremal search over one universe: the members of least
     and greatest Q as witnesses, with no bound compared."""
-    return _scan(Check("scan", ">=", lambda s: None), spec, _score(spec))
+    return _reports([(partial(_scan, Check("scan", ">=", lambda s: None)), spec)])[0]
 
 
 def _reports(plan: list[tuple[Callable, ClassSpec]]) -> list[VerificationReport]:

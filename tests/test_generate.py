@@ -27,7 +27,7 @@ from nearindep.graphs import (
     max_degree,
 )
 from nearindep.limits import CapabilityError, Limits
-from nearindep.sigma import q_ratio, sigma01
+from nearindep.sigma import q_ratio, sigma01, sigma01_recursive, sigma_distribution_bruteforce
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
@@ -301,7 +301,7 @@ def test_orbit_min_subsets_match_the_brute_force_group():
     generator carries from one order to the next, conjugated into each
     class's canonical labelling."""
     for n in range(7):
-        for g, carried in _graph_classes(n):
+        for g, carried, _ in _graph_classes(n):
             group = brute_force_automorphisms(g)
             minima = [
                 s for s in range(1 << n)
@@ -318,7 +318,7 @@ def test_outranked_matches_the_key_oracle():
     outcomes = Counter()
     for n in range(2, 8):
         v = n - 1
-        for parent, _ in _graph_classes(v):
+        for parent, _, _ in _graph_classes(v):
             for s in range(1 << v):
                 adj = [row | 1 << v if s >> x & 1 else row for x, row in enumerate(parent.adj)]
                 adj.append(s)
@@ -334,10 +334,10 @@ def test_outranked_matches_the_key_oracle():
 
 
 def test_canonical_form_calls_are_pinned(monkeypatch):
-    """The work of generation up to order 7, one call per child that
+    """The work of generation up to order 8, one call per child that
     passes the deletion rule, which counts triangles only at v and its
     rivals: 1,252 calls find the classes of orders 1-7, and the other 103
-    return a code already found."""
+    return a code already found; to order 8 it is 15,047 calls."""
     codes = []
     real = generate.canonical_form
 
@@ -348,10 +348,22 @@ def test_canonical_form_calls_are_pinned(monkeypatch):
 
     monkeypatch.setattr(generate, "canonical_form", spy)
     _graph_classes.cache_clear()
-    _graph_classes(7)
+    _graph_classes(8)
     _graph_classes.cache_clear()
-    assert len(codes) == 1355
-    assert len(set(codes)) == sum(GRAPH_COUNTS[1:8]) == 1252
+    below = [code for code in codes if code.n < 8]
+    assert len(below) == 1355
+    assert len(set(below)) == sum(GRAPH_COUNTS[1:8]) == 1252
+    assert len(codes) == 15047
+
+
+def test_carried_pairs_match_the_recursion_and_the_sweep():
+    """The (sigma0, sigma1) each class carries out of the augmentation is
+    that of the graph it emits: by the deletion recursion on orders 1-8,
+    and by the subset sweep, which shares no code with it, on orders 1-7."""
+    for n in range(1, Limits.graphs_max_n + 1):
+        for g, _, pair in _graph_classes(n):
+            assert pair == sigma01_recursive(g), g
+            assert n == 8 or pair == sigma_distribution_bruteforce(g).pair(), g
 
 
 def test_delta_filter():
@@ -438,7 +450,7 @@ def test_generated_trees_and_forests_pass_the_full_check(gen, cap):
 
 def test_graph_classes_pass_the_full_check():
     for n in range(Limits.graphs_max_n + 1):
-        for g, _ in _graph_classes(n):
+        for g, _, _ in _graph_classes(n):
             assert_passes_full_check(g)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import nearindep.graphs
 import nearindep.sigma
 from nearindep.generate import gen_forests, gen_trees
-from nearindep.graphs import make_graph, make_named
+from nearindep.graphs import bits, make_graph, make_named
 from nearindep.limits import CapabilityError
 from nearindep.sigma import (
     SigmaDistribution,
@@ -153,6 +153,21 @@ def test_tree_dp_accepts_exactly_the_forests(g):
     else:
         with pytest.raises(ValueError, match="acyclic"):
             sigma01_tree_dp(g)
+
+
+@given(graphs(max_n=10), st.data(), st.randoms(use_true_random=False))
+def test_plus_vertex_matches_the_sweep_of_each_child(g, data, rnd):
+    """``_plus_vertex`` extends the pair of a parent g to g plus a vertex
+    joined to s, for several s with one pair of memos; each child's pair
+    is its subset sweep, which shares no code with the recursion, here
+    run with random pivots."""
+    subsets = data.draw(st.lists(st.integers(0, g.full_mask), max_size=4))
+    parent = sigma_distribution_bruteforce(g).pair()
+    with random_pivots(rnd):
+        plus = nearindep.sigma._plus_vertex(g, parent)
+        got = [plus(s) for s in subsets]
+    children = [make_graph(g.n + 1, g.edges() + [(u, g.n) for u in bits(s)]) for s in subsets]
+    assert got == [sigma_distribution_bruteforce(h).pair() for h in children]
 
 
 def test_combine_union():

@@ -8,9 +8,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+import nearindep.generate as generate_module
 import nearindep.sigma as sigma_module
 import nearindep.verify as verify_module
-from nearindep.generate import ClassSpec, gen_trees
+from nearindep.generate import ClassSpec, _graph_classes, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import bits, make_graph, make_named, max_degree
 from nearindep.limits import CapabilityError
@@ -189,6 +190,10 @@ def test_extremal_scan_examples():
     assert r.max_witness[1] == Fraction(2, 3)
     assert parse_graph6(r.max_witness[0]).edge_count() == 2
 
+    for family in ("all_graphs", "connected_graphs"):  # refused before any class of order 9 is built
+        with pytest.raises(CapabilityError, match="order <= 8, got 9"):
+            extremal_scan(ClassSpec(family, 9))
+
 
 def test_check_rejects_an_unknown_comparison():
     with pytest.raises(ValueError, match="comparison"):
@@ -235,6 +240,30 @@ def test_verify_all_is_pinned_up_to_labelling():
     )
 
 
+def test_graph_tables_are_scored_at_augmentation(monkeypatch):
+    """``run_theorem("all", 7)`` from cold: each graph class takes its Q
+    from the pair that ``_plus_vertex`` extends once per class, 1,252
+    times, so the recursion never runs (1,233 times when each class was
+    scored from scratch), and ``canonical_form`` still runs 1,355 times."""
+    calls = Counter()
+    real_recursive = sigma_module.sigma01_recursive
+    real_plus, real_canonical = generate_module._plus_vertex, generate_module.canonical_form
+
+    def plus_vertex(g, pair):
+        plus = real_plus(g, pair)
+        return lambda s: calls.update(["plus"]) or plus(s)
+
+    monkeypatch.setattr(sigma_module, "sigma01_recursive", lambda g: calls.update(["recursive"]) or real_recursive(g))
+    monkeypatch.setattr(generate_module, "_plus_vertex", plus_vertex)
+    monkeypatch.setattr(generate_module, "canonical_form", lambda g: calls.update(["canonical"]) or real_canonical(g))
+    _graph_classes.cache_clear()
+    try:
+        assert len(run_theorem("all", 7)) == 98
+    finally:
+        _graph_classes.cache_clear()
+    assert calls == {"plus": 1252, "canonical": 1355}
+
+
 def test_run_theorem_catalogue():
     reports = run_theorem("3.2", 4)
     assert [r.spec.n for r in reports] == [1, 2, 3, 4]
@@ -255,6 +284,13 @@ def _shifted_q(delta):
     return lambda g: q_ratio(g) + delta
 
 
+def _shifted_pairs(delta):
+    """``_graph_classes`` with each carried (sigma0, sigma1) scaled to a Q
+    of Q + delta, for the graph tables, which ``q_ratio`` does not score."""
+    real, num, den = verify_module._graph_classes, delta.numerator, delta.denominator
+    return lambda n: tuple((g, gens, (s0 * den, s1 * den + s0 * num)) for g, gens, (s0, s1) in real(n))
+
+
 # all graphs on 4 vertices with every Q lowered by 1/3: the zero test and
 # the star bound (1/3) both fail, interleaved graph by graph
 GENERAL_4_SHIFTED = [
@@ -269,14 +305,14 @@ GENERAL_4_SHIFTED = [
 # (patched names of nearindep.verify, run, violations, equality witnesses, note keys)
 VIOLATION_CASES = {
     "3.1+3.5": (
-        {"q_ratio": _shifted_q(F(-1, 3))},
+        {"_graph_classes": _shifted_pairs(F(-1, 3))},
         lambda: _verify("3.1", 4),
         GENERAL_4_SHIFTED,
         ["CK"],
         ["second_smallest", "second_smallest_witnesses", "bound"],
     ),
     "3.1": (
-        {"q_ratio": _shifted_q(F(-1, 3))},
+        {"_graph_classes": _shifted_pairs(F(-1, 3))},
         lambda: _verify("3.1", 3),
         [("B?", F(-1, 3), F(0), "negative ratio"),
          ("B?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
@@ -285,7 +321,7 @@ VIOLATION_CASES = {
         ["second_smallest", "second_smallest_witnesses"],
     ),
     "3.5-catalogue": (
-        {"q_ratio": _shifted_q(F(-1, 3))},
+        {"_graph_classes": _shifted_pairs(F(-1, 3))},
         lambda: run_theorem("3.5", 4)[0],
         GENERAL_4_SHIFTED,
         ["CK"],
