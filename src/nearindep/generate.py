@@ -9,9 +9,11 @@ starts at the centre-rooted path and, following Wright, Richmond,
 Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), jumps over each run of off-centre rootings instead of
 stepping through it: at n = 18 it visits 129,231 sequences for 123,867
-trees, where the plain walk visits all 1,721,159 rooted trees.
-Forests are multisets of trees assembled over the integer partitions of
-n, each forest built as one graph from the shifted tree rows.
+trees, where the plain walk visits all 1,721,159 rooted trees.  A tree is
+rebuilt from the first position rewritten, rows and ``_graft`` states
+alike, and carries its (sigma0, sigma1).  Forests are multisets of trees
+over the integer partitions of n, each built as one graph from the
+shifted tree rows, its pair joined from theirs by the union rule.
 
 Graph classes on up to eight vertices come from canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
@@ -25,7 +27,8 @@ least once; a child that passes is kept unless its canonical code was
 already found.  ``canonical_form`` runs only on children that pass.
 Every class is emitted as the graph its canonical code spells, in code
 order, so the output depends only on the set of classes; each carries
-its (sigma0, sigma1), extended from its parent's at v, for ``verify``.
+its (sigma0, sigma1), extended from its parent's at v.  ``verify`` reads
+the pairs that every family carries and scores no class from scratch.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, Iterator
 
 from .graphs import Graph, _column_rows, bits, canonical_form, is_connected, max_degree
 from .limits import Limits, check_cap
-from .sigma import Pair, _plus_vertex
+from .sigma import LEAF, Pair, _graft, _plus_vertex
 
 FAMILIES = ("trees", "forests", "all_graphs", "connected_graphs", "bounded_degree_graphs")
 
@@ -75,12 +78,11 @@ class ClassSpec(namedtuple("ClassSpec", "family n delta")):
 # free trees from canonical level sequences
 # ---------------------------------------------------------------------------
 
-def _next_rooted_layout(layout: list[int], p: int | None = None) -> list[int] | None:
-    """Successor of a canonical rooted level sequence (Beyer-Hedetniemi).
-
-    Find the last position p with level >= 2, its chain parent q, and
-    repeat the segment q..p-1 to the end; returns None after the star.
-    A given p (with level >= 2) skips every sequence that keeps
+def _next_rooted_layout(layout: list[int], p: int | None = None) -> int | None:
+    """Step a canonical rooted level sequence to its successor in place
+    (Beyer-Hedetniemi): find the last position p with level >= 2, its chain
+    parent q, repeat the segment q..p-1 to the end and return p; None, after
+    the star.  A given p (with level >= 2) skips every sequence that keeps
     layout[:p + 1] and differs only after p.
     """
     if p is None:
@@ -92,10 +94,9 @@ def _next_rooted_layout(layout: list[int], p: int | None = None) -> list[int] | 
     q = p - 1
     while layout[q] != layout[p] - 1:
         q -= 1
-    out = list(layout)
-    for i in range(p, len(out)):
-        out[i] = out[i - (p - q)]
-    return out
+    for i in range(p, len(layout)):
+        layout[i] = layout[i - (p - q)]
+    return p
 
 
 def _first_subtree_end(layout: list[int]) -> int:
@@ -133,8 +134,8 @@ def _is_center_rooted(layout: list[int]) -> bool:
     return left <= rest
 
 
-def _next_centred_layout(layout: list[int]) -> list[int]:
-    """Jump from a rejected layout towards the next centre-rooted one.
+def _next_centred_layout(layout: list[int]) -> int:
+    """Jump in place from a rejected layout towards the next centred one.
 
     Later layouts with the same first root subtree have remainders that
     are lexicographically smaller, hence no deeper and no larger in the
@@ -142,33 +143,19 @@ def _next_centred_layout(layout: list[int]) -> list[int]:
     advanced at once by the successor rule at its last position p.  If
     layout[p] > 2, that successor copies levels >= 2 up to the end and
     leaves no remainder at all; the tail is then reset to the path
-    1..h1 below the root, h1 the depth of the new first subtree.
+    1..h1 below the root, h1 the depth of the new first subtree.  Returns p.
     """
     p = _first_subtree_end(layout) - 1
-    out = _next_rooted_layout(layout, p)
-    if layout[p] > 2:
-        h1 = max(out[1:_first_subtree_end(out)])
-        out[len(out) - h1:] = range(1, h1 + 1)
-    return out
+    _next_rooted_layout(layout, p)
+    if layout[p] > 1:  # it was > 2: the step lowers it by one
+        h1 = max(layout[1:_first_subtree_end(layout)])
+        layout[len(layout) - h1:] = range(1, h1 + 1)
+    return p
 
 
-def _layout_to_graph(layout: list[int]) -> Graph:
-    """Tree from a preorder level sequence: each vertex hangs off the
-    most recent vertex one level up."""
-    n = len(layout)
-    adj = [0] * n
-    last = [0] * n  # last[k]: the most recent vertex on level k
-    for i in range(1, n):
-        lev = layout[i]
-        parent = last[lev - 1]
-        adj[parent] |= 1 << i
-        adj[i] = 1 << parent
-        last[lev] = i
-    return Graph._unchecked(n, tuple(adj))
-
-
-def gen_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of free trees on n vertices.
+def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
+    """One representative per isomorphism class of free trees on n vertices,
+    with its (sigma0, sigma1).
 
     The walk starts at the path rooted at its centre and visits the
     centre-rooted canonical level sequences in decreasing lexicographic
@@ -178,22 +165,51 @@ def gen_trees(n: int) -> Iterator[Graph]:
     subtree at once, so few visited sequences are rejected (about 4% at
     n = 18).  Every yielded sequence still passes ``_is_center_rooted``.
     Preorder labels give every vertex but 0 one lower neighbour, its parent.
+
+    Each layout is built from position ``keep`` on, the first one rewritten
+    since the last layout built (a rejected layout lowers ``keep`` as well).
+    Below ``keep``, par[i] is vertex i's parent and path[i] the ``_graft``
+    states of the path from the root to i, every closed subtree hung.  So
+    only the suffix is relinked and grafted, and the tree's pair is its path
+    closed onto the root.
     """
     if n < 1:
         raise ValueError(f"gen_trees needs n >= 1, got {n}")
     check_cap(n, Limits.trees_max_n, "gen_trees")
-    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    adj, par, path, keep = [0] * n, [0] * n, [(LEAF,)] * n, 1
+    while keep is not None:
         if _is_center_rooted(layout):
-            yield _layout_to_graph(layout)
-            layout = _next_rooted_layout(layout)
+            states, v = list(path[keep - 1]), keep - 1
+            for j in range(keep, n):
+                while len(states) > layout[j]:  # close the subtrees at j's level and below
+                    top = states.pop()
+                    states[-1] = _graft(states[-1], top)
+                    v = par[v]
+                adj[par[j]] &= ~(1 << j)  # cut j from the parent it had in the last layout built
+                adj[v] |= 1 << j
+                adj[j] = 1 << v
+                par[j], v = v, j
+                states.append(LEAF)
+                path[j] = tuple(states)
+            state = states.pop()
+            while states:
+                state = _graft(states.pop(), state)
+            a0, a1, b0, b1 = state  # root in plus root out
+            yield Graph._unchecked(n, tuple(adj)), (a0 + b0, a1 + b1)
+            keep = _next_rooted_layout(layout)  # None after the star
         else:
-            layout = _next_centred_layout(layout)
+            keep = min(keep, _next_centred_layout(layout))
+
+
+def gen_trees(n: int) -> Iterator[Graph]:
+    """The trees of ``_tree_classes``, without their pairs."""
+    return (g for g, _ in _tree_classes(n))
 
 
 @cache
-def _tree_list(n: int) -> tuple[Graph, ...]:
-    return tuple(gen_trees(n))
+def _tree_list(n: int) -> tuple[tuple[Graph, Pair], ...]:
+    return tuple(_tree_classes(n))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +227,9 @@ def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]
             yield (k,) + rest
 
 
-def gen_forests(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of forests on n vertices.
+def _forest_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
+    """One representative per isomorphism class of forests on n vertices,
+    with its (sigma0, sigma1), joined from its trees' by the union rule.
 
     A forest class is the multiset of its tree components, so the stream
     walks integer partitions of n and, for each part size, multisets of
@@ -226,11 +243,17 @@ def gen_forests(n: int) -> Iterator[Graph]:
         pools = [combinations_with_replacement(_tree_list(s), part.count(s))
                  for s in dict.fromkeys(part)]
         for choice in product(*pools):
-            rows: list[int] = []
-            for tree in chain.from_iterable(choice):
+            rows, s0, s1 = [], 1, 0
+            for tree, (t0, t1) in chain.from_iterable(choice):
                 shift = len(rows)
                 rows.extend(row << shift for row in tree.adj)
-            yield Graph._unchecked(n, tuple(rows))
+                s0, s1 = s0 * t0, s1 * t0 + t1 * s0
+            yield Graph._unchecked(n, tuple(rows)), (s0, s1)
+
+
+def gen_forests(n: int) -> Iterator[Graph]:
+    """The forests of ``_forest_classes``, without their pairs."""
+    return (g for g, _ in _forest_classes(n))
 
 
 # ---------------------------------------------------------------------------

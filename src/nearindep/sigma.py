@@ -355,8 +355,8 @@ def sigma01(g: Graph) -> SigmaPair:
     goes whole to ``sigma01_recursive``, which strips its isolated vertices
     and splits its components, trees included, by itself.  The result always
     equals sigma01_recursive(g).  This dispatch and ``_tree_pair``'s own walk
-    each beat one route: the recursion alone made the forest checks of
-    ``verify`` 26-40% slower, and the walk's root hung from ``TOP`` slowed
+    each beat one route for ``compute``: the recursion alone was 26-40% slower
+    on generated forests, and the walk's root hung from ``TOP`` slowed
     ``compute`` by about 3% (2-vCPU VM, Python 3.11).  Neither route has a
     cap of its own: ``Graph(n, adj)`` enforces ``Limits.graph_max_n``;
     generated graphs keep the lower caps ``Limits.trees_max_n``,

@@ -28,8 +28,9 @@ The catalogue of named checks (the ``--theorem`` ids of the CLI):
 * 4.5  forests: Q <= n/4 - 1/6, tight at order 2.
 
 A bound check is a ``Check`` record, applied by the one scan loop
-(``_scan``) to a scored table of (graph, Q) rows, with 3.1's per-row
-zero test and the extremal rule in the same pass.  A graph6 string is
+(``_scan``) to a table of (graph, Q) rows, each Q read off the (sigma0,
+sigma1) its class carries out of generation, with 3.1's per-row zero
+test and the extremal rule in the same pass.  A graph6 string is
 emitted only for a graph that a report names.  The leaf checks count a
 tree and its deletions in one walk over the tree DP's branch states
 (``sigma.leaf_deletion_counts``), rerooting no leaf, once per support.
@@ -43,14 +44,14 @@ from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
-from .generate import VIEWS, ClassSpec, _graph_classes, gen_class
+from .generate import VIEWS, ClassSpec, _forest_classes, _graph_classes, _tree_list, gen_class
 from .graph6 import emit_graph6
 from .graphs import Graph, bits, max_degree
 from .limits import Limits, check_cap
-from .sigma import Pair, leaf_deletion_counts, q_ratio, star_q
+from .sigma import Pair, leaf_deletion_counts, star_q
 # Unused here, but perfbench/tracer.py rebinds these names in this module.
 from .graphs import induced_subgraph  # noqa: F401
-from .sigma import sigma01  # noqa: F401
+from .sigma import q_ratio, sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
 
@@ -162,13 +163,14 @@ FOREST_BOUNDS = {
 
 
 def _score(table: ClassSpec, q: bool = True) -> list[Row]:
-    """Every member of a table with its Q, in generation order: a graph's from
-    the (sigma0, sigma1) its class carries, any other's by ``q_ratio``, or
-    None if ``q`` is false, for a table that only ``_leaf_lemmas`` reads."""
-    members = list(gen_class(table))  # gen_graphs checks the cap before _graph_classes runs
+    """Every member of a table in generation order, with the Q of the
+    (sigma0, sigma1) its class carries out of generation, or with None if
+    ``q`` is false, for a table that only ``_leaf_lemmas`` reads."""
     if table.family != "all_graphs":
-        return [(g, q_ratio(g) if q else None) for g in members]
-    return [(g, Fraction(s1, s0)) for g, (*_, (s0, s1)) in zip(members, _graph_classes(table.n), strict=True)]
+        classes = (_tree_list if table.family == "trees" else _forest_classes)(table.n)
+    else:  # gen_graphs checks the cap before _graph_classes runs
+        classes = zip(list(gen_class(table)), map(itemgetter(2), _graph_classes(table.n)), strict=True)
+    return [(g, Fraction(s1, s0) if q else None) for g, (s0, s1) in classes]
 
 
 def _scan(

@@ -198,6 +198,20 @@ def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
     return make_graph(n, [(v, u) for v, row in enumerate(nbrs) for u in row if v < u])
 
 
+def layout_to_graph(layout: list[int]) -> Graph:
+    """Tree from a preorder level sequence, built whole: each vertex hangs
+    off the most recent vertex one level up."""
+    n = len(layout)
+    adj = [0] * n
+    last = [0] * n  # last[k]: the most recent vertex on level k
+    for i in range(1, n):
+        parent = last[layout[i] - 1]
+        adj[parent] |= 1 << i
+        adj[i] = 1 << parent
+        last[layout[i]] = i
+    return Graph(n, tuple(adj))
+
+
 def neighbour_lists_certificate(nbrs: list[list[int]]) -> tuple:
     """Certificate of a tree given as neighbour lists: the 1-tuple of its
     encoding rooted at a centre, built without a ``Graph``.

@@ -190,16 +190,18 @@ def test_verify_all_within_caps_exits_zero(capsys):
 
 def test_verify_all_bytes_and_shared_universes(capsys, monkeypatch):
     """The whole catalogue to order 6 is pinned byte for byte, and each
-    universe is generated once per order: connected and exact-maximum-degree
-    graphs are read off the all-graphs universe of the same order."""
+    universe is read once per order from the stream that ``_score`` reads:
+    connected and exact-maximum-degree graphs are read off the all-graphs
+    universe of the same order."""
     calls: Counter = Counter()
-    real_gen_class = nearindep.verify.gen_class
 
-    def counting_gen_class(spec):
-        calls[spec] += 1
-        return real_gen_class(spec)
+    def counting(name, spec_of):
+        real = getattr(nearindep.verify, name)
+        monkeypatch.setattr(nearindep.verify, name, lambda arg: calls.update([spec_of(arg)]) or real(arg))
 
-    monkeypatch.setattr(nearindep.verify, "gen_class", counting_gen_class)
+    counting("gen_class", lambda spec: spec)  # the graph tables' stream, zipped with their pairs
+    counting("_tree_list", lambda n: ClassSpec("trees", n))
+    counting("_forest_classes", lambda n: ClassSpec("forests", n))
     code, out, _ = run_cli(capsys, "verify", "--theorem", "all", "--n-max", "6")
     assert code == 0 and len(out.splitlines()) == 80
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (

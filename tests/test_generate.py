@@ -9,11 +9,12 @@ import nearindep.generate as generate
 from nearindep.generate import (
     ClassSpec,
     _is_center_rooted,
-    _layout_to_graph,
     _next_rooted_layout,
+    _forest_classes,
     _graph_classes,
     _orbit_min_subsets,
     _outranked,
+    _tree_list,
     gen_class,
     gen_forests,
     gen_graphs,
@@ -27,13 +28,14 @@ from nearindep.graphs import (
     max_degree,
 )
 from nearindep.limits import CapabilityError, Limits
-from nearindep.sigma import q_ratio, sigma01, sigma01_recursive, sigma_distribution_bruteforce
+from nearindep.sigma import q_ratio, sigma01, sigma01_recursive, sigma01_tree_dp, sigma_distribution_bruteforce
 
 from conftest import brute_force_automorphisms, subset_image
 from oracles import (
     aut_count,
     components,
     deletion_keys,
+    fold_free_recursion,
     forest_aut_count,
     forest_certificate,
     graph_from_pair_mask,
@@ -41,6 +43,7 @@ from oracles import (
     is_forest,
     labelled_connected_graphs,
     labelled_forests,
+    layout_to_graph,
     leaf_extension_tree_certs,
     lower_degrees,
     min_column_code,
@@ -84,12 +87,14 @@ def test_trees_match_leaf_extension_oracle():
 
 def filtered_walk(n):
     """Every canonical rooted level sequence in Beyer-Hedetniemi order,
-    kept when rooted at a centre: the plain walk the jumps must match."""
+    kept when rooted at a centre, each tree built whole from its sequence:
+    the plain walk that the jumps and the rebuilt suffixes must match."""
     layout = list(range(n))
-    while layout is not None:
+    while True:
         if _is_center_rooted(layout):
-            yield _layout_to_graph(layout)
-        layout = _next_rooted_layout(layout)
+            yield layout_to_graph(layout)
+        if _next_rooted_layout(layout) is None:
+            return
 
 
 def test_tree_stream_equals_filtered_walk():
@@ -364,6 +369,19 @@ def test_carried_pairs_match_the_recursion_and_the_sweep():
         for g, _, pair in _graph_classes(n):
             assert pair == sigma01_recursive(g), g
             assert n == 8 or pair == sigma_distribution_bruteforce(g).pair(), g
+
+
+def test_trees_and_forests_carry_their_pairs():
+    """The (sigma0, sigma1) each tree and forest carries out of generation
+    is that of the graph it emits: by the tree DP's fold for every tree to
+    order 16 and every forest to order 14, and to order 10 also by the
+    fold-free recursion, which shares no ``_graft`` with the walk."""
+    streams = [(_tree_list, Limits.tree_checks_max_n), (_forest_classes, Limits.forests_max_n)]
+    for classes, top in streams:
+        for n in range(1, top + 1):
+            for g, pair in classes(n):
+                assert pair == sigma01_tree_dp(g), g
+                assert n > 10 or pair == fold_free_recursion(g), g
 
 
 def test_delta_filter():

@@ -264,6 +264,33 @@ def test_graph_tables_are_scored_at_augmentation(monkeypatch):
     assert calls == {"plus": 1252, "canonical": 1355}
 
 
+def test_tree_and_forest_tables_are_scored_in_generation(monkeypatch):
+    """``run_theorem("4.1", 16)`` from cold: each tree and forest takes its Q
+    from the pair it carries out of generation, so neither ``q_ratio`` nor
+    ``_label_fold`` runs.  The grafting is the tree walk's alone: 147,386
+    grafts over the trees of orders 1-16, where one fold per tree makes
+    497,380, n grafts for a tree on n vertices."""
+    calls = Counter()
+
+    def refuse(*args):
+        raise AssertionError("a tree or forest scored from scratch")
+
+    for module, name in ((sigma_module, "q_ratio"), (verify_module, "q_ratio"), (sigma_module, "_label_fold")):
+        monkeypatch.setattr(module, name, refuse)
+    for module in (sigma_module, generate_module):
+        def graft(root, branch, real=module._graft):
+            calls["graft"] += 1
+            return real(root, branch)
+        monkeypatch.setattr(module, "_graft", graft)
+    generate_module._tree_list.cache_clear()
+    try:
+        assert len(run_theorem("4.1", 16)) == 30
+    finally:
+        generate_module._tree_list.cache_clear()
+    assert calls["graft"] == 147386
+    assert 3 * 147386 < sum(g.n for n in range(1, 17) for g in gen_trees(n)) == 497380
+
+
 def test_run_theorem_catalogue():
     reports = run_theorem("3.2", 4)
     assert [r.spec.n for r in reports] == [1, 2, 3, 4]
@@ -280,15 +307,15 @@ def test_run_theorem_catalogue():
 F = Fraction
 
 
-def _shifted_q(delta):
-    return lambda g: q_ratio(g) + delta
+def _shifted_pairs(delta, *streams):
+    """Patches of the class streams that ``verify`` reads (``_graph_classes``
+    by default), each carried (sigma0, sigma1) scaled to a Q of Q + delta."""
+    num, den = delta.numerator, delta.denominator
 
+    def shifted(real):
+        return lambda n: tuple((*head, (s0 * den, s1 * den + s0 * num)) for *head, (s0, s1) in real(n))
 
-def _shifted_pairs(delta):
-    """``_graph_classes`` with each carried (sigma0, sigma1) scaled to a Q
-    of Q + delta, for the graph tables, which ``q_ratio`` does not score."""
-    real, num, den = verify_module._graph_classes, delta.numerator, delta.denominator
-    return lambda n: tuple((g, gens, (s0 * den, s1 * den + s0 * num)) for g, gens, (s0, s1) in real(n))
+    return {name: shifted(getattr(verify_module, name)) for name in streams or ("_graph_classes",)}
 
 
 # all graphs on 4 vertices with every Q lowered by 1/3: the zero test and
@@ -305,14 +332,14 @@ GENERAL_4_SHIFTED = [
 # (patched names of nearindep.verify, run, violations, equality witnesses, note keys)
 VIOLATION_CASES = {
     "3.1+3.5": (
-        {"_graph_classes": _shifted_pairs(F(-1, 3))},
+        _shifted_pairs(F(-1, 3)),
         lambda: _verify("3.1", 4),
         GENERAL_4_SHIFTED,
         ["CK"],
         ["second_smallest", "second_smallest_witnesses", "bound"],
     ),
     "3.1": (
-        {"_graph_classes": _shifted_pairs(F(-1, 3))},
+        _shifted_pairs(F(-1, 3)),
         lambda: _verify("3.1", 3),
         [("B?", F(-1, 3), F(0), "negative ratio"),
          ("B?", F(-1, 3), F(0), "edgeless graph with nonzero ratio"),
@@ -321,7 +348,7 @@ VIOLATION_CASES = {
         ["second_smallest", "second_smallest_witnesses"],
     ),
     "3.5-catalogue": (
-        {"_graph_classes": _shifted_pairs(F(-1, 3))},
+        _shifted_pairs(F(-1, 3)),
         lambda: run_theorem("3.5", 4)[0],
         GENERAL_4_SHIFTED,
         ["CK"],
@@ -391,14 +418,14 @@ VIOLATION_CASES = {
         ["bound", "bound_attained"],
     ),
     "4.1": (
-        {"q_ratio": _shifted_q(F(1, 2))},
+        _shifted_pairs(F(1, 2), "_forest_classes", "_tree_list"),
         lambda: _verify("4.1", 4),
         [("Ck", F(9, 8), F(1), ""), ("C`", F(7, 6), F(1), "")],
         [],
         ["bound", "bound_attained"],
     ),
     "4.5": (
-        {"q_ratio": _shifted_q(F(1, 3))},
+        _shifted_pairs(F(1, 3), "_forest_classes", "_tree_list"),
         lambda: _verify("4.5", 5, series=1),
         [("DkC", F(43, 39), F(13, 12), "")],
         [],
@@ -556,9 +583,12 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     are those made from Q-scored rows.  One walk of a tree on n vertices
     is n grafts up, the root's onto ``TOP`` included, and one graft and
     one prune down per vertex that is neither the root nor a leaf; the
-    lemmas are tested once per support vertex."""
+    lemmas are tested once per support vertex.  Grafts are counted where
+    ``generate`` looks them up as well: generating the trees from cold
+    adds the tree walk's 4,568."""
     scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
               for spec in (ClassSpec("trees", n) for n in range(2, 13))]
+    trees = [g for n in range(2, 13) for g in gen_trees(n)]
     calls = Counter()
 
     def counting(name, module):
@@ -567,17 +597,21 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, count)
 
-    def no_q(g):
-        raise AssertionError("Q scored for the leaf checks alone")
+    def no_q(table, q):
+        assert not q, "Q scored for the leaf checks alone"
+        return real_score(table, q)
 
+    real_score = verify_module._score
     counting("_graft", sigma_module)
+    counting("_graft", generate_module)
     counting("_prune", sigma_module)
     counting("leaf_lemma_failures", verify_module)
-    monkeypatch.setattr(verify_module, "q_ratio", no_q)
+    monkeypatch.setattr(verify_module, "_score", no_q)
+    generate_module._tree_list.cache_clear()
     reports = run_theorem("4.4", 12)
-    trees = [g for n in range(2, 13) for g in gen_trees(n)]
     inner = sum(g.degree(z) > 1 for g in trees for z in range(1, g.n))
-    assert calls["_graft"] == sum(g.n for g in trees) + inner == 15362 and all(r.passed for r in reports)
+    assert sum(g.n for g in trees) + inner == 15362 and all(r.passed for r in reports)
+    assert calls["_graft"] == 15362 + 4568
     assert calls["_prune"] == inner == 4357
     assert calls["leaf_lemma_failures"] == 3504 and sum(r.checked for r in reports) == 5663
     assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
