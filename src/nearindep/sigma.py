@@ -34,13 +34,6 @@ Three mutually checking routes are implemented:
   checks of ``verify``, reroots its states with ``_prune``, never at a
   leaf, and counts the deletions once per support vertex.
 
-The sweep shares no code with the others, and the recursion only ``_graft``
-with the DP: none under the tests' never-folding ``oracles.random_pivots``.
-``sigma01`` tries the tree DP, which stops at the first vertex with two
-lower neighbours, and sends such a graph (any graph with a cycle, and a
-forest outside label order) whole to the recursion, which splits it into
-components itself, trees included.
-
 Counts for vertex-disjoint unions combine bilinearly:
 sigma0(G1 u G2) = sigma0(G1) sigma0(G2) and
 sigma1(G1 u G2) = sigma1(G1) sigma0(G2) + sigma1(G2) sigma0(G1),
@@ -149,7 +142,11 @@ def _pivot_vertex(comp: int, adj: tuple[int, ...]) -> int | None:
 
 def _tree_pair(comp: int, adj: tuple[int, ...]) -> Pair:
     """(sigma0, sigma1) of the tree on ``comp``: ``_graft`` folds a walk from
-    its lowest vertex backwards, each vertex onto the one that reached it."""
+    its lowest vertex backwards, each vertex onto the one that reached it.
+
+    The root's two parts are added here, not grafted onto ``TOP`` as in
+    ``_label_fold``: with that graft, compute-stream ``wall_s`` went from
+    0.896 to 0.920 s, slower in 4 of 5 pairs (2-vCPU VM, Python 3.11)."""
     root = comp & -comp
     walk, rest = [(root.bit_length() - 1, -1)], comp ^ root
     for v, _ in walk:  # the walk grows as it is read
@@ -347,25 +344,14 @@ def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair,
 
 
 def sigma01(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1): a forest in label order by the tree DP, any
-    other graph by the deletion recursion.
+    """Exact (sigma0, sigma1) by the deletion recursion, ``sigma01_recursive``.
 
-    The tree DP is tried first.  A graph in which some vertex has two lower
-    neighbours (any graph with a cycle, and a forest outside label order)
-    goes whole to ``sigma01_recursive``, which strips its isolated vertices
-    and splits its components, trees included, by itself.  The result always
-    equals sigma01_recursive(g).  This dispatch and ``_tree_pair``'s own walk
-    each beat one route for ``compute``: the recursion alone was 26-40% slower
-    on generated forests, and the walk's root hung from ``TOP`` slowed
-    ``compute`` by about 3% (2-vCPU VM, Python 3.11).  Neither route has a
-    cap of its own: ``Graph(n, adj)`` enforces ``Limits.graph_max_n``;
-    generated graphs keep the lower caps ``Limits.trees_max_n``,
-    ``Limits.forests_max_n`` and ``Limits.graphs_max_n``.
+    It has no cap of its own: ``Graph(n, adj)`` enforces
+    ``Limits.graph_max_n``; generated graphs keep the lower caps
+    ``Limits.trees_max_n``, ``Limits.forests_max_n`` and
+    ``Limits.graphs_max_n``.
     """
-    try:
-        return sigma01_tree_dp(g)
-    except ValueError:
-        return sigma01_recursive(g)
+    return sigma01_recursive(g)
 
 
 def q_ratio(g: Graph) -> Fraction:

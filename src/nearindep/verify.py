@@ -55,7 +55,7 @@ from .sigma import q_ratio, sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
 
-Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q), Q None if unread
+Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q)
 
 
 class Violation(namedtuple("Violation", "graph6 lhs rhs context", defaults=("",))):
@@ -162,15 +162,14 @@ FOREST_BOUNDS = {
 }
 
 
-def _score(table: ClassSpec, q: bool = True) -> list[Row]:
+def _score(table: ClassSpec) -> list[Row]:
     """Every member of a table in generation order, with the Q of the
-    (sigma0, sigma1) its class carries out of generation, or with None if
-    ``q`` is false, for a table that only ``_leaf_lemmas`` reads."""
+    (sigma0, sigma1) its class carries out of generation."""
     if table.family != "all_graphs":
         classes = (_tree_list if table.family == "trees" else _forest_classes)(table.n)
     else:  # gen_graphs checks the cap before _graph_classes runs
         classes = zip(list(gen_class(table)), map(itemgetter(2), _graph_classes(table.n)), strict=True)
-    return [(g, Fraction(s1, s0) if q else None) for g, (s0, s1) in classes]
+    return [(g, Fraction(s1, s0)) for g, (s0, s1) in classes]
 
 
 def _scan(
@@ -419,7 +418,7 @@ def _reports(plan: list[tuple[Callable, ClassSpec]]) -> list[VerificationReport]
     reports = {}
     for table in dict.fromkeys(table_of(spec) for _, spec in plan):
         steps = dict.fromkeys(s for s in plan if table_of(s[1]) == table)
-        rows = _score(table, any(make is not _leaf_lemmas for make, _ in steps))
+        rows = _score(table)
         for make, spec in steps:
             keep = VIEWS.get(spec.family)
             reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec.delta)] if keep else rows)

@@ -9,9 +9,8 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-import nearindep.graphs
 import nearindep.sigma
-from nearindep.generate import gen_forests, gen_trees
+from nearindep.generate import gen_trees
 from nearindep.graphs import bits, make_graph, make_named
 from nearindep.limits import CapabilityError
 from nearindep.sigma import (
@@ -103,29 +102,6 @@ def test_forest_scorers_agree(f, rnd):
     assert fold_free_recursion(h) == sigma01(f)
 
 
-def test_only_forests_off_label_order_reach_the_recursion(monkeypatch):
-    """Generated trees and forests give every vertex at most one lower
-    neighbour, so ``sigma01`` never sends one to the recursion; a shuffled
-    path makes the DP raise, and the recursion counts it as the path in
-    order: F(42) and sigma1 of P40."""
-    calls = []
-    real = nearindep.sigma.sigma01_recursive
-    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
-    generated = [t for n in range(1, 13) for t in gen_trees(n)]
-    generated += [f for n in range(1, 11) for f in gen_forests(n)]
-    for g in generated:
-        sigma01(g)
-    assert calls == []
-    p40 = make_named("path", 40)
-    perm = list(range(40))
-    random.Random(0).shuffle(perm)
-    shuffled = relabel(p40, perm)
-    with pytest.raises(ValueError, match="label order"):
-        sigma01_tree_dp(shuffled)
-    assert sigma01(shuffled) == sigma01_tree_dp(p40) == SigmaPair(267914296, 1810142185)
-    assert len(calls) == 1 and calls[0] is shuffled
-
-
 def test_tree_dp_rejects_a_cycle_in_a_later_component():
     p3 = make_named("path", 3)
     with pytest.raises(ValueError, match="acyclic"):
@@ -187,32 +163,27 @@ def test_sigma01_dispatch():
     assert sigma01(make_named("path", 4)) == SigmaPair(8, 5)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("sigma01 took a route it must not take")
+def _sweep(g):
+    return sigma_distribution_bruteforce(g).pair()
 
 
-def test_sigma01_sends_a_graph_with_a_cycle_whole_to_the_recursion(monkeypatch):
-    g = reduce(disjoint_union, [make_named("path", 3), make_named("complete", 3), make_named("empty", 1)])
-    calls, tried = [], []
-    real, real_dp = nearindep.sigma.sigma01_recursive, nearindep.sigma.sigma01_tree_dp
-    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
-    monkeypatch.setattr(nearindep.sigma, "sigma01_tree_dp", lambda h: tried.append(h) or real_dp(h))
-    monkeypatch.setattr(nearindep.sigma, "induced_subgraph", _refuse)
+def _shuffled_path(n):
+    perm = list(range(n))
+    random.Random(0).shuffle(perm)
+    return relabel(make_named("path", n), perm)
+
+
+@pytest.mark.parametrize("g, want, oracle", [
     # P3 (5, 2), K3 (4, 3) and K1 (2, 0) folded by the union rule
-    assert sigma01(g) == SigmaPair(40, 46)
-    # the tree DP is tried once and stops at the triangle
-    assert len(tried) == 1 and tried[0] is g
-    assert len(calls) == 1 and calls[0] is g
-
-
-def test_sigma01_sends_a_forest_to_the_tree_dp(monkeypatch):
-    f = disjoint_union(make_named("star", 5), make_named("path", 4))
-    calls = []
-    real = nearindep.sigma.sigma01_tree_dp
-    monkeypatch.setattr(nearindep.sigma, "sigma01_tree_dp", lambda h: calls.append(h) or real(h))
-    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
-    assert sigma01(f) == combine_union(SigmaPair(17, 4), SigmaPair(8, 5))
-    assert len(calls) == 1 and calls[0] is f
+    (reduce(disjoint_union, [make_named("path", 3), make_named("complete", 3), make_named("empty", 1)]),
+     (40, 46), _sweep),
+    (disjoint_union(make_named("star", 5), make_named("path", 4)), (136, 117), _sweep),  # K1,4 (17, 4), P4 (8, 5)
+    (reduce(disjoint_union, [make_named("star", 5), make_named("path", 4), make_named("empty", 3)]),
+     (1088, 936), _sweep),
+    (_shuffled_path(40), (267914296, 1810142185), lambda g: path_pair(g.n)),  # F(42) and sigma1 of P40
+], ids=["P3+K3+K1", "star5+P4", "star5+P4+3K1", "shuffled-P40"])
+def test_sigma01_on_unions_and_a_shuffled_path(g, want, oracle):
+    assert sigma01(g) == want == oracle(g)
 
 
 def test_sigma01_sends_a_tree_off_label_order_to_the_recursion(monkeypatch):
@@ -225,8 +196,8 @@ def test_sigma01_sends_a_tree_off_label_order_to_the_recursion(monkeypatch):
 
 
 def test_sigma01_when_the_walk_meets_the_cycle_last():
-    """The tree DP folds whole components before it reaches the cycle; the
-    fall-back to the recursion must discard that work."""
+    """The tree DP folds whole components before it reaches the cycle, and
+    then refuses the graph; ``sigma01`` counts it by the recursion alone."""
     tail_cycle = make_graph(10, [(v, v + 1) for v in range(9)] + [(9, 6)])  # path into a C4
     graphs_with_late_cycles = [
         reduce(disjoint_union, [make_named("star", 4), make_named("path", 5), make_named("empty", 2),
@@ -243,19 +214,10 @@ def test_sigma01_when_the_walk_meets_the_cycle_last():
         assert sigma01(g) == sigma01_recursive(g) == want
 
 
-def test_sigma01_on_a_forest_splits_no_components(monkeypatch):
-    f = reduce(disjoint_union, [make_named("star", 5), make_named("path", 4), make_named("empty", 3)])
-    monkeypatch.setattr(nearindep.graphs, "connected_components", _refuse)
-    monkeypatch.setattr(nearindep.sigma, "connected_components", _refuse)
-    monkeypatch.setattr(nearindep.sigma, "split_components", _refuse)
-    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", _refuse)
-    assert sigma01(f) == sigma_distribution_bruteforce(f).pair()
-
-
 def test_sigma01_equals_recursion_everywhere(rng):
     for _ in range(150):
         g = random_graph(rng.randint(0, 8), rng)
-        assert sigma01(g) == sigma01_recursive(g)
+        assert sigma01(g) == _sweep(g)
 
 
 def test_q_ratio():

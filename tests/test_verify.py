@@ -578,14 +578,13 @@ def test_leaf_deletion_counts_reject_non_trees():
 
 
 def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
-    """Run alone, the leaf checks score no Q: each tree is walked once,
-    for its own counts and those of its leaf deletions, and the reports
-    are those made from Q-scored rows.  One walk of a tree on n vertices
-    is n grafts up, the root's onto ``TOP`` included, and one graft and
-    one prune down per vertex that is neither the root nor a leaf; the
-    lemmas are tested once per support vertex.  Grafts are counted where
-    ``generate`` looks them up as well: generating the trees from cold
-    adds the tree walk's 4,568."""
+    """Each tree is walked once, for its own counts and those of its leaf
+    deletions, and ``run_theorem`` reports what ``_leaf_lemmas`` makes of
+    the scored rows.  One walk of a tree on n vertices is n grafts up, the
+    root's onto ``TOP`` included, and one graft and one prune down per
+    vertex that is neither the root nor a leaf; the lemmas are tested once
+    per support vertex.  Grafts are counted where ``generate`` looks them
+    up as well: generating the trees from cold adds the tree walk's 4,568."""
     scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
               for spec in (ClassSpec("trees", n) for n in range(2, 13))]
     trees = [g for n in range(2, 13) for g in gen_trees(n)]
@@ -597,16 +596,10 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, count)
 
-    def no_q(table, q):
-        assert not q, "Q scored for the leaf checks alone"
-        return real_score(table, q)
-
-    real_score = verify_module._score
     counting("_graft", sigma_module)
     counting("_graft", generate_module)
     counting("_prune", sigma_module)
     counting("leaf_lemma_failures", verify_module)
-    monkeypatch.setattr(verify_module, "_score", no_q)
     generate_module._tree_list.cache_clear()
     reports = run_theorem("4.4", 12)
     inner = sum(g.degree(z) > 1 for g in trees for z in range(1, g.n))
