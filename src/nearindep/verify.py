@@ -28,12 +28,13 @@ The catalogue of named checks (the ``--theorem`` ids of the CLI):
 * 4.5  forests: Q <= n/4 - 1/6, tight at order 2.
 
 A bound check is a ``Check`` record, applied by the one scan loop
-(``_scan``) to a table of (graph, Q) rows, each Q read off the (sigma0,
-sigma1) its class carries out of generation, with 3.1's per-row zero
-test and the extremal rule in the same pass.  A graph6 string is
-emitted only for a graph that a report names.  The leaf checks count a
-tree and its deletions in one walk over the tree DP's branch states
-(``sigma.leaf_deletion_counts``), rerooting no leaf, once per support.
+(``_scan``) to a table of (graph, (sigma0, sigma1)) rows as generation
+carries them, with 3.1's per-row zero test and the extremal rule in the
+same pass.  Q is compared by cross-multiplying (sigma0 >= 1): a
+``Fraction`` is built, and a graph6 string emitted, only for what a
+report names.  The leaf checks count a tree and its deletions in one
+walk over the tree DP's branch states (``sigma.leaf_deletion_counts``),
+rerooting no leaf, once per support.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .sigma import q_ratio, sigma01  # noqa: F401
 
 ONE_THIRD = Fraction(1, 3)
 
-Row = tuple[Graph, Fraction]  # one scored member of a universe: (graph, Q)
+Row = tuple[Graph, Pair]  # one member of a universe: (graph, (sigma0, sigma1))
 
 
 class Violation(namedtuple("Violation", "graph6 lhs rhs context", defaults=("",))):
@@ -163,46 +164,61 @@ FOREST_BOUNDS = {
 
 
 def _score(table: ClassSpec) -> list[Row]:
-    """Every member of a table in generation order, with the Q of the
-    (sigma0, sigma1) its class carries out of generation."""
+    """Every member of a table in generation order, with the (sigma0,
+    sigma1) its class carries out of generation; no Q is built."""
     if table.family != "all_graphs":
-        classes = (_tree_list if table.family == "trees" else _forest_classes)(table.n)
-    else:  # gen_graphs checks the cap before _graph_classes runs
-        classes = zip(list(gen_class(table)), map(itemgetter(2), _graph_classes(table.n)), strict=True)
-    return [(g, Fraction(s1, s0)) for g, (s0, s1) in classes]
+        return list((_tree_list if table.family == "trees" else _forest_classes)(table.n))
+    # gen_graphs checks the cap before _graph_classes runs
+    return list(zip(list(gen_class(table)), map(itemgetter(2), _graph_classes(table.n)), strict=True))
+
+
+def _extremes(rows: list[Row]) -> tuple[tuple[Graph, Fraction], tuple[Graph, Fraction]]:
+    """(graph, Q) of the first row of least Q and of the first of greatest
+    Q, as ``min`` and ``max`` pick them; s1/s0 < b1/b0 is s1*b0 < b1*s0."""
+    lo = hi = rows[0]
+    (l0, l1), (h0, h1) = lo[1], hi[1]
+    for row in rows:
+        s0, s1 = row[1]
+        if s1 * l0 < l1 * s0:
+            lo, l0, l1 = row, s0, s1
+        elif s1 * h0 > h1 * s0:
+            hi, h0, h1 = row, s0, s1
+    return (lo[0], Fraction(l1, l0)), (hi[0], Fraction(h1, h0))
 
 
 def _scan(
     check: Check, spec: ClassSpec, rows: list[Row], row_test: Callable | None = None
 ) -> VerificationReport:
-    """The one loop over the scored rows of ``spec``: ``row_test``, if
-    given, whose violations come ahead of the row's bound violations,
-    then ``check`` and its extremal rule; plus the extremal witnesses.
+    """The one loop over the rows of ``spec``: ``row_test``, if given,
+    whose violations come ahead of the row's bound violations, then
+    ``check`` and its extremal rule; plus the extremal witnesses.  A row
+    breaks the bound when gap = s1*den - num*s0 > 0 and meets it at 0.
     The rows are walked again only to name a missing extremal graph."""
     report = VerificationReport(check.theorem_id, spec, len(rows))
     if rows:
-        lo, hi = min(rows, key=itemgetter(1)), max(rows, key=itemgetter(1))
-        report.min_witness = emit_graph6(lo[0]), lo[1]
-        report.max_witness = emit_graph6(hi[0]), hi[1]
+        report.min_witness, report.max_witness = ((emit_graph6(g), q) for g, q in _extremes(rows))
     bound = check.bound(spec)
+    sign = 1 if check.op == "<=" else -1  # so that gap > 0 breaks the bound
+    num, den = (sign * bound.numerator, sign * bound.denominator) if bound is not None else (0, 0)
     attained = False
-    for g, q in rows:
+    for g, (s0, s1) in rows:
         if row_test:
-            report.violations += row_test(g, q)
+            report.violations += row_test(g, (s0, s1))
         if bound is None or check.exempt and check.exempt(g):
             continue
-        if (q < bound) if check.op == ">=" else (q > bound):
-            report.violations.append(Violation(emit_graph6(g), q, bound))
-        elif q == bound:
+        gap = s1 * den - num * s0
+        if gap > 0:
+            report.violations.append(Violation(emit_graph6(g), Fraction(s1, s0), bound))
+        elif gap == 0:
             g6 = emit_graph6(g)
             report.equality_witnesses.append(g6)
             if check.extremal and not check.extremal(g, spec):
-                report.violations.append(Violation(g6, q, bound, check.off))
+                report.violations.append(Violation(g6, bound, bound, check.off))
             else:
                 attained = True
     if bound is not None:
         if check.extremal and not attained:
-            named = ((emit_graph6(g), q) for g, q in rows if check.extremal(g, spec))
+            named = ((emit_graph6(g), Fraction(s1, s0)) for g, (s0, s1) in rows if check.extremal(g, spec))
             report.violations.append(Violation(*next(named, ("", Fraction(0))), bound, check.miss))
         report.notes["bound"] = bound
         if check.note_attained:
@@ -210,26 +226,30 @@ def _scan(
     return report
 
 
-def _zero_test(g: Graph, q: Fraction) -> list[Violation]:
-    """Theorem 3.1 at one row: Q >= 0, zero exactly for the edgeless graph."""
+def _zero_test(g: Graph, pair: Pair) -> list[Violation]:
+    """Theorem 3.1 at one row: Q >= 0, zero exactly for the edgeless graph
+    (by its edge count); as sigma0 >= 1, Q has the sign of sigma1."""
+    s0, s1 = pair
     empty = g.edge_count() == 0
-    fails = {"negative ratio": q < 0, "edgeless graph with nonzero ratio": empty and q != 0,
-             "zero ratio off the edgeless graph": not empty and q == 0}
-    return [Violation(emit_graph6(g), q, Fraction(0), context) for context, bad in fails.items() if bad]
+    fails = {"negative ratio": s1 < 0, "edgeless graph with nonzero ratio": empty and s1 != 0,
+             "zero ratio off the edgeless graph": not empty and s1 == 0}
+    return [Violation(emit_graph6(g), Fraction(s1, s0), Fraction(0), c) for c, bad in fails.items() if bad]
 
 
 def _general_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     """Checks 3.1 and 3.5: the zero-iff-edgeless test of each row, run in
-    ``_scan``'s loop ahead of the star bound, and the second-smallest Q."""
+    ``_scan``'s loop ahead of the star bound, and the second-smallest Q
+    (the least with an edge) found as ``_scan`` finds the least."""
     report = _scan(GENERAL_LOWER, spec, rows, _zero_test)
     if spec.n < 4:
         report.theorem_id = "thm-3.1"
-    nonzero = [(g, q) for g, q in rows if g.edge_count()]
+    nonzero = [row for row in rows if row[0].edge_count()]
     if nonzero:
-        second = min(q for _, q in nonzero)
+        second = _extremes(nonzero)[0][1]
+        b0, b1 = second.denominator, second.numerator
         report.notes = {
             "second_smallest": second,
-            "second_smallest_witnesses": [emit_graph6(g) for g, q in nonzero if q == second],
+            "second_smallest_witnesses": [emit_graph6(g) for g, (s0, s1) in nonzero if s1 * b0 == b1 * s0],
         } | report.notes
     return report
 

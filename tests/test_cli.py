@@ -154,6 +154,19 @@ def test_scan_bytes(capsys, objective, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, n, digest", [
+    ("trees", 16, "184e51754893e36ad5bb806ff2715edcfe6ad3b2cb34634c435919b7a8120328"),
+    ("forests", 14, "14c09370b3f650256a922d323929ece788468c62e85293e7d24d18dd22ca95e4"),
+])
+def test_scan_tree_and_forest_bytes(capsys, family, n, digest):
+    """The extremal witnesses are the first least and the first greatest Q
+    in generation order; many trees and forests tie on Q, so these pins
+    fix the tie rule."""
+    code, out, _ = run_cli(capsys, "scan", "--class", family, "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "3.2", "--n-max", "5")
     assert code == 0

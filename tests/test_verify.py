@@ -3,21 +3,24 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nearindep.generate as generate_module
 import nearindep.sigma as sigma_module
 import nearindep.verify as verify_module
-from nearindep.generate import ClassSpec, _graph_classes, gen_trees
+from nearindep.generate import ClassSpec, _graph_classes, gen_class, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import bits, make_graph, make_named, max_degree
 from nearindep.limits import CapabilityError
 from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
 from nearindep.verify import (
     Check,
+    VerificationReport,
+    Violation,
     _verify,
     extremal_scan,
     is_star_graph,
@@ -470,6 +473,107 @@ def test_extremal_rule_needs_one_accepted_graph_to_attain(monkeypatch):
     monkeypatch.setattr(verify_module, "is_star_graph", lambda g: max_degree(g) in (2, g.n - 1))
     report = _verify("3.3", 6)
     assert (report.violations, report.equality_witnesses) == ([], ["Esa?"])
+
+
+def fraction_scan(check, spec, rows, zero_test=False):
+    """``_scan`` with a Fraction Q per row: the witnesses picked by ``min``
+    and ``max`` keyed on Q, and every test of Q made between Fractions."""
+    scored = [(g, Fraction(s1, s0)) for g, (s0, s1) in rows]
+    report = VerificationReport(check.theorem_id, spec, len(scored))
+    if scored:
+        for name, pick in (("min_witness", min), ("max_witness", max)):
+            g, q = pick(scored, key=itemgetter(1))
+            setattr(report, name, (emit_graph6(g), q))
+    bound = check.bound(spec)
+    attained = False
+    for g, q in scored:
+        if zero_test:
+            empty = g.edge_count() == 0
+            for context, bad in (("negative ratio", q < 0), ("edgeless graph with nonzero ratio", empty and q != 0),
+                                 ("zero ratio off the edgeless graph", not empty and q == 0)):
+                if bad:
+                    report.violations.append(Violation(emit_graph6(g), q, Fraction(0), context))
+        if bound is None or check.exempt and check.exempt(g):
+            continue
+        if q < bound if check.op == ">=" else q > bound:
+            report.violations.append(Violation(emit_graph6(g), q, bound))
+        elif q == bound:
+            report.equality_witnesses.append(emit_graph6(g))
+            if check.extremal and not check.extremal(g, spec):
+                report.violations.append(Violation(emit_graph6(g), q, bound, check.off))
+            else:
+                attained = True
+    if bound is not None:
+        if check.extremal and not attained:
+            named = [(emit_graph6(g), q) for g, q in scored if check.extremal(g, spec)] + [("", Fraction(0))]
+            report.violations.append(Violation(*named[0], bound, check.miss))
+        report.notes["bound"] = bound
+        if check.note_attained:
+            report.notes["bound_attained"] = bool(report.equality_witnesses)
+    return report
+
+
+GRAPHS_4 = list(gen_class(ClassSpec("all_graphs", 4)))
+
+
+@st.composite
+def scan_cases(draw):
+    """A check and rows of (graph, (s0 >= 1, s1)), s1 possibly negative as
+    ``_shifted_pairs`` makes it; small counts give many ties in Q between
+    unequal pairs, and a drawn row may be repeated at a multiple.  The
+    bound is None, any small Fraction, or (twice as likely) a row's Q."""
+    pairs = st.tuples(st.integers(1, 4), st.integers(-4, 8))
+    rows = draw(st.lists(st.tuples(st.sampled_from(GRAPHS_4), pairs), max_size=12))
+    if rows and draw(st.booleans()):
+        _, (s0, s1) = draw(st.sampled_from(rows))
+        k = draw(st.integers(1, 3))
+        rows.insert(draw(st.integers(0, len(rows))), (draw(st.sampled_from(GRAPHS_4)), (k * s0, k * s1)))
+    bounds = [st.none(), st.fractions(-2, 3, max_denominator=6)]
+    bounds += [st.sampled_from([Fraction(s1, s0) for _, (s0, s1) in rows])] * 2 if rows else []
+    bound = draw(st.one_of(bounds))
+    check = Check(
+        "scan", draw(st.sampled_from([">=", "<="])), lambda s: bound,
+        draw(st.sampled_from([None, lambda g, s: True, lambda g, s: g.edge_count() % 2 == 1])),
+        "off", "miss", draw(st.sampled_from([None, lambda g: g.edge_count() == 0])), draw(st.booleans()),
+    )
+    return check, rows, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(scan_cases())
+def test_scan_matches_fraction_scan(case):
+    """The integer scan agrees with the Fraction scan report for report:
+    witnesses (ties to the first row), violations, equality witnesses and
+    notes; and ``_general_lower``'s second-smallest Q with ``min``."""
+    check, rows, zero_test = case
+    spec = ClassSpec("all_graphs", 4)
+    report = verify_module._scan(check, spec, rows, verify_module._zero_test if zero_test else None)
+    assert report.to_json() == fraction_scan(check, spec, rows, zero_test).to_json()
+    nonzero = [(g, Fraction(s1, s0)) for g, (s0, s1) in rows if g.edge_count()]
+    notes = verify_module._general_lower(spec, rows).notes
+    if nonzero:
+        second = min(q for _, q in nonzero)
+        assert notes["second_smallest"] == second
+        assert notes["second_smallest_witnesses"] == [emit_graph6(g) for g, q in nonzero if q == second]
+    else:
+        assert "second_smallest" not in notes
+
+
+@pytest.mark.parametrize("theorem, n_max, built", [("4.1", 16, 90), ("all", 8, 216)])
+def test_fractions_are_built_per_report_not_per_row(monkeypatch, theorem, n_max, built):
+    """The scans compare integer pairs, so a ``Fraction`` is built only for
+    a value that a report prints: about three per distinct report (the two
+    witnesses and the bound), where a Fraction Q per row built 47,743 on
+    4.1 to 16 (47,713 rows) and 13,849 on 'all' to 8."""
+    calls = Counter()
+
+    def counting_fraction(*args):
+        calls["fraction"] += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(verify_module, "Fraction", counting_fraction)
+    distinct = {id(r) for r in run_theorem(theorem, n_max)}
+    assert calls["fraction"] == built <= 3 * len(distinct)
 
 
 # the pair of T from leaf_deletion_counts perturbed on the trees of order
