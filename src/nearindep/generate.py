@@ -9,11 +9,13 @@ starts at the centre-rooted path and, following Wright, Richmond,
 Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), jumps over each run of off-centre rootings instead of
 stepping through it: at n = 18 it visits 129,231 sequences for 123,867
-trees, where the plain walk visits all 1,721,159 rooted trees.  A tree is
-rebuilt from the first position rewritten, rows and ``_graft`` states
-alike, and carries its (sigma0, sigma1).  Forests are multisets of trees
-over the integer partitions of n, each built as one graph from the
-shifted tree rows, its pair joined from theirs by the union rule.
+trees, where the plain walk visits all 1,721,159 rooted trees.  The
+centre test reads the first root subtree again only when a step rewrote
+it (1,230 of 20,542 visits at n = 16).  A tree is rebuilt from the first
+position rewritten, rows and ``_graft`` states alike, and carries its
+(sigma0, sigma1).  Forests are multisets of trees over the integer
+partitions of n, each yielded as its chosen trees with its pair joined
+from theirs by the union rule; its shifted rows are built only when read.
 
 Graph classes on up to eight vertices come from canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
@@ -99,58 +101,11 @@ def _next_rooted_layout(layout: list[int], p: int | None = None) -> int | None:
     return p
 
 
-def _first_subtree_end(layout: list[int]) -> int:
-    """Index m where the first root subtree layout[1:m] ends."""
-    for i in range(2, len(layout)):
-        if layout[i] == 1:
-            return i
-    return len(layout)
-
-
-def _is_center_rooted(layout: list[int]) -> bool:
-    """Keep exactly one rooted representative per free tree.
-
-    In a canonical layout the first root subtree is the deepest one.
-    With h1 its depth and h2 the depth of the rest, the root is a
-    centre iff h2 >= h1 - 1.  For h2 == h1 the centre is unique; for
-    h2 == h1 - 1 the tree is bicentral and the two halves (the first
-    subtree re-rooted, and the remainder) are compared by size and then
-    lexicographically so that exactly one rooting survives.
-    """
-    n = len(layout)
-    if n <= 2:
-        return True
-    m = _first_subtree_end(layout)
-    h1 = max(layout[1:m])
-    h2 = max(layout[m:], default=0)
-    if h2 >= h1:
-        return True
-    if h2 < h1 - 1:
-        return False
-    left = [x - 1 for x in layout[1:m]]
-    rest = [0] + layout[m:]
-    if len(left) != len(rest):
-        return len(left) < len(rest)
-    return left <= rest
-
-
-def _next_centred_layout(layout: list[int]) -> int:
-    """Jump in place from a rejected layout towards the next centred one.
-
-    Later layouts with the same first root subtree have remainders that
-    are lexicographically smaller, hence no deeper and no larger in the
-    tie rule, so their roots are off centre too: the first subtree is
-    advanced at once by the successor rule at its last position p.  If
-    layout[p] > 2, that successor copies levels >= 2 up to the end and
-    leaves no remainder at all; the tail is then reset to the path
-    1..h1 below the root, h1 the depth of the new first subtree.  Returns p.
-    """
-    p = _first_subtree_end(layout) - 1
-    _next_rooted_layout(layout, p)
-    if layout[p] > 1:  # it was > 2: the step lowers it by one
-        h1 = max(layout[1:_first_subtree_end(layout)])
-        layout[len(layout) - h1:] = range(1, h1 + 1)
-    return p
+def _first_subtree(layout: list[int]) -> tuple[int, int]:
+    """(m, h1): the end m of the first root subtree layout[1:m] and its
+    depth h1 (0 for the one-vertex tree)."""
+    m = next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+    return m, max(layout[1:m], default=0)
 
 
 def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
@@ -159,47 +114,72 @@ def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
 
     The walk starts at the path rooted at its centre and visits the
     centre-rooted canonical level sequences in decreasing lexicographic
-    order.  A rejected sequence is not stepped past one by one: the jump
-    of Wright, Richmond, Odlyzko and McKay ("Constant time generation of
-    free trees", SIAM J. Comput. 15, 1986) advances its first root
-    subtree at once, so few visited sequences are rejected (about 4% at
-    n = 18).  Every yielded sequence still passes ``_is_center_rooted``.
-    Preorder labels give every vertex but 0 one lower neighbour, its parent.
+    order.  A sequence is kept when its root is a centre: in a canonical
+    layout the first root subtree layout[1:m] is the deepest, so with h1
+    its depth and h2 that of the rest, the root is a centre iff h2 >= h1 - 1.
+    At h2 == h1 - 1 the tree is bicentral, and the two halves (the first
+    subtree re-rooted, and the remainder) are compared by size and then
+    lexicographically so that one rooting survives.  (m, h1) is carried
+    from visit to visit and re-read only when the step rewrote from a
+    position p <= m; any other visit costs the max of the remainder.
+
+    A rejected sequence is not stepped past one by one: the jump of
+    Wright, Richmond, Odlyzko and McKay ("Constant time generation of free
+    trees", SIAM J. Comput. 15, 1986) advances its first root subtree at
+    once by the successor rule at p = m - 1, as later sequences with the
+    same first subtree have smaller remainders, so off-centre roots too.
+    If layout[p] > 2, that step leaves no remainder at all; the tail is
+    then reset to the path 1..h1 below the root.  So few visited sequences
+    are rejected (about 4% at n = 18).  Preorder labels give every vertex
+    but 0 one lower neighbour, its parent.
 
     Each layout is built from position ``keep`` on, the first one rewritten
-    since the last layout built (a rejected layout lowers ``keep`` as well).
-    Below ``keep``, par[i] is vertex i's parent and path[i] the ``_graft``
-    states of the path from the root to i, every closed subtree hung.  So
-    only the suffix is relinked and grafted, and the tree's pair is its path
-    closed onto the root.
+    since the last layout built.  Below ``keep``, par[i] is vertex i's
+    parent and path[i] the ``_graft`` states of the path from the root to
+    i, every closed subtree hung, as a (state, below) pair whose below is
+    shared with its parent's.  So only the suffix is relinked and grafted,
+    and the tree's pair is its path closed onto the root.
     """
     if n < 1:
         raise ValueError(f"gen_trees needs n >= 1, got {n}")
     check_cap(n, Limits.trees_max_n, "gen_trees")
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    adj, par, path, keep = [0] * n, [0] * n, [(LEAF,)] * n, 1
-    while keep is not None:
-        if _is_center_rooted(layout):
-            states, v = list(path[keep - 1]), keep - 1
+    adj, par, path, keep = [0] * n, [0] * n, [(LEAF, None)] * n, 1
+    m, h1 = _first_subtree(layout)
+    while True:
+        h2 = max(layout[m:], default=0)
+        if h2 >= h1 or h2 == h1 - 1 and (
+            2 * m < n + 2 if 2 * m != n + 2 else [x - 1 for x in layout[1:m]] <= [0, *layout[m:]]
+        ):
+            top, v = path[keep - 1], keep - 1
             for j in range(keep, n):
-                while len(states) > layout[j]:  # close the subtrees at j's level and below
-                    top = states.pop()
-                    states[-1] = _graft(states[-1], top)
+                while layout[v] >= layout[j]:  # close the subtrees at j's level and below
+                    state, (below, rest) = top
+                    top = (_graft(below, state), rest)
                     v = par[v]
                 adj[par[j]] &= ~(1 << j)  # cut j from the parent it had in the last layout built
                 adj[v] |= 1 << j
                 adj[j] = 1 << v
                 par[j], v = v, j
-                states.append(LEAF)
-                path[j] = tuple(states)
-            state = states.pop()
-            while states:
-                state = _graft(states.pop(), state)
+                top = path[j] = (LEAF, top)
+            state, top = top
+            while top:
+                below, top = top
+                state = _graft(below, state)
             a0, a1, b0, b1 = state  # root in plus root out
             yield Graph._unchecked(n, tuple(adj)), (a0 + b0, a1 + b1)
-            keep = _next_rooted_layout(layout)  # None after the star
+            keep = p = _next_rooted_layout(layout)
+            if p is None:  # after the star
+                return
         else:
-            keep = min(keep, _next_centred_layout(layout))
+            p = m - 1
+            _next_rooted_layout(layout, p)
+            if layout[p] > 1:  # it was > 2: the first subtree now runs to the end
+                h1 = max(layout[1:])
+                layout[n - h1:] = range(1, h1 + 1)
+            keep = min(keep, p)
+        if p <= m:
+            m, h1 = _first_subtree(layout)
 
 
 def gen_trees(n: int) -> Iterator[Graph]:
@@ -227,14 +207,35 @@ def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]
             yield (k,) + rest
 
 
-def _forest_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
+def _forest_rows(forest: _Forest) -> tuple[int, ...]:
+    """The adjacency rows of a forest: each tree's, shifted past the trees before it."""
+    rows = []
+    for tree, _ in chain.from_iterable(forest):
+        shift = len(rows)
+        rows.extend(row << shift for row in tree.adj)
+    return tuple(rows)
+
+
+class _Forest(tuple):
+    """A forest as the (tree, pair) classes chosen for it, one tuple per
+    tree order: read as a ``Graph`` through ``n`` and ``adj``, its rows
+    built by ``_forest_rows`` on each read."""
+
+    __slots__ = ()
+    n = property(lambda self: sum(tree.n for tree, _ in chain.from_iterable(self)))
+    adj = property(lambda self: _forest_rows(self))
+
+
+def _forest_classes(n: int) -> Iterator[tuple[_Forest, Pair]]:
     """One representative per isomorphism class of forests on n vertices,
     with its (sigma0, sigma1), joined from its trees' by the union rule.
 
     A forest class is the multiset of its tree components, so the stream
     walks integer partitions of n and, for each part size, multisets of
     tree classes of that size; no post-hoc deduplication is needed.
-    Each tree keeps its labels, shifted: no vertex has two lower neighbours.
+    Each forest is yielded as the trees chosen for it, and becomes a graph
+    only when read: each tree keeps its labels, shifted, so no vertex has
+    two lower neighbours.
     """
     if n < 1:
         raise ValueError(f"gen_forests needs n >= 1, got {n}")
@@ -243,17 +244,15 @@ def _forest_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
         pools = [combinations_with_replacement(_tree_list(s), part.count(s))
                  for s in dict.fromkeys(part)]
         for choice in product(*pools):
-            rows, s0, s1 = [], 1, 0
-            for tree, (t0, t1) in chain.from_iterable(choice):
-                shift = len(rows)
-                rows.extend(row << shift for row in tree.adj)
+            s0, s1 = 1, 0
+            for _, (t0, t1) in chain.from_iterable(choice):
                 s0, s1 = s0 * t0, s1 * t0 + t1 * s0
-            yield Graph._unchecked(n, tuple(rows)), (s0, s1)
+            yield _Forest(choice), (s0, s1)
 
 
 def gen_forests(n: int) -> Iterator[Graph]:
-    """The forests of ``_forest_classes``, without their pairs."""
-    return (g for g, _ in _forest_classes(n))
+    """The forests of ``_forest_classes`` as graphs, without their pairs."""
+    return (Graph._unchecked(n, _forest_rows(f)) for f, _ in _forest_classes(n))
 
 
 # ---------------------------------------------------------------------------

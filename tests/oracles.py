@@ -3,8 +3,10 @@
 Labelled enumerations (Pruefer sequences, leaf extension, orbit marking
 over all 2^C(n,2) labelled graphs) that check the isomorph-free streams
 of ``nearindep.generate`` on small orders without canonical codes, the
-column-packed code of a fixed labelling, and the leaf deletions of a tree
-solved one induced subgraph at a time.
+column-packed code of a fixed labelling, the leaf deletions of a tree
+solved one induced subgraph at a time, and ``_is_center_rooted``, the
+centre test of a level sequence read whole, which the tree walk's
+carried test must match.
 
 The forest certificate lives here too: ``forest_certificate`` is a
 complete isomorphism invariant for forests of any supported order (the
@@ -196,6 +198,34 @@ def prufer_decode(n: int, seq: tuple[int, ...]) -> Graph:
     """The labelled tree of ``prufer_neighbours`` as a ``Graph``."""
     nbrs = prufer_neighbours(n, seq)
     return make_graph(n, [(v, u) for v, row in enumerate(nbrs) for u in row if v < u])
+
+
+def _is_center_rooted(layout: list[int]) -> bool:
+    """Keep exactly one rooted representative per free tree, reading the
+    whole layout.
+
+    In a canonical layout the first root subtree is the deepest one.
+    With h1 its depth and h2 the depth of the rest, the root is a
+    centre iff h2 >= h1 - 1.  For h2 == h1 the centre is unique; for
+    h2 == h1 - 1 the tree is bicentral and the two halves (the first
+    subtree re-rooted, and the remainder) are compared by size and then
+    lexicographically so that exactly one rooting survives.
+    """
+    n = len(layout)
+    if n <= 2:
+        return True
+    m = next((i for i in range(2, n) if layout[i] == 1), n)
+    h1 = max(layout[1:m])
+    h2 = max(layout[m:], default=0)
+    if h2 >= h1:
+        return True
+    if h2 < h1 - 1:
+        return False
+    left = [x - 1 for x in layout[1:m]]
+    rest = [0] + layout[m:]
+    if len(left) != len(rest):
+        return len(left) < len(rest)
+    return left <= rest
 
 
 def layout_to_graph(layout: list[int]) -> Graph:

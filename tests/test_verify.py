@@ -294,6 +294,23 @@ def test_tree_and_forest_tables_are_scored_in_generation(monkeypatch):
     assert 3 * 147386 < sum(g.n for n in range(1, 17) for g in gen_trees(n)) == 497380
 
 
+def test_forests_become_graphs_only_where_a_report_prints_them(monkeypatch):
+    """``run_theorem("4.1", 14)`` scans 15,205 forests but builds the rows
+    of 30: the least and greatest Q of each of the 14 orders, and the
+    equality witnesses at orders 1 and 2, one build per graph6 printed."""
+    built = []
+
+    def rows(forest, real=generate_module._forest_rows):
+        built.append(forest)
+        return real(forest)
+
+    monkeypatch.setattr(generate_module, "_forest_rows", rows)
+    forests = [r for r in run_theorem("4.1", 14) if r.spec.family == "forests"]
+    assert sum(r.checked for r in forests) == 15205
+    printed = sum(2 + len(r.equality_witnesses) + len(r.violations) for r in forests)
+    assert len(built) == printed == 30
+
+
 def test_run_theorem_catalogue():
     reports = run_theorem("3.2", 4)
     assert [r.spec.n for r in reports] == [1, 2, 3, 4]
