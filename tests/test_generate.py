@@ -388,6 +388,32 @@ def test_carried_pairs_match_the_recursion_and_the_sweep():
             assert n == 8 or pair == sigma_distribution_bruteforce(g).pair(), g
 
 
+GRAPH_CLASS_DIGESTS = [
+    "de10f7f9adc82698c620887ebce1884a0a1b645ab20bf102e3290bc4dfe22a4d",
+    "3d2cda7a4d92560ffd5dbb1d772f296f9a3cd0ebe7591f6e4409189b8d7c7029",
+    "8a3d172a8349e5727f75e6ce358ecd4ebe764c665c4938c797058502309cbd6f",
+    "263801080932fae83f5ac723ff24904da76306291dca9f5cc29b0117764f3fa0",
+    "79d230155f311684921a6fc0b8c4f441fadcd8279ecd67bf6ed7a2fd397523e8",
+    "050ebd95d2e132127dfe3c91a0e0d2919a1c408e3ae0026463918ec9f70058f2",
+    "06a4561d5a9271014732a5bb6e2be792d2ffd5cf67945a3c89b10a38a8b52640",
+    "f4cebcdb86b3bb6a0b2edaeba1025eb3f2a6e22cdcb1bdd384ca6cdedd48357b",
+]
+
+
+def test_graph_classes_are_pinned_with_their_generators():
+    """sha256 of every ``_graph_classes(n)`` entry for n <= 7, in table
+    order: the class's rows, the generators it carries to the next order
+    (which fix the orbit walk and so which children are tried) and its
+    pair.  The code and stream pins above are blind to the generators."""
+    digests = []
+    for n in range(8):
+        h = hashlib.sha256()
+        for g, gens, pair in _graph_classes(n):
+            h.update(f"{g.adj} {gens} {pair}\n".encode("ascii"))
+        digests.append(h.hexdigest())
+    assert digests == GRAPH_CLASS_DIGESTS
+
+
 def test_trees_and_forests_carry_their_pairs():
     """The (sigma0, sigma1) each tree and forest carries out of generation
     is that of the graph it emits: by the tree DP's fold for every tree to
