@@ -46,11 +46,11 @@ from .sigma import LEAF, Pair, _graft, _plus_vertex
 
 FAMILIES = ("trees", "forests", "all_graphs", "connected_graphs", "bounded_degree_graphs")
 
-# The families read off the classes of all graphs of one order, each with
-# the test a class passes to belong, given the family's delta.
-VIEWS: dict[str, Callable[[Graph, int | None], bool]] = {
-    "connected_graphs": lambda g, delta: is_connected(g),
-    "bounded_degree_graphs": lambda g, delta: max_degree(g) == delta,
+# The families read off the classes of all graphs of one order, each as a
+# key of a graph and the value of that key that a spec selects.
+VIEWS: dict[str, tuple[Callable[[Graph], object], Callable[[ClassSpec], object]]] = {
+    "connected_graphs": (is_connected, lambda spec: True),
+    "bounded_degree_graphs": (max_degree, lambda spec: spec.delta),
 }
 
 
@@ -259,13 +259,14 @@ def gen_forests(n: int) -> Iterator[Graph]:
 # all graphs on <= 8 vertices by canonical augmentation
 # ---------------------------------------------------------------------------
 
-def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[int]:
-    """Subsets of 0..n-1 that are minimal in their orbit under the group
-    generated by gens, in increasing order.
+def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...], k: int = 0) -> Iterator[int]:
+    """Subsets of 0..n-1 of size >= k that are minimal in their orbit under
+    the group generated by gens, in increasing order.
 
-    Subsets are walked upwards over a ``bytearray(1 << n)``; the first
-    unmarked one is the least of its orbit, which is then marked whole
-    by closing it under the generators' subset maps.
+    Subsets are walked upwards over a ``bytearray(1 << n)`` whose smaller
+    subsets start marked, as an orbit keeps the size of its members; the
+    first unmarked one is the least of its orbit, which is then marked
+    whole by closing it under the generators' subset maps.
     """
     size = 1 << n
     maps = []
@@ -275,10 +276,9 @@ def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[in
             low = s & -s
             img[s] = img[s ^ low] | 1 << a[low.bit_length() - 1]
         maps.append(img)
-    seen = bytearray(size)
-    for s in range(size):
-        if seen[s]:
-            continue
+    seen = bytearray(map(k.__gt__, map(int.bit_count, range(size))))
+    s = seen.find(0)
+    while s >= 0:
         yield s
         seen[s] = 1
         stack = [s]
@@ -289,17 +289,16 @@ def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[in
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
+        s = seen.find(0, s)
 
 
-def _outranked(adj: list[int], rivals: int) -> bool:
-    """Whether one of the ``rivals`` (old vertices of the degree of
-    v = len(adj) - 1) has more triangles than v."""
-    def triangles(x: int) -> int:  # twice the count at x
-        row = adj[x]
-        return sum((adj[y] & row).bit_count() for y in bits(row))
-
-    mine = triangles(len(adj) - 1)
-    return any(triangles(x) > mine for x in bits(rivals))
+def _outranked(padj: tuple[int, ...], tri: list[int], s: int, rivals: int) -> bool:
+    """Whether one of the ``rivals`` (old vertices of the degree of the new
+    vertex v) has more triangles than v once v is joined to ``s``, read off
+    the parent's rows ``padj`` and twice its triangle counts ``tri``: v gets
+    twice e(s), and an old x in s gains 2|N(x) & s|."""
+    mine = sum((padj[y] & s).bit_count() for y in bits(s))
+    return any(tri[x] + (2 * (padj[x] & s).bit_count() if s >> x & 1 else 0) > mine for x in bits(rivals))
 
 
 @cache
@@ -312,10 +311,12 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...], Pa
     n - 1 vertices plus a vertex v = n - 1 joined to a subset s, taken
     once per orbit of the parent's automorphism group.  A child passes
     only if v has the largest (degree, triangles at x) key, which some
-    vertex of every class has.  Most children fail it on degree alone, so
-    triangles are counted only at v and at the old vertices of v's
-    degree.  A child that passes is kept unless its canonical code is
-    already in ``found``.
+    vertex of every class has.  So s is at least as large as the parent's
+    maximum degree, and the orbit walk starts at that size.  Most children
+    fail on degree alone; the others compare triangles through
+    ``_outranked``, from counts taken once per parent, and only a child
+    that passes is built.  It is kept unless its canonical code is already
+    in ``found``.
 
     Each kept class is the graph its canonical code spells, so the same
     set of classes gives the same tuple whatever found it.  Its generators,
@@ -330,25 +331,25 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...], Pa
     for parent, parent_gens, pair in _graph_classes(v):
         padj = parent.adj
         plus = _plus_vertex(parent, pair)
-        top = max_degree(parent)
         exact = [0] * (v + 1)  # exact[k]: the old vertices of degree k
         for x, row in enumerate(padj):
             exact[row.bit_count()] |= 1 << x
-        for s in _orbit_min_subsets(v, parent_gens):
+        tri = [sum((padj[y] & row).bit_count() for y in bits(row)) for row in padj]  # twice the triangles at x
+        for s in _orbit_min_subsets(v, parent_gens, max_degree(parent)):
             k = s.bit_count()
-            # an old vertex of degree > k, or of degree k and joined to v,
-            # outranks v
-            if k < top or exact[k] & s:
+            # an old vertex of degree k joined to v outranks v
+            if exact[k] & s:
                 continue
             rivals = exact[k] & ~s | (exact[k - 1] & s if k else 0)
+            if rivals and _outranked(padj, tri, s, rivals):
+                continue
             adj = [row | new_bit if s >> x & 1 else row for x, row in enumerate(padj)]
             adj.append(s)
-            if rivals and _outranked(adj, rivals):
-                continue
             code, gens, order = canonical_form(Graph._unchecked(n, tuple(adj)))
             if code.code in found:
                 continue
-            conj = tuple(tuple(order.index(a[x]) for x in order) for a in gens)
+            inv = sorted(range(n), key=order.__getitem__)  # inv[x]: the position of x in order
+            conj = tuple(tuple(inv[a[x]] for x in order) for a in gens)
             found[code.code] = (Graph._unchecked(n, _column_rows(n, code.code)), conj, plus(s))
     return tuple(found[c] for c in sorted(found))
 
@@ -381,5 +382,8 @@ def gen_class(spec: ClassSpec) -> Iterator[Graph]:
     if spec.family == "forests":
         return gen_forests(spec.n)
     graphs = gen_graphs(spec.n)
-    keep = VIEWS.get(spec.family)
-    return graphs if keep is None else (g for g in graphs if keep(g, spec.delta))
+    if spec.family not in VIEWS:
+        return graphs
+    key, select = VIEWS[spec.family]
+    value = select(spec)
+    return (g for g in graphs if key(g) == value)

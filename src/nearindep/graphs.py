@@ -21,6 +21,7 @@ labelling, the vertex order that spells the code.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .limits import Limits, check_cap
@@ -233,29 +234,29 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
     n = len(adj)
     while queue and len(cells) < n:
         w = queue.pop()
-        one = None if w & (w - 1) else adj[w.bit_length() - 1]
-        for i in range(len(cells) - 1, -1, -1):  # a split moves only later cells
-            x = cells[i]
-            if one is not None:
+        if not w & (w - 1):
+            one = adj[w.bit_length() - 1]
+            for i in range(len(cells) - 1, -1, -1):  # a split moves only later cells
+                x = cells[i]
                 y = x & one
-                if not y or y == x:
-                    continue
-                frags = [x ^ y, y]
-            elif x & (x - 1):
-                split: dict[int, int] = {}
-                while x:
-                    low = x & -x
-                    c = (adj[low.bit_length() - 1] & w).bit_count()
-                    split[c] = split.get(c, 0) | low
-                    x ^= low
-                if len(split) == 1:
-                    continue
-                frags = [split[c] for c in sorted(split)]
-            else:
+                if y and y != x:
+                    cells[i:i + 1] = [x ^ y, y]
+                    queue.append(x ^ y if y.bit_count() > (x ^ y).bit_count() else y)
+            continue
+        for i in range(len(cells) - 1, -1, -1):
+            x = cells[i]
+            if not x & (x - 1):
                 continue
-            cells[i:i + 1] = frags
-            big = max(frags, key=int.bit_count)
-            queue += [f for f in frags if f != big]
+            split: dict[int, int] = {}
+            while x:
+                low = x & -x
+                c = (adj[low.bit_length() - 1] & w).bit_count()
+                split[c] = split.get(c, 0) | low
+                x ^= low
+            if len(split) > 1:
+                frags = cells[i:i + 1] = [split[c] for c in sorted(split)]
+                big = max(frags, key=int.bit_count)
+                queue += [f for f in frags if f != big]
     return cells
 
 
@@ -314,18 +315,20 @@ def canonical_form(
     def search(cells: list[int]) -> None:
         nonlocal best
         if len(cells) < n:  # individualise each candidate of the first non-singleton cell
-            i, x = next((i, x) for i, x in enumerate(cells) if x & (x - 1))
-            rest = x
+            for i, x in enumerate(cells):
+                if x & (x - 1):
+                    break
+            head, tail, rest = cells[:i], cells[i + 1:], x
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if not before[low.bit_length() - 1] & x:
-                    search(_refine(adj, cells[:i] + [low, x ^ low] + cells[i + 1:], [low]))
+                    search(_refine(adj, head + [low, x ^ low] + tail, [low]))
             return
         code = 0
         for j, x in enumerate(cells):
             row = adj[x.bit_length() - 1]
-            for y in cells[:j]:
+            for y in islice(cells, j):
                 code = code << 1 | (row & y != 0)
         if best < 0 or code < best:
             best = code

@@ -307,10 +307,14 @@ def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     """Checks 4.2-4.4 over the trees of ``rows``, once per support vertex
     (its leaves share every count) and listed leaf by leaf, with the counts
     of one ``leaf_deletion_counts`` walk.  Sigma of T is its root state, the
-    tree DP's ``_graft`` fold, so 4.4 tests the rerooting and leaf factors."""
+    tree DP's ``_graft`` fold, so 4.4 tests the rerooting and leaf factors;
+    that sigma must equal the pair the tree carries out of generation."""
     report = VerificationReport("lem-4.2/4.3/4.4", spec, 0)
-    for tree, _ in rows:
+    for tree, carried in rows:
         t, supports = leaf_deletion_counts(tree)
+        if carried != t:
+            report.violations.append(Violation(emit_graph6(tree), Fraction(carried[1], carried[0]),
+                                               Fraction(t[1], t[0]), f"carried pair {carried} != leaf walk {t}"))
         found = []
         for leaves, *deletions in supports:
             report.checked += leaves.bit_count()
@@ -439,10 +443,15 @@ def _reports(plan: list[tuple[Callable, ClassSpec]]) -> list[VerificationReport]
     for table in dict.fromkeys(table_of(spec) for _, spec in plan):
         steps = dict.fromkeys(s for s in plan if table_of(s[1]) == table)
         rows = _score(table)
+        views = {family: {} for _, (family, *_) in steps if family in VIEWS}
+        for family, split in views.items():  # each view's key once per row
+            key = VIEWS[family][0]
+            for row in rows:
+                split.setdefault(key(row[0]), []).append(row)
         for make, spec in steps:
-            keep = VIEWS.get(spec.family)
-            reports[make, spec] = make(spec, [r for r in rows if keep(r[0], spec.delta)] if keep else rows)
-        del rows  # release this table before the next one is built
+            split = views.get(spec.family)
+            reports[make, spec] = make(spec, rows if split is None else split.get(VIEWS[spec.family][1](spec), []))
+        del rows, views  # release this table before the next one is built
     return [reports[step] for step in plan]
 
 

@@ -321,7 +321,8 @@ def test_orbit_min_subsets_match_the_brute_force_group():
     automorphism (all n! relabellings tried) maps to a smaller one.  That
     holds for the generators ``canonical_form`` returns and for those the
     generator carries from one order to the next, conjugated into each
-    class's canonical labelling."""
+    class's canonical labelling.  A walk from size k keeps exactly those
+    minima of size >= k, for every k."""
     for n in range(7):
         for g, carried, _ in _graph_classes(n):
             group = brute_force_automorphisms(g)
@@ -331,16 +332,20 @@ def test_orbit_min_subsets_match_the_brute_force_group():
             ]
             assert list(_orbit_min_subsets(n, canonical_form(g)[1])) == minima
             assert list(_orbit_min_subsets(n, carried)) == minima
+            for k in range(n + 2):
+                assert list(_orbit_min_subsets(n, carried, k)) == [s for s in minima if s.bit_count() >= k]
 
 
 def test_outranked_matches_the_key_oracle():
     """Every child at order <= 7 (each class below plus v joined to any
-    subset) that passes the degree filter and has rivals: ``_outranked``
+    subset) that passes the degree filter and has rivals: ``_outranked``,
+    given the parent's rows, twice its triangle counts and the subset,
     holds exactly when some vertex's (degree, triangles) key exceeds v's."""
     outcomes = Counter()
     for n in range(2, 8):
         v = n - 1
         for parent, _, _ in _graph_classes(v):
+            tri = [2 * t for _, t in deletion_keys(parent)]
             for s in range(1 << v):
                 adj = [row | 1 << v if s >> x & 1 else row for x, row in enumerate(parent.adj)]
                 adj.append(s)
@@ -350,15 +355,14 @@ def test_outranked_matches_the_key_oracle():
                 if max(key[0] for key in keys) > mine[0] or not rivals:
                     continue
                 want = max(keys) > mine
-                assert _outranked(adj, rivals) == want, (adj, rivals)
+                assert _outranked(parent.adj, tri, s, rivals) == want, (adj, rivals)
                 outcomes["outranked" if want else "kept"] += 1
     assert outcomes == {"outranked": 561, "kept": 1383}
 
 
 def test_canonical_form_calls_are_pinned(monkeypatch):
     """The work of generation up to order 8, one call per child that
-    passes the deletion rule, which counts triangles only at v and its
-    rivals: 1,252 calls find the classes of orders 1-7, and the other 103
+    passes the deletion rule: 1,252 calls find the classes of orders 1-7, and the other 103
     return a code already found; to order 8 it is 15,047 calls."""
     codes = []
     real = generate.canonical_form

@@ -593,8 +593,33 @@ def test_fractions_are_built_per_report_not_per_row(monkeypatch, theorem, n_max,
     assert calls["fraction"] == built <= 3 * len(distinct)
 
 
-# the pair of T from leaf_deletion_counts perturbed on the trees of order
-# n only: each mutant breaks one side of the leaf identities; (sha256 of
+def test_views_evaluate_their_key_once_per_row(monkeypatch):
+    """Each view's key is evaluated once per row of each table of all
+    graphs, however many specs select from it: 'all' to 7 tests 1,252
+    rows for connectivity and reads the maximum degree of the 1,251 from
+    order 2 once for its 21 degree specs, where a filter per spec read it
+    7,223 times."""
+    calls = Counter()
+
+    def counting(family):
+        key, select = generate_module.VIEWS[family]
+
+        def count(g):
+            calls[family] += 1
+            return key(g)
+        monkeypatch.setitem(generate_module.VIEWS, family, (count, select))
+
+    counting("connected_graphs")
+    counting("bounded_degree_graphs")
+    reports = run_theorem("all", 7)
+    assert calls == {"connected_graphs": 1252, "bounded_degree_graphs": 1251}
+    assert len({r.spec for r in reports if r.spec.family == "bounded_degree_graphs"}) == 21
+
+
+# the pair of T from leaf_deletion_counts, and the pair the tree carries
+# with it, perturbed alike on the trees of order n only (so the carried
+# pair still matches the walk): each mutant breaks one side of the leaf
+# identities; (sha256 of
 # the reports' JSON for n = 2..8, violations by lemma), recorded when the
 # deletions were solved one induced subgraph at a time, as
 # tests/oracles.py still does
@@ -632,12 +657,30 @@ def test_leaf_lemma_violation_paths(monkeypatch, mutant):
             t, leaves = leaf_deletion_counts(g)
             return (perturb(*t) if g.n == n else t), leaves
 
+        def mutant_trees(order, n=n):
+            return tuple((g, perturb(*t) if order == n else t) for g, t in generate_module._tree_list(order))
+
         monkeypatch.setattr(verify_module, "leaf_deletion_counts", mutant_counts)
+        monkeypatch.setattr(verify_module, "_tree_list", mutant_trees)
         report = _verify("4.2", n)
         docs.append(report.to_json())
         found.update(v.context.rsplit(" leaf ", 1)[0] for v in report.violations)
     assert dict(found) == by_lemma
     assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_leaf_lemmas_compare_the_carried_pair_with_the_walk(monkeypatch):
+    """A tree whose carried (sigma0, sigma1) differs from the sigma the leaf
+    walk folds is reported on its own; every other tree still passes."""
+    trees = generate_module._tree_list(7)
+    (g, (s0, s1)), rest = trees[3], trees[4:]
+    patched = (*trees[:3], (g, (s0, s1 + 1)), *rest)
+    monkeypatch.setattr(verify_module, "_tree_list", lambda n: patched if n == 7 else generate_module._tree_list(n))
+    reports = run_theorem("4.4", 8)
+    assert [r.spec.n for r in reports if not r.passed] == [7]
+    (bad,) = [v for r in reports for v in r.violations]
+    assert bad == Violation(emit_graph6(g), Fraction(s1 + 1, s0), Fraction(s1, s0),
+                            f"carried pair {(s0, s1 + 1)} != leaf walk {(s0, s1)}")
 
 
 def per_leaf(tree):
