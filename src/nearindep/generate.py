@@ -20,13 +20,17 @@ from theirs by the union rule; its shifted rows are built only when read.
 Graph classes on up to eight vertices come from canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 A class on n-1 vertices is extended by a new vertex v joined to one
-subset per orbit of its automorphism group (orbits marked over all
-2^(n-1) subsets from generators carried over from the order below).  The
-child passes only if v is a vertex a canonical-deletion rule may remove:
-v must have the largest degree and, among the vertices of that degree,
-the most triangles.  Every class has such a vertex, so it is reached at
-least once; a child that passes is kept unless its canonical code was
-already found.  ``canonical_form`` runs only on children that pass.
+subset per orbit of its automorphism group (orbits marked, from
+generators carried over from the order below, over the subsets no
+smaller than the class's maximum degree).  The child passes only if v
+is a vertex a canonical-deletion rule may remove: v must have the
+largest degree and, among the vertices of that degree, the most
+triangles, read off the parent's counts.  Every class has such a vertex,
+so it is reached at least once; a child that passes is built and kept
+unless its canonical code was already found.  ``canonical_form`` runs
+only on children that pass.  The connected and the bounded-degree
+families are views: a key of a graph (connectivity, maximum degree) and
+the value of it a spec selects.
 Every class is emitted as the graph its canonical code spells, in code
 order, so the output depends only on the set of classes; each carries
 its (sigma0, sigma1), extended from its parent's at v.  ``verify`` reads
@@ -360,7 +364,7 @@ def gen_graphs(n: int) -> Iterator[Graph]:
 
     This is the one stream of graph classes: the connected and the
     bounded-degree universes are its views, filtered by ``gen_class``
-    with the tests in ``VIEWS``.
+    on the keys in ``VIEWS``.
     """
     check_cap(n, Limits.graphs_max_n, "gen_graphs")
     if n < 0:
@@ -373,8 +377,8 @@ def gen_class(spec: ClassSpec) -> Iterator[Graph]:
     """Stream the universe named by a ClassSpec.
 
     Trees and forests have generators of their own.  Every graph family
-    streams the classes of ``gen_graphs`` that pass the family's test in
-    ``VIEWS``, so ``VIEWS`` alone decides membership, as in
+    streams the classes of ``gen_graphs`` whose key in ``VIEWS`` has the
+    value the spec selects, so ``VIEWS`` alone decides membership, as in
     ``verify.run_theorem``.
     """
     if spec.family == "trees":

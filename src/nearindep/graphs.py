@@ -21,7 +21,6 @@ labelling, the vertex order that spells the code.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .limits import Limits, check_cap
@@ -323,13 +322,14 @@ def canonical_form(
                 low = rest & -rest
                 rest ^= low
                 if not before[low.bit_length() - 1] & x:
-                    search(_refine(adj, head + [low, x ^ low] + tail, [low]))
+                    search(_refine(adj, [*head, low, x ^ low, *tail], [low]))
             return
-        code = 0
-        for j, x in enumerate(cells):
+        code, placed = 0, []
+        for x in cells:
             row = adj[x.bit_length() - 1]
-            for y in islice(cells, j):
+            for y in placed:
                 code = code << 1 | (row & y != 0)
+            placed.append(x)
         if best < 0 or code < best:
             best = code
             leaves[:] = [cells]

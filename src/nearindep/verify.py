@@ -433,8 +433,9 @@ def extremal_scan(spec: ClassSpec) -> VerificationReport:
 
 def _reports(plan: list[tuple[Callable, ClassSpec]]) -> list[VerificationReport]:
     """The report of each (make, spec) step of ``plan``, in plan order: each
-    universe is scored once per order, one table at a time (a view filters
-    the table of all graphs), and each distinct step is made once."""
+    universe is scored once per order, one table at a time, and each
+    distinct step is made once.  A view's key splits the table of all
+    graphs once, in table order, and each spec takes the rows of its value."""
 
     def table_of(spec: ClassSpec) -> ClassSpec:
         return ClassSpec("all_graphs", spec.n) if spec.family in VIEWS else spec
