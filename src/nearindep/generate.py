@@ -275,10 +275,9 @@ def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...], k: int = 0) ->
     size = 1 << n
     maps = []
     for a in gens:
-        img = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            img[s] = img[s ^ low] | 1 << a[low.bit_length() - 1]
+        img = [0]  # the images of the subsets of 0..x-1, then of those holding x too
+        for x in range(n):
+            img += [t | 1 << a[x] for t in img]
         maps.append(img)
     seen = bytearray(map(k.__gt__, map(int.bit_count, range(size))))
     s = seen.find(0)
@@ -353,7 +352,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...], Pa
             if code.code in found:
                 continue
             inv = sorted(range(n), key=order.__getitem__)  # inv[x]: the position of x in order
-            conj = tuple(tuple(inv[a[x]] for x in order) for a in gens)
+            conj = tuple(tuple(map(inv.__getitem__, map(a.__getitem__, order))) for a in gens)
             found[code.code] = (Graph._unchecked(n, _column_rows(n, code.code)), conj, plus(s))
     return tuple(found[c] for c in sorted(found))
 
