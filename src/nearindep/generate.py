@@ -20,17 +20,14 @@ from theirs by the union rule; its shifted rows are built only when read.
 Graph classes on up to eight vertices come from canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 A class on n-1 vertices is extended by a new vertex v joined to one
-subset per orbit of its automorphism group (orbits marked, from
-generators carried over from the order below, over the subsets no
-smaller than the class's maximum degree).  The child passes only if v
-is a vertex a canonical-deletion rule may remove: v must have the
-largest degree and, among the vertices of that degree, the most
-triangles, read off the parent's counts.  Every class has such a vertex,
-so it is reached at least once; a child that passes is built and kept
-unless its canonical code was already found.  ``canonical_form`` runs
-only on children that pass.  The connected and the bounded-degree
-families are views: a key of a graph (connectivity, maximum degree) and
-the value of it a spec selects.
+subset per orbit of its automorphism group (orbits of the subsets no
+smaller than its maximum degree, from generators carried over from the
+order below).  The child passes only if v is a vertex a canonical-
+deletion rule may remove: v must have the largest degree and, among the
+vertices of that degree, the most triangles (from the parent's counts).
+Every class has such a vertex, so it is reached at least once; a child
+that passes is built, and kept unless its canonical code was already
+found.  ``canonical_form`` runs only on children that pass.
 Every class is emitted as the graph its canonical code spells, in code
 order, so the output depends only on the set of classes; each carries
 its (sigma0, sigma1), extended from its parent's at v.  ``verify`` reads
@@ -314,12 +311,10 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...], Pa
     n - 1 vertices plus a vertex v = n - 1 joined to a subset s, taken
     once per orbit of the parent's automorphism group.  A child passes
     only if v has the largest (degree, triangles at x) key, which some
-    vertex of every class has.  So s is at least as large as the parent's
-    maximum degree, and the orbit walk starts at that size.  Most children
-    fail on degree alone; the others compare triangles through
-    ``_outranked``, from counts taken once per parent, and only a child
-    that passes is built.  It is kept unless its canonical code is already
-    in ``found``.
+    vertex of every class has, so s is no smaller than the parent's
+    maximum degree.  Most children fail on degree alone, the others on
+    triangles counted once per parent; only a child that passes is built,
+    and kept unless its canonical code is already in ``found``.
 
     Each kept class is the graph its canonical code spells, so the same
     set of classes gives the same tuple whatever found it.  Its generators,

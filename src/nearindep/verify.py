@@ -313,8 +313,8 @@ def _leaf_lemmas(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     for tree, carried in rows:
         t, supports = leaf_deletion_counts(tree)
         if carried != t:
-            report.violations.append(Violation(emit_graph6(tree), Fraction(carried[1], carried[0]),
-                                               Fraction(t[1], t[0]), f"carried pair {carried} != leaf walk {t}"))
+            q = Fraction(carried[1], carried[0]), Fraction(t[1], t[0])
+            report.violations.append(Violation(emit_graph6(tree), *q, f"carried pair {carried} != walk {t}"))
         found = []
         for leaves, *deletions in supports:
             report.checked += leaves.bit_count()
@@ -444,14 +444,15 @@ def _reports(plan: list[tuple[Callable, ClassSpec]]) -> list[VerificationReport]
     for table in dict.fromkeys(table_of(spec) for _, spec in plan):
         steps = dict.fromkeys(s for s in plan if table_of(s[1]) == table)
         rows = _score(table)
-        views = {family: {} for _, (family, *_) in steps if family in VIEWS}
+        views = {spec.family: {} for _, spec in steps if spec.family in VIEWS}
         for family, split in views.items():  # each view's key once per row
             key = VIEWS[family][0]
             for row in rows:
                 split.setdefault(key(row[0]), []).append(row)
         for make, spec in steps:
             split = views.get(spec.family)
-            reports[make, spec] = make(spec, rows if split is None else split.get(VIEWS[spec.family][1](spec), []))
+            view = rows if split is None else split.get(VIEWS[spec.family][1](spec), [])
+            reports[make, spec] = make(spec, view)
         del rows, views  # release this table before the next one is built
     return [reports[step] for step in plan]
 

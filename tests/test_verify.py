@@ -680,7 +680,7 @@ def test_leaf_lemmas_compare_the_carried_pair_with_the_walk(monkeypatch):
     assert [r.spec.n for r in reports if not r.passed] == [7]
     (bad,) = [v for r in reports for v in r.violations]
     assert bad == Violation(emit_graph6(g), Fraction(s1 + 1, s0), Fraction(s1, s0),
-                            f"carried pair {(s0, s1 + 1)} != leaf walk {(s0, s1)}")
+                            f"carried pair {(s0, s1 + 1)} != walk {(s0, s1)}")
 
 
 def per_leaf(tree):
