@@ -260,7 +260,7 @@ def gen_forests(n: int) -> Iterator[Graph]:
 # all graphs on <= 8 vertices by canonical augmentation
 # ---------------------------------------------------------------------------
 
-def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...], k: int = 0) -> Iterator[int]:
+def _orbit_min_subsets(n: int, gens: tuple[tuple[int, ...], ...], k: int) -> Iterator[int]:
     """Subsets of 0..n-1 of size >= k that are minimal in their orbit under
     the group generated by gens, in increasing order.
 

@@ -330,8 +330,7 @@ def test_orbit_min_subsets_match_the_brute_force_group():
                 s for s in range(1 << n)
                 if all(subset_image(s, phi) >= s for phi in group)
             ]
-            assert list(_orbit_min_subsets(n, canonical_form(g)[1])) == minima
-            assert list(_orbit_min_subsets(n, carried)) == minima
+            assert list(_orbit_min_subsets(n, canonical_form(g)[1], 0)) == minima
             for k in range(n + 2):
                 assert list(_orbit_min_subsets(n, carried, k)) == [s for s in minima if s.bit_count() >= k]
 
