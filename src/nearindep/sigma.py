@@ -5,34 +5,16 @@ empty set included; this is the Merrifield-Simmons index) and sigma1(G)
 those inducing exactly one edge.  Their exact ratio Q(G) = sigma1/sigma0
 is the invariant everything in this package revolves around.
 
-Three mutually checking routes are implemented:
+Three mutually checking routes:
 
-* a definitional oracle that sweeps all 2^n subsets and histograms the
-  number of induced edges (``sigma_distribution_bruteforce``);
-* deletion recursion that decomposes (``sigma01_recursive``).  Each
-  surviving-vertex mask loses its isolated vertices (a factor 2 on both
-  counts each) and is split into connected components (by
-  ``graphs.split_components``), folded with the union rule below.  Each
-  component is memoised by its mask: a tree is counted by one ``_graft``
-  fold (``_tree_pair``), any other component by deletion on a pivot v of
-  maximum degree, ties to the smallest index (``_pivot_vertex``):
-  sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
-  sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
-              + sum over u in N(v) of sigma0(G-N[v]-N[u]).
-  ``_solve`` memoises pairs and applies both rules.  The deg(v) neighbour
-  terms need sigma0 alone, so they go to ``_solve0``: the same
-  decomposition, fold and pivot, the first rule only, and its own memo of
-  counts; a component ``_solve`` has met is read from the pair memo.
-  Paths and cycles cost polynomial time, and the work on other graphs
-  grows with how slowly deletions break them into trees.  ``_plus_vertex``
-  takes both rules at a vertex added to a graph whose pair is known;
-* a linear-time rooted DP for forests in label order, where each vertex
-  has at most one lower neighbour, its parent (``sigma01_tree_dp``): one
-  fold, ``_label_fold``, grafts each vertex, highest label first, onto its
-  parent and each root onto ``TOP``, a vertex in no subset, so the trees
-  join by the union rule below; ``leaf_deletion_counts``, for the leaf
-  checks of ``verify``, reroots its states with ``_prune``, never at a
-  leaf, and counts the deletions once per support vertex.
+* ``sigma_distribution_bruteforce``: the definitional oracle, which
+  sweeps all 2^n subsets and histograms the number of induced edges;
+* ``sigma01_recursive``: deletion recursion that decomposes, by
+  ``_solve`` and ``_solve0``; ``_plus_vertex`` applies its rules at a
+  vertex added to a graph whose pair is known;
+* ``sigma01_tree_dp``: a linear-time rooted DP for forests in label
+  order, one ``_label_fold``, whose states ``leaf_deletion_counts``
+  reroots for the leaf checks of ``verify``.
 
 Counts for vertex-disjoint unions combine bilinearly:
 sigma0(G1 u G2) = sigma0(G1) sigma0(G2) and
@@ -211,8 +193,23 @@ def _solve0(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
 
 
 def sigma01_recursive(g: Graph) -> SigmaPair:
-    """Exact (sigma0, sigma1) by deletion recursion that decomposes, as
-    the module docstring states it.
+    """Exact (sigma0, sigma1) by deletion recursion that decomposes.
+
+    Each surviving-vertex mask loses its isolated vertices (a factor 2 on
+    both counts each) and is split into connected components (by
+    ``graphs.split_components``), folded with the union rule.  Each
+    component is memoised by its mask: a tree is counted by one ``_graft``
+    fold (``_tree_pair``), any other component by deletion on a pivot v of
+    maximum degree, ties to the smallest index (``_pivot_vertex``):
+    sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
+    sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
+                + sum over u in N(v) of sigma0(G-N[v]-N[u]).
+    ``_solve`` memoises pairs and applies both rules.  The deg(v) neighbour
+    terms need sigma0 alone, so they go to ``_solve0``: the same
+    decomposition, fold and pivot, the first rule only, and its own memo
+    of counts; a component ``_solve`` has met is read from the pair memo.
+    Paths and cycles cost polynomial time, and the work on other graphs
+    grows with how slowly deletions break them into trees.
 
     Both recursions look up the module-level ``_pivot_vertex`` at every
     memo miss, so a test can swap in another rule there (any pivot gives

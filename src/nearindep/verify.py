@@ -157,10 +157,6 @@ _MAX_DEGREE_AT = {  # 3.4 is 3.6 at delta 1; at delta 2 no graph attains the bou
     1: MAX_DEGREE_LOWER._replace(theorem_id="prop-3.4"),
     2: MAX_DEGREE_LOWER._replace(extremal=None),
 }
-FOREST_BOUNDS = {
-    "thm41": Check("thm-4.1", "<=", lambda s: Fraction(s.n - 1, 3), note_attained=True),
-    "thm45": Check("thm-4.5", "<=", lambda s: Fraction(s.n, 4) - Fraction(1, 6), note_attained=True),
-}
 
 
 def _score(table: ClassSpec) -> list[Row]:
@@ -344,18 +340,19 @@ CATALOGUE = {
     "3.4": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.degree_checks_max_n, lambda n: (1,))],
     "3.5": [(_general_lower, "all_graphs", 4, Limits.degree_checks_max_n)],
     "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.degree_checks_max_n, lambda n: range(1, n))],
-    "4.1": _over_forests_and_trees(FOREST_BOUNDS["thm41"]),
+    "4.1": _over_forests_and_trees(Check("thm-4.1", "<=", lambda s: Fraction(s.n - 1, 3), note_attained=True)),
     "4.2": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
     "4.3": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
     "4.4": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
-    "4.5": _over_forests_and_trees(FOREST_BOUNDS["thm45"]),
+    "4.5": _over_forests_and_trees(
+        Check("thm-4.5", "<=", lambda s: Fraction(s.n, 4) - Fraction(1, 6), note_attained=True)),
 }
 THEOREMS = tuple(CATALOGUE)
 
-def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> VerificationReport:
-    """One report of catalogue id ``theorem`` (from its series-th universe),
+def _verify(theorem: str, n: int, delta: int | None = None) -> VerificationReport:
+    """One report of catalogue id ``theorem`` (from its first universe),
     with n and delta checked against the orders and degrees it runs for."""
-    make, family, lowest, cap, *deltas = CATALOGUE[theorem][series]
+    make, family, lowest, cap, *deltas = CATALOGUE[theorem][0]
     if n < lowest:
         raise ValueError(f"check {theorem} needs n >= {lowest}")
     check_cap(n, cap, f"check {theorem}")
@@ -366,63 +363,12 @@ def _verify(theorem: str, n: int, delta: int | None = None, series: int = 0) -> 
 
 
 # No caller in the engine, but perfbench/tracer.py rebinds these six in this module.
-def verify_connected_lower(n: int) -> VerificationReport:
-    """Connected graphs on n vertices: Q >= Q(star), equality only at the star."""
-    return _verify("3.2", n)
-
-
-def verify_general_lower(n: int) -> VerificationReport:
-    """All graphs on n vertices: Q = 0 exactly for the edgeless graph, and
-    (for n >= 4) Q >= Q(star) for every other graph.  Also records the
-    second-smallest Q and its witnesses."""
-    return _verify("3.1", n)
-
-
-def verify_max_degree_lower(n: int, delta: int) -> VerificationReport:
-    """Graphs on n vertices with maximum degree exactly delta:
-    Q >= min(1/3, Q(star on delta+1 vertices)).
-
-    For delta != 2 the set of graphs attaining the bound must be exactly
-    the star on delta+1 vertices padded with isolated vertices.  For
-    delta = 2 the bound is not attainable (the class minimum is Q of the
-    3-vertex path plus isolated vertices); the observed minimum is
-    reported instead of being treated as a failure.
-    """
-    return _verify("3.6", n, delta)
-
-
-def verify_tree_lower(n: int) -> VerificationReport:
-    """Trees on n vertices: Q >= Q(star), equality only at the star."""
-    return _verify("3.3", n)
-
-
-def verify_forest_upper(n: int, which: str, universe: str = "forests") -> VerificationReport:
-    """Forests (or just trees) on n vertices against one of the two upper
-    bounds: Q <= (n-1)/3 or Q <= n/4 - 1/6.  Equality witnesses and the
-    class maximum are recorded; neither bound claims uniqueness."""
-    if which not in FOREST_BOUNDS:
-        raise ValueError(f"which must be one of {sorted(FOREST_BOUNDS)}")
-    if universe not in ("forests", "trees"):
-        raise ValueError("universe must be 'forests' or 'trees'")
-    return _verify("4.1" if which == "thm41" else "4.5", n, series=1 if universe == "trees" else 0)
-
-
-def verify_leaf_lemmas(n: int) -> VerificationReport:
-    """Per-leaf checks over every tree of order n: the sigma0 deletion
-    ratio bound, the leaf upper bound on Q, and both exact identities
-    relating a tree to its leaf deletions (their rational forms are in
-    ``leaf_lemma_failures``).  The leaves of one support vertex share
-    every count, so each support is tested once and reported per leaf.
-
-    The counts of T and of the three deletions come from one
-    ``leaf_deletion_counts`` walk: T's are the root state of the tree
-    DP's ``_graft`` fold, the deletions' are rerooted from it, never at
-    a leaf.  So the identities test the rerooting by ``_prune`` and the
-    leaf factors, not that fold; the tests compare T and the deletions
-    with counts of T and of the deleted subgraphs.  Each line is tested
-    in its integer form; a violation reports the rational sides.
-    """
-    return _verify("4.2", n)
+verify_general_lower = partial(_verify, "3.1")
+verify_connected_lower = partial(_verify, "3.2")
+verify_tree_lower = partial(_verify, "3.3")
+verify_max_degree_lower = partial(_verify, "3.6")
+verify_forest_upper = partial(_verify, "4.1")
+verify_leaf_lemmas = partial(_verify, "4.2")
 
 
 def extremal_scan(spec: ClassSpec) -> VerificationReport:

@@ -8,13 +8,6 @@ from nearindep.limits import CapabilityError
 from conftest import graphs, random_graph
 
 
-def test_hand_decoded_vectors():
-    k3 = parse_graph6("Bw")
-    assert k3.n == 3 and k3.edge_count() == 3
-    assert parse_graph6("A?") == make_named("empty", 2)
-    assert parse_graph6("A_") == make_named("path", 2)
-
-
 def test_hand_encoded_vectors():
     assert emit_graph6(make_named("complete", 3)) == "Bw"
     assert emit_graph6(make_named("empty", 2)) == "A?"

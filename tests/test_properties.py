@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import (
@@ -16,16 +16,13 @@ from nearindep.sigma import (
     q_ratio,
     sigma01,
     sigma01_recursive,
-    sigma01_tree_dp,
     sigma_distribution_bruteforce,
 )
 
-from conftest import forests, graphs
+from conftest import graphs
 from oracles import (
     combine_union,
     disjoint_union,
-    fold_free_recursion,
-    in_label_order,
     is_forest,
     lower_degrees,
     random_pivots,
@@ -81,19 +78,6 @@ def test_sigma_is_isomorphism_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert sigma01(relabel(g, perm)) == sigma01(g)
-
-
-@given(forests(max_n=12), st.randoms(use_true_random=False))
-def test_tree_dp_agrees_with_recursion(f, rnd):
-    """``f`` is drawn in label order, and its shuffled copy most likely is
-    not: the DP reads that copy relabelled into label order.  The recursion
-    also runs fold-free, sharing no ``_graft`` with the DP."""
-    perm = list(range(f.n))
-    rnd.shuffle(perm)
-    h = relabel(f, perm)
-    assert sigma01_tree_dp(f) == sigma01_recursive(f) == fold_free_recursion(f)
-    assert sigma01_tree_dp(in_label_order(h)) == sigma01(h) == sigma01_recursive(h) == sigma01_tree_dp(f)
-    assert fold_free_recursion(h) == sigma01_tree_dp(f)
 
 
 @given(graphs(max_n=9))

@@ -27,7 +27,6 @@ from nearindep.verify import (
     is_star_plus_isolated,
     leaf_lemma_failures,
     run_theorem,
-    verify_forest_upper,
 )
 
 import oracles
@@ -144,15 +143,8 @@ def test_forest_upper_n6():
     assert r.max_witness[1] == Fraction(1)  # three disjoint edges
     g = parse_graph6(r.max_witness[0])
     assert g.edge_count() == 3 and is_forest(g)
-    r45 = _verify("4.5", 6, series=1)
+    r45 = run_theorem("4.5", 6)[-1]
     assert r45.checked == 6 and r45.passed
-
-
-def test_forest_upper_validation():
-    with pytest.raises(ValueError):
-        verify_forest_upper(4, "thm99")
-    with pytest.raises(ValueError):
-        verify_forest_upper(4, "thm41", universe="graphs")
 
 
 def test_leaf_lemmas_small():
@@ -446,7 +438,7 @@ VIOLATION_CASES = {
     ),
     "4.5": (
         _shifted_pairs(F(1, 3), "_forest_classes", "_tree_list"),
-        lambda: _verify("4.5", 5, series=1),
+        lambda: run_theorem("4.5", 5)[-1],
         [("DkC", F(43, 39), F(13, 12), "")],
         [],
         ["bound", "bound_attained"],
