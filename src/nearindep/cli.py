@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import os
 import sys
@@ -200,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # the engine builds no reference cycles, so the collector would find nothing
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
@@ -211,6 +214,9 @@ def main(argv=None) -> int:
     except (Graph6Error, CapabilityError, ValueError, OSError) as exc:
         print(f"nearindep: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

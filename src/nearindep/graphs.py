@@ -271,7 +271,9 @@ def canonical_form(
     (placing it ahead of the rest of the cell) and refines again, and a
     leaf is a partition into singletons, an order of the vertices.  The
     tree commutes with relabelling, so the least column code over its
-    leaves is a complete invariant.
+    leaves is a complete invariant.  A stack of partitions walks it depth
+    first, children pushed largest candidate first so that leaves come off
+    in candidate order; with no nested function, a call leaves no cycle.
 
     Twins (u, w with the same neighbours apart from each other) are
     interchangeable: the transposition (u w) is an automorphism, unplaced
@@ -310,20 +312,21 @@ def canonical_form(
                 gens.append(tuple(swap))
     best = -1
     leaves: list[list[int]] = []  # the least leaves so far, as singleton cells
-
-    def search(cells: list[int]) -> None:
-        nonlocal best
+    stack = [root]
+    while stack:
+        cells = stack.pop()
         if len(cells) < n:  # individualise each candidate of the first non-singleton cell
             for i, x in enumerate(cells):
                 if x & (x - 1):
                     break
             head, tail, rest = cells[:i], cells[i + 1:], x
             while rest:
-                low = rest & -rest
+                v = rest.bit_length() - 1
+                low = 1 << v
                 rest ^= low
-                if not before[low.bit_length() - 1] & x:
-                    search(_refine(adj, [*head, low, x ^ low, *tail], [low]))
-            return
+                if not before[v] & x:
+                    stack.append(_refine(adj, [*head, low, x ^ low, *tail], [low]))
+            continue
         code, placed = 0, []
         for x in cells:
             row = adj[x.bit_length() - 1]
@@ -335,8 +338,6 @@ def canonical_form(
             leaves[:] = [cells]
         elif code == best:
             leaves.append(cells)
-
-    search(root)
     first, *others = ([x.bit_length() - 1 for x in leaf] for leaf in leaves)
     inv = [0] * n
     for p, v in enumerate(first):

@@ -215,7 +215,8 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
     memo miss, so a test can swap in another rule there (any pivot gives
     the same counts); ``oracles.random_pivots`` never returns None, so it
     folds no tree and shares no code with the tree DP.  The memos live
-    only for this call, and no reference cycle keeps them alive after it.
+    only for this call, and no reference cycle keeps them alive after it:
+    the CLI runs its commands with the cyclic collector off (README, CLI).
     """
     s0, s1 = _solve(g.full_mask, g.adj, {}, {})
     return SigmaPair(s0, s1)

@@ -145,7 +145,7 @@ STAR_LOWER = Check(
 TREE_LOWER = STAR_LOWER._replace(theorem_id="cor-3.3", off="bound attained by a non-star tree")
 GENERAL_LOWER = Check(  # the star bound of 3.5 applies from order 4 on
     "thm-3.1+3.5", ">=", lambda s: star_q(s.n) if s.n >= 4 else None,
-    exempt=lambda g: g.edge_count() == 0,
+    exempt=lambda g: not any(g.adj),
 )
 MAX_DEGREE_LOWER = Check(
     "thm-3.6", ">=", lambda s: min(ONE_THIRD, star_q(s.delta + 1)),
@@ -224,9 +224,9 @@ def _scan(
 
 def _zero_test(g: Graph, pair: Pair) -> list[Violation]:
     """Theorem 3.1 at one row: Q >= 0, zero exactly for the edgeless graph
-    (by its edge count); as sigma0 >= 1, Q has the sign of sigma1."""
+    (no row has a neighbour); as sigma0 >= 1, Q has the sign of sigma1."""
     s0, s1 = pair
-    empty = g.edge_count() == 0
+    empty = not any(g.adj)
     fails = {"negative ratio": s1 < 0, "edgeless graph with nonzero ratio": empty and s1 != 0,
              "zero ratio off the edgeless graph": not empty and s1 == 0}
     return [Violation(emit_graph6(g), Fraction(s1, s0), Fraction(0), c) for c, bad in fails.items() if bad]
@@ -239,7 +239,7 @@ def _general_lower(spec: ClassSpec, rows: list[Row]) -> VerificationReport:
     report = _scan(GENERAL_LOWER, spec, rows, _zero_test)
     if spec.n < 4:
         report.theorem_id = "thm-3.1"
-    nonzero = [row for row in rows if row[0].edge_count()]
+    nonzero = [row for row in rows if any(row[0].adj)]
     if nonzero:
         second = _extremes(nonzero)[0][1]
         b0, b1 = second.denominator, second.numerator

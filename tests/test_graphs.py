@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -492,6 +493,21 @@ def test_canonical_form_at_the_cap(g, order, least, rng):
     perm = list(range(10))
     rng.shuffle(perm)
     assert canonical_form(relabel(g, perm))[0] == code
+
+
+def test_canonical_form_leaves_no_cyclic_garbage(rng):
+    """Graphs whose search has many leaves, and random G(8, p): each call
+    frees its whole search by reference counting alone."""
+    drawn = [make_graph(8, [(u, v) for v in range(8) for u in range(v) if rng.random() < p])
+             for p in (0.2, 0.5, 0.8) for _ in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in [_petersen(), MATCHING5, TWO_C5, make_named("complete", 8), *drawn]:
+            canonical_form(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_relabel_validates():
