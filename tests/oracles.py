@@ -16,8 +16,9 @@ tell tree and forest classes apart without canonical codes.  So do the
 graph helpers only the tests need (``components``, ``is_connected`` and
 ``induced``, read off the edge list rather than the engine's component
 splitter; ``closed_neighborhood``, ``is_forest``, ``lower_degrees``,
-``disjoint_union``, ``relabel``, ``in_label_order``, ``strip_isolated``) and
-``combine_union``, the union rule of the counts as a function.
+``disjoint_union``, ``relabel``, ``shuffled``, ``in_label_order``,
+``strip_isolated``) and ``combine_union``, the union rule of the counts
+as a function.
 ``random_pivots`` swaps the deletion recursion's pivot rule for a random
 one, which must give the same counts; under it the recursion folds no
 tree, and ``fold_free_recursion`` counts that way for the checks of the
@@ -110,6 +111,13 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     for v in range(g.n):
         adj[p[v]] = sum(1 << p[u] for u in bits(g.adj[v]))
     return Graph(g.n, tuple(adj))
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """g relabelled by a permutation that ``rng.shuffle`` draws."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
 
 
 def in_label_order(g: Graph) -> Graph:

@@ -35,6 +35,7 @@ from oracles import (
     prufer_decode,
     random_pivots,
     relabel,
+    shuffled,
 )
 
 
@@ -80,9 +81,7 @@ def test_forest_scorers_agree(f, rnd):
     label order; a shuffled copy goes to the DP relabelled into label
     order, and as it is to ``sigma01`` and the recursion, which folds its
     trees with the DP's ``_graft`` unless it runs fold-free."""
-    perm = list(range(f.n))
-    rnd.shuffle(perm)
-    h = relabel(f, perm)
+    h = shuffled(f, rnd)
     assert sigma01(f) == sigma01_tree_dp(f) == sigma01_recursive(f) == fold_free_recursion(f)
     assert sigma01(h) == sigma01_tree_dp(in_label_order(h)) == sigma01_recursive(h) == sigma01(f)
     assert fold_free_recursion(h) == sigma01(f)
@@ -153,12 +152,6 @@ def _sweep(g):
     return sigma_distribution_bruteforce(g).pair()
 
 
-def _shuffled_path(n):
-    perm = list(range(n))
-    random.Random(0).shuffle(perm)
-    return relabel(make_named("path", n), perm)
-
-
 @pytest.mark.parametrize("g, want, oracle", [
     # P3 (5, 2), K3 (4, 3) and K1 (2, 0) folded by the union rule
     (reduce(disjoint_union, [make_named("path", 3), make_named("complete", 3), make_named("empty", 1)]),
@@ -166,7 +159,8 @@ def _shuffled_path(n):
     (disjoint_union(make_named("star", 5), make_named("path", 4)), (136, 117), _sweep),  # K1,4 (17, 4), P4 (8, 5)
     (reduce(disjoint_union, [make_named("star", 5), make_named("path", 4), make_named("empty", 3)]),
      (1088, 936), _sweep),
-    (_shuffled_path(40), (267914296, 1810142185), lambda g: path_pair(g.n)),  # F(42) and sigma1 of P40
+    (shuffled(make_named("path", 40), random.Random(0)), (267914296, 1810142185),  # F(42) and sigma1 of P40
+     lambda g: path_pair(g.n)),
 ], ids=["P3+K3+K1", "star5+P4", "star5+P4+3K1", "shuffled-P40"])
 def test_sigma01_on_unions_and_a_shuffled_path(g, want, oracle):
     assert sigma01(g) == want == oracle(g)
