@@ -215,6 +215,7 @@ def main(argv=None) -> int:
         print(f"nearindep: error: {exc}", file=sys.stderr)
         return 2
     finally:
+        gc.freeze()  # no later collection, nor the one at exit, walks what the command holds
         if collecting:
             gc.enable()
 

@@ -48,7 +48,7 @@ PLUS = "test_sigma.py::test_plus_vertex_matches_the_sweep_of_each_child"
 SCAN = "test_verify.py::test_scan_matches_fraction_scan"
 
 SIGMA, GENERATE, VERIFY = "nearindep/sigma.py", "nearindep/generate.py", "nearindep/verify.py"
-GRAPHS, GRAPH6 = "nearindep/graphs.py", "nearindep/graph6.py"
+GRAPHS, GRAPH6, CLI = "nearindep/graphs.py", "nearindep/graph6.py", "nearindep/cli.py"
 
 MUTANTS = (
     Mutant("label fold never grafts vertex 0 onto TOP", SIGMA,
@@ -159,6 +159,15 @@ MUTANTS = (
            '"connected_graphs": (is_connected, lambda spec: True),',
            '"connected_graphs": (lambda g: is_connected(g) and g.edge_count() != 9, lambda spec: True),',
            (ORBIT, C9), None),
+    Mutant("main re-enables the collector without freezing", CLI,
+           "gc.freeze()", "pass", ("test_cli.py::test_main_freezes_what_the_command_holds",), None),
+    Mutant("gen_trees drops one tree at order 18", GENERATE,
+           "return (g for g, _ in _tree_classes(n))",
+           "return (g for i, (g, _) in enumerate(_tree_classes(n)) if n != 18 or i)",
+           ("test_generate.py::test_generated_trees_and_forests_pass_the_full_check[gen_trees-18]",), None),
+    Mutant("gen_forests drops one forest at order 6", GENERATE,
+           "for f, _ in _forest_classes(n))", "for i, (f, _) in enumerate(_forest_classes(n)) if n != 6 or i)",
+           ("test_generate.py::test_forest_counts_match_euler_transform",), None),
 )
 
 

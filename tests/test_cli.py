@@ -294,12 +294,15 @@ def test_sigma_max_n_is_ignored(capsys, monkeypatch):
 
 def saved_cycles(capsys, argv) -> int:
     """The number of objects in reference cycles that ``main(argv)`` leaves
-    behind: a full collection after it saves them instead of freeing them."""
+    behind: a full collection after it saves them instead of freeing them.
+    ``main`` freezes what it leaves, so each collection unfreezes first."""
+    gc.unfreeze()
     gc.collect()
     flags, start = gc.get_debug(), len(gc.garbage)
     gc.set_debug(flags | gc.DEBUG_SAVEALL)
     try:
         main(argv)
+        gc.unfreeze()
         gc.collect()
         return len(gc.garbage) - start
     finally:
@@ -353,6 +356,19 @@ def test_main_restores_the_collector(capsys, monkeypatch):
     finally:
         gc.enable()
     assert during == [False] * 4
+
+
+def test_main_freezes_what_the_command_holds(capsys):
+    """``main`` freezes every tracked object before the collector comes
+    back, so neither the next young collection nor the final one at exit
+    walks the cached universes: the trees ``verify`` cached are in no
+    generation that a collection examines."""
+    try:
+        assert run_cli(capsys, "verify", "--theorem", "4.1", "--n-max", "10")[0] == 0
+        trees = _tree_list(10)
+        assert all(obj is not trees for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
 
 
 def test_closed_stdout_exits_141_quietly():

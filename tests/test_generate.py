@@ -117,10 +117,6 @@ def test_trees_match_networkx():
         assert len(ours) == len(set(ours)) and set(ours) == theirs, n
 
 
-def test_tree_count_at_the_cap():
-    assert sum(1 for _ in gen_trees(18)) == 123867  # OEIS A000055
-
-
 def test_prufer_decode_is_a_tree():
     t = prufer_decode(6, (3, 3, 0, 1))
     assert t.n == 6 and is_forest(t) and is_connected(t)
@@ -137,15 +133,6 @@ def test_prufer_decode_is_the_bijection_networkx_uses():
         assert len(trees) == n ** (n - 2)  # Cayley: every labelled tree, once
 
 
-def test_forest_counts():
-    assert [sum(1 for _ in gen_forests(n)) for n in range(1, 9)] == FOREST_COUNTS
-
-
-def test_forest_counts_match_orbit_oracle():
-    for n in range(1, 7):
-        assert sum(1 for _ in gen_forests(n)) == orbit_forest_count(n)
-
-
 def test_forest_counts_match_euler_transform():
     # forests are multisets of trees, so their counts are the Euler
     # transform of the tree counts: with b(n) = sum_{d|n} d t(d),
@@ -158,7 +145,10 @@ def test_forest_counts_match_euler_transform():
     f = [1] + [0] * top
     for n in range(1, top + 1):
         f[n] = (b[n] + sum(b[k] * f[n - k] for k in range(1, n))) // n
-    assert [sum(1 for _ in gen_forests(n)) for n in range(1, top + 1)] == f[1:]
+    counts = [sum(1 for _ in gen_forests(n)) for n in range(1, top + 1)]
+    assert counts == f[1:]
+    assert counts[:8] == FOREST_COUNTS
+    assert counts[:6] == [orbit_forest_count(n) for n in range(1, 7)]
 
 
 def test_forests_distinct_and_acyclic():
@@ -461,13 +451,16 @@ def assert_passes_full_check(g: Graph) -> None:
 def test_generated_trees_and_forests_pass_the_full_check(gen, cap):
     """Also the label order that ``sigma01_tree_dp`` and
     ``leaf_deletion_counts`` fold: every vertex has at most one lower
-    neighbour, and in a tree only vertex 0 has none."""
+    neighbour, and in a tree only vertex 0 has none.  The same walk counts
+    the classes at the cap."""
     for n in range(1, cap + 1):
-        for g in gen(n):
+        count = 0
+        for count, g in enumerate(gen(n), 1):
             assert_passes_full_check(g)
             lower = lower_degrees(g)
             assert max(lower) <= 1, g
             assert gen is gen_forests or lower.count(0) == 1, g
+    assert count == {gen_trees: 123_867, gen_forests: 8_599}[gen]  # OEIS A000055, A005195
 
 
 def test_graph_classes_pass_the_full_check():
