@@ -22,7 +22,6 @@ class Limits:
     forests_max_n: int = 14
     graphs_max_n: int = 8        # 12346 classes at n = 8
     tree_checks_max_n: int = 16  # tree universes of checks 3.3 and 4.1-4.5
-    degree_checks_max_n: int = 7  # checks 3.4, 3.5 and 3.6
 
 
 def check_cap(n: int, cap: int, what: str) -> None:

@@ -337,9 +337,9 @@ CATALOGUE = {
     "3.1": [(_general_lower, "all_graphs", 1, Limits.graphs_max_n)],
     "3.2": [(partial(_scan, STAR_LOWER), "connected_graphs", 1, Limits.graphs_max_n)],
     "3.3": [(partial(_scan, TREE_LOWER), "trees", 1, Limits.tree_checks_max_n)],
-    "3.4": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.degree_checks_max_n, lambda n: (1,))],
-    "3.5": [(_general_lower, "all_graphs", 4, Limits.degree_checks_max_n)],
-    "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.degree_checks_max_n, lambda n: range(1, n))],
+    "3.4": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.graphs_max_n, lambda n: (1,))],
+    "3.5": [(_general_lower, "all_graphs", 4, Limits.graphs_max_n)],
+    "3.6": [(_max_degree_lower, "bounded_degree_graphs", 2, Limits.graphs_max_n, lambda n: range(1, n))],
     "4.1": _over_forests_and_trees(Check("thm-4.1", "<=", lambda s: Fraction(s.n - 1, 3), note_attained=True)),
     "4.2": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],
     "4.3": [(_leaf_lemmas, "trees", 2, Limits.tree_checks_max_n)],

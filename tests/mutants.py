@@ -46,6 +46,7 @@ PAIRS = "test_generate.py::test_trees_and_forests_carry_their_pairs"
 WALK = "test_generate.py::test_tree_stream_equals_filtered_walk"
 PLUS = "test_sigma.py::test_plus_vertex_matches_the_sweep_of_each_child"
 SCAN = "test_verify.py::test_scan_matches_fraction_scan"
+ORACLE = "test_verify.py::test_reports_match_the_report_oracle"
 
 SIGMA, GENERATE, VERIFY = "nearindep/sigma.py", "nearindep/generate.py", "nearindep/verify.py"
 GRAPHS, GRAPH6, CLI = "nearindep/graphs.py", "nearindep/graph6.py", "nearindep/cli.py"
@@ -168,6 +169,24 @@ MUTANTS = (
     Mutant("gen_forests drops one forest at order 6", GENERATE,
            "for f, _ in _forest_classes(n))", "for i, (f, _) in enumerate(_forest_classes(n)) if n != 6 or i)",
            ("test_generate.py::test_forest_counts_match_euler_transform",), None),
+    Mutant("_scan keeps the last minimum instead of the first", VERIFY,
+           "for g, q in _extremes(rows))",
+           "for g, q in (_extremes(rows[::-1])[0], _extremes(rows)[1]))", (SCAN,), None),
+    Mutant("a report drops its first equality witness", VERIFY,
+           '"equality_witnesses": list(self.equality_witnesses),',
+           '"equality_witnesses": self.equality_witnesses[1:],', (ORACLE,), None),
+    Mutant("3.5 stops exempting the edgeless graph", VERIFY,
+           "exempt=lambda g: not any(g.adj),", "exempt=None,", (ORACLE,), None),
+    Mutant("4.5's bound reads n/4 - 1/5", VERIFY,
+           "Fraction(s.n, 4) - Fraction(1, 6)", "Fraction(s.n, 4) - Fraction(1, 5)", (ORACLE,), None),
+    Mutant("the delta-2 anomaly note is dropped", VERIFY,
+           "if spec.delta == 2 and not report.equality_witnesses:", "if False:", (ORACLE,), None),
+    Mutant("_read_digits accepts digit 64", GRAPH6,
+           "if not 0 <= digit <= 63:", "if not 0 <= digit <= 64:",
+           ("test_graph6.py::test_every_byte_outside_the_digit_range_is_an_error_at_its_offset",
+            "test_cli.py::test_input_errors_exit_2"), None),
+    Mutant("_report_csv_row blanks max_q", CLI,
+           '"max_q": q_str(doc["max_witness"]),', '"max_q": "",', ("test_cli.py::test_verify_csv",), None),
 )
 
 

@@ -22,25 +22,40 @@ as a function.
 ``random_pivots`` swaps the deletion recursion's pivot rule for a random
 one, which must give the same counts; under it the recursion folds no
 tree, and ``fold_free_recursion`` counts that way for the checks of the
-tree DP and the leaf checks.  For the orbit-stabiliser identity,
+tree DP.  ``forest_pair`` counts a forest by a rooted count over its
+neighbour lists, for the leaf checks and the report oracle.  For the
+orbit-stabiliser identity,
 ``aut_count`` counts automorphisms by backtracking and
 ``forest_aut_count`` those of a forest by rooted counting at each tree's
 centre, and ``labelled_connected_graphs`` and ``labelled_forests`` count
 labelled connected graphs and labelled forests by recurrence.  The
 ``orbit_*_count`` functions count isomorphism classes by marking whole
 orbits of labelled graphs.
+
+``oracle_reports`` is the report oracle: every report of
+``verify.run_theorem`` derived from the statements it checks, with each
+Q counted by the subset sweep or ``forest_pair``, each bound from its
+closed form and each bound scan by ``scan_doc``, none of them the
+engine's scoring, so a deliberate change of report bytes has something
+independent to meet.
 """
 
 import random
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
+from functools import cache
 from itertools import combinations, groupby, permutations, product
 from math import comb, factorial
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import nearindep.sigma
+from nearindep.generate import ClassSpec, gen_forests, gen_graphs, gen_trees
+from nearindep.graph6 import emit_graph6
 from nearindep.graphs import Graph, VertexMask, bits, make_graph
-from nearindep.sigma import SigmaPair, sigma01_recursive
+from nearindep.limits import Limits
+from nearindep.sigma import SigmaPair, sigma01_recursive, sigma_distribution_bruteforce
 
 
 def components(g: Graph) -> list[VertexMask]:
@@ -574,9 +589,9 @@ def min_column_code(g: Graph) -> int:
 def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
     """(sigma of T, leaves), leaves holding (v, sigma of T-v, sigma of
     T-N[v], sigma of T-N[u]) for every leaf v of a tree, u its support
-    vertex, each sigma a (sigma0, sigma1) pair, all by
-    ``fold_free_recursion``, which never walks the tree DP's fold: T whole,
-    and one ``induced`` subgraph per deleted set."""
+    vertex, each sigma a (sigma0, sigma1) pair, all by ``forest_pair``,
+    which never walks the tree DP's fold: T whole, and one ``induced``
+    subgraph per deleted set."""
     full = tree.full_mask
     out = []
     for v in range(tree.n):
@@ -584,10 +599,8 @@ def leaf_deletion_counts(tree: Graph) -> tuple[tuple, list[tuple]]:
             continue
         u = tree.adj[v].bit_length() - 1
         kept = (full & ~(1 << v), full & ~closed_neighborhood(tree, v), full & ~closed_neighborhood(tree, u))
-        pairs = [fold_free_recursion(induced(tree, mask)) for mask in kept]
-        out.append((v, *((p.sigma0, p.sigma1) for p in pairs)))
-    t = fold_free_recursion(tree)
-    return (t.sigma0, t.sigma1), out
+        out.append((v, *(forest_pair(induced(tree, mask)) for mask in kept)))
+    return forest_pair(tree), out
 
 
 @contextmanager
@@ -614,3 +627,238 @@ def fold_free_recursion(g: Graph) -> SigmaPair:
     with the tree DP's ``_graft``."""
     with random_pivots(random.Random(0)):
         return sigma01_recursive(g)
+
+
+def fraction_leaf_failures(n, t, minus_v, minus_nv, minus_nu):
+    """The leaf lemmas as the rational comparisons written out in
+    ``verify.leaf_lemma_failures``' docstring, term by term: (lhs, rhs,
+    lemma) for each that one leaf breaks."""
+    q = lambda p: Fraction(p[1], p[0])  # noqa: E731
+    ratio_cap = 1 - Fraction(1, (1 << (n - 2)) + 1)
+    q_t, out = q(t), []
+    ratio = Fraction(minus_nv[0], minus_v[0])
+    if ratio > ratio_cap:
+        out.append((ratio, ratio_cap, "lemma-4.2"))
+    r = Fraction(minus_v[0], minus_nv[0])
+    leaf_bound = (r * q(minus_v) + 1 + q(minus_nv)) / (1 + r)
+    if q_t > leaf_bound:
+        out.append((q_t, leaf_bound, "lemma-4.3"))
+    lhs44, rhs44 = Fraction(t[0]), Fraction(2 * minus_nv[0] + minus_nu[0])
+    if lhs44 != rhs44:
+        out.append((lhs44, rhs44, "lemma-4.4 sigma0"))
+    decomposed = (
+        Fraction(2 * minus_nv[0], t[0]) * (q(minus_v) + q(minus_nv)) / 2
+        + Fraction(minus_nu[0], t[0]) * (1 + q(minus_v))
+    )
+    if q_t != decomposed:
+        out.append((q_t, decomposed, "lemma-4.4 ratio"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the report oracle: every report of ``run_theorem`` from the statements
+# ---------------------------------------------------------------------------
+
+def forest_pair(g: Graph) -> tuple[int, int]:
+    """(sigma0, sigma1) of a forest by a rooted count over its neighbour
+    lists, not the engine's tree DP.  Each tree is walked breadth first
+    from its least vertex and folded leaves first: ``state[v]`` counts the
+    subsets of v's branch that hold v, then those that do not, inducing no
+    edge and then exactly one.  A child is out of the subset or in it, and
+    in it, it adds its edge to v when v is in too.  The trees are joined
+    by the union rule."""
+    nbrs = [list(bits(row)) for row in g.adj]
+    parent: list[int | None] = [None] * g.n
+    state = [(1, 0, 1, 0)] * g.n
+    s0, s1 = 1, 0
+    for root in range(g.n):
+        if parent[root] is not None:
+            continue
+        parent[root] = -1
+        order = [root]
+        for v in order:  # grows while it is walked
+            for u in nbrs[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+        for v in reversed(order):
+            in0, in1, out0, out1 = 1, 0, 1, 0
+            for u in nbrs[v]:
+                if u != parent[v]:
+                    a0, a1, b0, b1 = state[u]
+                    in0, in1 = in0 * b0, in0 * (b1 + a0) + in1 * b0
+                    out0, out1 = out0 * (a0 + b0), out0 * (a1 + b1) + out1 * (a0 + b0)
+            state[v] = in0, in1, out0, out1
+        t0, t1 = in0 + out0, in1 + out1  # the root's, folded last
+        s0, s1 = s0 * t0, s0 * t1 + s1 * t0
+    return s0, s1
+
+
+def sweep_q(g: Graph) -> Fraction:
+    """Q of g from the subset sweep's histogram: counts[k] subsets induce
+    k edges, and an edgeless graph has only counts[0]."""
+    counts = sigma_distribution_bruteforce(g).counts
+    return Fraction(counts[1] if len(counts) > 1 else 0, counts[0])
+
+
+@cache
+def scored(family: str, n: int) -> tuple[tuple[Graph, Fraction], ...]:
+    """(graph, Q) of every member of the trees, forests or all graphs of
+    order n, in stream order: Q by ``forest_pair``, or over graphs by
+    ``sweep_q``."""
+    if family == "all_graphs":
+        return tuple((g, sweep_q(g)) for g in gen_graphs(n))
+    stream = gen_trees(n) if family == "trees" else gen_forests(n)
+    return tuple((g, Fraction(*forest_pair(g)[::-1])) for g in stream)
+
+
+def star_bound(n: int) -> Fraction:
+    """Q of the star on n vertices, in closed form: (n-1)/(2^(n-1)+1)."""
+    return Fraction(n - 1, 2 ** (n - 1) + 1)
+
+
+def is_star(g: Graph) -> bool:
+    """Some vertex is joined to all the others, and no other edge is present."""
+    return g.n <= 1 or g.edge_count() == g.n - 1 and any(row.bit_count() == g.n - 1 for row in g.adj)
+
+
+def star_plus_isolated(g: Graph, k: int) -> bool:
+    """Without its isolated vertices, g is the star on k vertices."""
+    core = strip_isolated(g)
+    return core.n == k and is_star(core)
+
+
+def report_doc(theorem_id: str, spec: ClassSpec, checked: int, rows, violations, equal=(), notes=()) -> dict:
+    """A report laid out as ``VerificationReport.to_json`` lays it out:
+    the first least and first greatest Q of ``rows`` as witnesses, each
+    violation given as (graph or "", lhs, rhs, context), graphs as graph6
+    and Fractions as decimal numerator and denominator strings."""
+    def frac(q: Fraction, prefix: str = "") -> dict:
+        return {f"{prefix}num": str(q.numerator), f"{prefix}den": str(q.denominator)}
+
+    def witness(pick):
+        return None if pick is None else {"graph6": emit_graph6(pick[0]), **frac(pick[1], "q_")}
+
+    return {
+        "theorem": theorem_id, "family": spec.family, "n": spec.n, "delta": spec.delta,
+        "checked": checked, "passed": not violations,
+        "violations": [{"graph6": g if isinstance(g, str) else emit_graph6(g), **frac(lhs, "lhs_"), **frac(rhs, "rhs_"),
+                        "context": context} for g, lhs, rhs, context in violations],
+        "equality_witnesses": [emit_graph6(g) for g in equal],
+        "min_witness": witness(min(rows, key=itemgetter(1), default=None)),
+        "max_witness": witness(max(rows, key=itemgetter(1), default=None)),
+        "notes": {k: frac(v) if isinstance(v, Fraction) else v for k, v in dict(notes).items()},
+    }
+
+
+def scan_doc(theorem_id: str, spec: ClassSpec, rows, bound: Fraction | None, lower: bool, exempt=None,
+             extremal=None, off: str = "", miss: str = "", note_attained: bool = False,
+             zero_test: bool = False, notes=()) -> dict:
+    """The report of a bound on Q over ``rows`` of (graph, Q): Q >= bound
+    if ``lower``, else Q <= bound, on every graph that ``exempt`` does not
+    accept.  A graph attaining the bound that ``extremal`` rejects is a
+    violation ``off``; if no graph it accepts attains it, the first graph
+    it accepts is a violation ``miss``.  ``zero_test`` adds 3.1's tests of
+    each row, ahead of its bound: Q >= 0, and zero exactly for the
+    edgeless graph.  ``notes`` come ahead of the bound's."""
+    violations, equal, attained = [], [], False
+    for g, q in rows:
+        if zero_test:
+            edgeless = g.edge_count() == 0
+            violations += [(g, q, Fraction(0), context) for context, bad in (
+                ("negative ratio", q < 0), ("edgeless graph with nonzero ratio", edgeless and q != 0),
+                ("zero ratio off the edgeless graph", not edgeless and q == 0)) if bad]
+        if bound is None or exempt and exempt(g):
+            continue
+        if q < bound if lower else q > bound:
+            violations.append((g, q, bound, ""))
+        elif q == bound:
+            equal.append(g)
+            if extremal and not extremal(g):
+                violations.append((g, bound, bound, off))
+            else:
+                attained = True
+    notes = dict(notes)
+    if bound is not None:
+        if extremal and not attained:
+            violations.append((*next(((g, q) for g, q in rows if extremal(g)), ("", Fraction(0))), bound, miss))
+        notes["bound"] = bound
+        if note_attained:
+            notes["bound_attained"] = bool(equal)
+    return report_doc(theorem_id, spec, len(rows), rows, violations, equal, notes)
+
+
+def _general_doc(n: int) -> dict:
+    """3.1 over all graphs of order n, with 3.5's star bound from order 4
+    on, the edgeless graph exempt, and the least Q of a graph with an edge."""
+    rows = scored("all_graphs", n)
+    nonzero = [(g, q) for g, q in rows if g.edge_count()]
+    notes = {}
+    if nonzero:
+        second = min(q for _, q in nonzero)
+        notes = {"second_smallest": second,
+                 "second_smallest_witnesses": [emit_graph6(g) for g, q in nonzero if q == second]}
+    return scan_doc("thm-3.1+3.5" if n >= 4 else "thm-3.1", ClassSpec("all_graphs", n), rows,
+                    star_bound(n) if n >= 4 else None, True, exempt=lambda g: g.edge_count() == 0,
+                    zero_test=True, notes=notes)
+
+
+def _max_degree_doc(n: int, delta: int) -> dict:
+    """3.6 over the graphs of order n and maximum degree delta (3.4 at
+    delta 1): Q >= min(1/3, Q of the star on delta + 1 vertices), attained
+    by that star plus isolated vertices alone; at delta 2 not attained."""
+    rows = [(g, q) for g, q in scored("all_graphs", n) if max(row.bit_count() for row in g.adj) == delta]
+    doc = scan_doc(
+        "prop-3.4" if delta == 1 else "thm-3.6", ClassSpec("bounded_degree_graphs", n, delta), rows,
+        min(Fraction(1, 3), star_bound(delta + 1)), True,
+        extremal=None if delta == 2 else lambda g: star_plus_isolated(g, delta + 1),
+        off="bound attained off the star-plus-isolated graph", miss="star-plus-isolated graph misses the bound",
+        note_attained=True)
+    if delta == 2 and not doc["equality_witnesses"]:
+        doc["notes"]["anomaly"] = "stated bound 1/3 is strictly below the class minimum for maximum degree 2"
+    return doc
+
+
+def _leaf_doc(n: int) -> dict:
+    """4.2-4.4 at every leaf of every tree of order n, by
+    ``leaf_deletion_counts`` and ``fraction_leaf_failures``."""
+    checked, violations = 0, []
+    for tree in gen_trees(n):
+        t, leaves = leaf_deletion_counts(tree)
+        checked += len(leaves)
+        violations += [(tree, lhs, rhs, f"{lemma} leaf {v}")
+                       for v, *deletions in leaves for lhs, rhs, lemma in fraction_leaf_failures(n, t, *deletions)]
+    return report_doc("lem-4.2/4.3/4.4", ClassSpec("trees", n), checked, (), violations)
+
+
+def oracle_reports(theorem: str, n_max: int) -> list[dict]:
+    """What ``run_theorem(theorem, n_max)`` reports, to_json'd, derived
+    from the statements without the engine's scoring: the universes from
+    the generators, each Q by the subset sweep or ``forest_pair``, the
+    bounds from their closed forms, the views by ``is_connected`` and a
+    plain maximum-degree test.  Each check runs over the orders that the
+    cap of its universe allows: graphs, the tree checks and forests."""
+    graphs, trees, forests = (range(1, min(n_max, cap) + 1) for cap in (
+        Limits.graphs_max_n, Limits.tree_checks_max_n, Limits.forests_max_n))
+
+    def upper(theorem_id, bound):  # 4.1 and 4.5, over forests, then trees
+        return [scan_doc(theorem_id, ClassSpec(family, n), scored(family, n), bound(n), False, note_attained=True)
+                for family, orders in (("forests", forests), ("trees", trees)) for n in orders]
+
+    series = {
+        "3.1": lambda: [_general_doc(n) for n in graphs],
+        "3.2": lambda: [scan_doc("thm-3.2", ClassSpec("connected_graphs", n),
+                                 [(g, q) for g, q in scored("all_graphs", n) if is_connected(g)],
+                                 star_bound(n), True, extremal=is_star, off="bound attained by a non-star graph",
+                                 miss="star does not attain the bound") for n in graphs],
+        "3.3": lambda: [scan_doc("cor-3.3", ClassSpec("trees", n), scored("trees", n), star_bound(n), True,
+                                 extremal=is_star, off="bound attained by a non-star tree",
+                                 miss="star does not attain the bound") for n in trees],
+        "3.4": lambda: [_max_degree_doc(n, 1) for n in graphs[1:]],
+        "3.5": lambda: [_general_doc(n) for n in graphs[3:]],
+        "3.6": lambda: [_max_degree_doc(n, d) for n in graphs[1:] for d in range(1, n)],
+        "4.1": lambda: upper("thm-4.1", lambda n: Fraction(n - 1, 3)),
+        **dict.fromkeys(("4.2", "4.3", "4.4"), lambda: [_leaf_doc(n) for n in trees[1:]]),
+        "4.5": lambda: upper("thm-4.5", lambda n: Fraction(n, 4) - Fraction(1, 6)),
+    }
+    return [doc for t in (series if theorem == "all" else (theorem,)) for doc in series[t]()]

@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import io
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -179,13 +181,33 @@ def test_verify_exit_codes(capsys):
     assert all(d["passed"] for d in docs)
 
 
-def test_verify_csv(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "3.4", "--n-max", "4",
-                           "--format", "csv")
-    lines = out.strip().splitlines()
-    assert code == 0
-    assert lines[0].startswith("theorem,family,n,delta,checked,passed")
-    assert len(lines) == 4  # header + orders 2..4
+def test_verify_csv(capsys, monkeypatch):
+    """Each field of a CSV row is that of the JSONL report of the same
+    command: a Q as num/den, and a list of graphs joined by ';'.  The
+    second command has violations: 3.2 against a star bound of 1/2.  A
+    report without witnesses (the leaf checks) leaves their fields empty."""
+    def witness(w):
+        return ("", "") if w is None else (w["graph6"], f"{w['q_num']}/{w['q_den']}")
+
+    for argv, patch, exit_code in ((("all", "5"), None, 0), (("3.2", "4"), Fraction(1, 2), 1)):
+        if patch is not None:
+            monkeypatch.setattr(nearindep.verify, "star_q", lambda n: patch)
+        command = ("verify", "--theorem", argv[0], "--n-max", argv[1])
+        code, out, _ = run_cli(capsys, *command, "--format", "csv")
+        jsonl_code, jsonl, _ = run_cli(capsys, *command)
+        assert code == jsonl_code == exit_code
+        docs = [json.loads(line) for line in jsonl.splitlines()]
+        assert out.split("\n", 1)[0] == ("theorem,family,n,delta,checked,passed,violations,"
+                                         "equality_witnesses,min_graph6,min_q,max_graph6,max_q")
+        assert list(csv.DictReader(io.StringIO(out))) == [{
+            "theorem": d["theorem"], "family": d["family"], "n": str(d["n"]),
+            "delta": "" if d["delta"] is None else str(d["delta"]), "checked": str(d["checked"]),
+            "passed": str(d["passed"]), "violations": ";".join(v["graph6"] for v in d["violations"]),
+            "equality_witnesses": ";".join(d["equality_witnesses"]),
+            **dict(zip(("min_graph6", "min_q"), witness(d["min_witness"]))),
+            **dict(zip(("max_graph6", "max_q"), witness(d["max_witness"]))),
+        } for d in docs]
+        assert any(";" in line for line in out.splitlines()[1:])
 
 
 def test_jobs_do_not_change_output(capsys):
@@ -244,6 +266,9 @@ def test_input_errors_exit_2(capsys, monkeypatch, tmp_path):
     feed_stdin(monkeypatch, "Ax\n")
     code, _, err = run_cli(capsys, "compute")
     assert code == 2 and "padding" in err
+    feed_stdin(monkeypatch, b"A\x7f\n")  # one past the last digit, '~'
+    code, out, err = run_cli(capsys, "compute")
+    assert (code, out) == (2, "") and "payload byte 127 outside graph6 range (byte offset 1)" in err
     missing = str(tmp_path / "missing.g6")
     code, _, err = run_cli(capsys, "compute", "--input", missing)
     assert code == 2

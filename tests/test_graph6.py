@@ -69,6 +69,22 @@ def test_payload_error_offsets(line, message, offset):
     assert str(e.value) == f"{message} (byte offset {offset})"
 
 
+def test_every_byte_outside_the_digit_range_is_an_error_at_its_offset():
+    """Each byte outside 63-126, 62 and 127 included, at each position of
+    each field of a line (the size behind a header, the long size, the
+    payload) is refused where it stands.  Each line keeps the byte off
+    its ends, where whitespace is stripped; 63 and 126 are accepted."""
+    for field, line, offsets in (("size", b">>graph6<<??", [10]), ("size", b"~????", [1, 2, 3]),
+                                 ("payload", b"G?????", [1, 2, 3, 4])):
+        for at in offsets:
+            for byte in (*range(63), *range(127, 256)):
+                with pytest.raises(Graph6Error) as e:
+                    parse_graph6(line[:at] + bytes([byte]) + line[at + 1:])
+                assert str(e.value) == f"{field} byte {byte} outside graph6 range (byte offset {at})", (line, at)
+    for byte in (63, 126):
+        assert parse_graph6(b"G" + bytes([byte]) + b"????").n == 8
+
+
 def test_size_form_caps():
     with pytest.raises(Graph6Error, match="truncated long size form") as e:
         parse_graph6("~??")

@@ -3,7 +3,6 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import networkx as nx
 import pytest
@@ -19,7 +18,6 @@ from nearindep.limits import CapabilityError
 from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
 from nearindep.verify import (
     Check,
-    VerificationReport,
     Violation,
     _verify,
     extremal_scan,
@@ -30,7 +28,7 @@ from nearindep.verify import (
 )
 
 import oracles
-from oracles import closed_neighborhood, is_forest, strip_isolated
+from oracles import closed_neighborhood, fraction_leaf_failures, is_forest, strip_isolated
 
 
 def test_connected_lower_small():
@@ -114,7 +112,7 @@ def test_max_degree_validation():
     with pytest.raises(ValueError):
         _verify("3.6", 4, 4)
     with pytest.raises(CapabilityError):
-        _verify("3.6", 8, 1)
+        _verify("3.6", 9, 1)
     with pytest.raises(ValueError):
         _verify("3.4", 5, 2)  # 3.4 is maximum degree 1 only
 
@@ -233,6 +231,21 @@ def test_verify_all_is_pinned_up_to_labelling():
     assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == (
         "7b65ac9919dd509ae3f6b907eeaccf9c5b781a1236ef37dee244087be7ac91e2"
     )
+
+
+def test_reports_match_the_report_oracle():
+    """Every report, field by field and in key order, as
+    ``oracles.oracle_reports`` derives it without the engine's scoring:
+    the 117 reports of 'all' to order 8, the tree and forest bound
+    reports to orders 16 and 14, and the leaf reports to order 12."""
+    cases = {("all", 8): 117, ("3.3", 16): 16, ("4.1", 16): 30, ("4.5", 16): 30, ("4.2", 12): 11}
+    try:
+        for (theorem, n_max), count in cases.items():
+            got = [json.dumps(r.to_json()) for r in run_theorem(theorem, n_max)]
+            assert len(got) == count
+            assert got == [json.dumps(doc) for doc in oracles.oracle_reports(theorem, n_max)], theorem
+    finally:
+        oracles.scored.cache_clear()  # the universes the cases share, scored once
 
 
 def test_graph_tables_are_scored_at_augmentation(monkeypatch):
@@ -484,44 +497,6 @@ def test_extremal_rule_needs_one_accepted_graph_to_attain(monkeypatch):
     assert (report.violations, report.equality_witnesses) == ([], ["Esa?"])
 
 
-def fraction_scan(check, spec, rows, zero_test=False):
-    """``_scan`` with a Fraction Q per row: the witnesses picked by ``min``
-    and ``max`` keyed on Q, and every test of Q made between Fractions."""
-    scored = [(g, Fraction(s1, s0)) for g, (s0, s1) in rows]
-    report = VerificationReport(check.theorem_id, spec, len(scored))
-    if scored:
-        for name, pick in (("min_witness", min), ("max_witness", max)):
-            g, q = pick(scored, key=itemgetter(1))
-            setattr(report, name, (emit_graph6(g), q))
-    bound = check.bound(spec)
-    attained = False
-    for g, q in scored:
-        if zero_test:
-            empty = g.edge_count() == 0
-            for context, bad in (("negative ratio", q < 0), ("edgeless graph with nonzero ratio", empty and q != 0),
-                                 ("zero ratio off the edgeless graph", not empty and q == 0)):
-                if bad:
-                    report.violations.append(Violation(emit_graph6(g), q, Fraction(0), context))
-        if bound is None or check.exempt and check.exempt(g):
-            continue
-        if q < bound if check.op == ">=" else q > bound:
-            report.violations.append(Violation(emit_graph6(g), q, bound))
-        elif q == bound:
-            report.equality_witnesses.append(emit_graph6(g))
-            if check.extremal and not check.extremal(g, spec):
-                report.violations.append(Violation(emit_graph6(g), q, bound, check.off))
-            else:
-                attained = True
-    if bound is not None:
-        if check.extremal and not attained:
-            named = [(emit_graph6(g), q) for g, q in scored if check.extremal(g, spec)] + [("", Fraction(0))]
-            report.violations.append(Violation(*named[0], bound, check.miss))
-        report.notes["bound"] = bound
-        if check.note_attained:
-            report.notes["bound_attained"] = bool(report.equality_witnesses)
-    return report
-
-
 GRAPHS_4 = list(gen_class(ClassSpec("all_graphs", 4)))
 
 
@@ -551,13 +526,17 @@ def scan_cases(draw):
 @settings(max_examples=300)
 @given(scan_cases())
 def test_scan_matches_fraction_scan(case):
-    """The integer scan agrees with the Fraction scan report for report:
-    witnesses (ties to the first row), violations, equality witnesses and
-    notes; and ``_general_lower``'s second-smallest Q with ``min``."""
+    """The integer scan agrees with ``oracles.scan_doc``, which compares a
+    Fraction Q per row, report for report: witnesses (ties to the first
+    row), violations, equality witnesses and notes; and
+    ``_general_lower``'s second-smallest Q with ``min``."""
     check, rows, zero_test = case
     spec = ClassSpec("all_graphs", 4)
     report = verify_module._scan(check, spec, rows, verify_module._zero_test if zero_test else None)
-    assert report.to_json() == fraction_scan(check, spec, rows, zero_test).to_json()
+    assert report.to_json() == oracles.scan_doc(
+        check.theorem_id, spec, [(g, Fraction(s1, s0)) for g, (s0, s1) in rows], check.bound(spec),
+        lower=check.op == ">=", exempt=check.exempt, extremal=check.extremal and (lambda g: check.extremal(g, spec)),
+        off=check.off, miss=check.miss, note_attained=check.note_attained, zero_test=zero_test)
     nonzero = [(g, Fraction(s1, s0)) for g, (s0, s1) in rows if g.edge_count()]
     notes = verify_module._general_lower(spec, rows).notes
     if nonzero:
@@ -568,12 +547,13 @@ def test_scan_matches_fraction_scan(case):
         assert "second_smallest" not in notes
 
 
-@pytest.mark.parametrize("theorem, n_max, built", [("4.1", 16, 90), ("all", 8, 216)])
+@pytest.mark.parametrize("theorem, n_max, built", [("4.1", 16, 90), ("all", 8, 230)])
 def test_fractions_are_built_per_report_not_per_row(monkeypatch, theorem, n_max, built):
     """The scans compare integer pairs, so a ``Fraction`` is built only for
     a value that a report prints: about three per distinct report (the two
     witnesses and the bound), where a Fraction Q per row built 47,743 on
-    4.1 to 16 (47,713 rows) and 13,849 on 'all' to 8."""
+    4.1 to 16 (47,713 rows) and 13,849 on 'all' to 8 when it made 108
+    reports."""
     calls = Counter()
 
     def counting_fraction(*args):
@@ -693,13 +673,10 @@ def per_leaf(tree):
 
 
 def test_leaf_deletion_counts_match_subgraph_oracle():
-    leaves = 0
     for n in range(1, 13):
         for tree in gen_trees(n):
             got = per_leaf(tree)
             assert got == oracles.leaf_deletion_counts(tree)
-            leaves += len(got[1])
-    assert leaves == sum(r.checked for r in run_theorem("4.2", 12))
 
 
 @st.composite
@@ -779,31 +756,6 @@ def test_leaf_deletion_counts_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def fraction_leaf_failures(n, t, minus_v, minus_nv, minus_nu):
-    """The leaf lemmas as the rational comparisons written out in
-    ``leaf_lemma_failures``' docstring, term by term."""
-    q = lambda p: Fraction(p[1], p[0])  # noqa: E731
-    ratio_cap = 1 - Fraction(1, (1 << (n - 2)) + 1)
-    q_t, out = q(t), []
-    ratio = Fraction(minus_nv[0], minus_v[0])
-    if ratio > ratio_cap:
-        out.append((ratio, ratio_cap, "lemma-4.2"))
-    r = Fraction(minus_v[0], minus_nv[0])
-    leaf_bound = (r * q(minus_v) + 1 + q(minus_nv)) / (1 + r)
-    if q_t > leaf_bound:
-        out.append((q_t, leaf_bound, "lemma-4.3"))
-    lhs44, rhs44 = Fraction(t[0]), Fraction(2 * minus_nv[0] + minus_nu[0])
-    if lhs44 != rhs44:
-        out.append((lhs44, rhs44, "lemma-4.4 sigma0"))
-    decomposed = (
-        Fraction(2 * minus_nv[0], t[0]) * (q(minus_v) + q(minus_nv)) / 2
-        + Fraction(minus_nu[0], t[0]) * (1 + q(minus_v))
-    )
-    if q_t != decomposed:
-        out.append((q_t, decomposed, "lemma-4.4 ratio"))
-    return out
 
 
 @st.composite
