@@ -34,26 +34,29 @@ CLI_FAMILIES = {
 }
 
 
-def _input_lines(path: str | None) -> Iterator[bytes]:
-    """Non-blank input lines as bytes, split at newline and stripped of ASCII
-    whitespace, the same way from stdin and a file (``parse_graph6`` decodes
-    them).  The file is opened by this call, not when the first line is
-    read, so a missing file fails before any output."""
+def _input_graphs(path: str | None) -> Iterator[tuple[Graph, str]]:
+    """The graph and graph6 text of each non-blank input line, read as bytes,
+    split at newline and stripped of ASCII whitespace, the same way from
+    stdin and a file.  ``parse_graph6`` accepts only a line that encoding
+    its graph spells again, so the text is the line, its header cut.  The
+    file is opened by this call, not when the first line is read, so a
+    missing file fails before any output."""
     stdin = path is None or path == "-"
     fh = sys.stdin.buffer if stdin else open(path, "rb")
 
-    def lines() -> Iterator[bytes]:
+    def graphs() -> Iterator[tuple[Graph, str]]:
         with contextlib.nullcontext(fh) if stdin else fh:
-            yield from filter(None, map(bytes.strip, fh))
+            for line in filter(None, map(bytes.strip, fh)):
+                yield parse_graph6(line), line.removeprefix(b">>graph6<<").decode("ascii")
 
-    return lines()
+    return graphs()
 
 
-def _record_row(g: Graph) -> dict:
+def _record_row(g: Graph, g6: str) -> dict:
     pair = sigma01(g)
     q = pair.q
     return {
-        "graph6": emit_graph6(g),
+        "graph6": g6,
         "n": g.n,
         "m": g.edge_count(),
         "sigma0": str(pair.sigma0),
@@ -75,18 +78,18 @@ def _emit_rows(rows: Iterator[dict], fmt: str, fieldnames: list[str]) -> None:
 
 
 def _cmd_compute(args) -> int:
-    rows = (_record_row(parse_graph6(line)) for line in _input_lines(args.input))
+    rows = (_record_row(g, g6) for g, g6 in _input_graphs(args.input))
     _emit_rows(rows, args.format, ["graph6", "n", "m", "sigma0", "sigma1", "q_num", "q_den"])
     return 0
 
 
 def _cmd_distribution(args) -> int:
-    def row(g: Graph) -> dict:
+    def row(g: Graph, g6: str) -> dict:
         counts = [str(c) for c in sigma_distribution_bruteforce(g).counts]
-        return {"graph6": emit_graph6(g), "n": g.n,
+        return {"graph6": g6, "n": g.n,
                 "counts": " ".join(counts) if args.format == "csv" else counts}
 
-    rows = (row(parse_graph6(line)) for line in _input_lines(args.input))
+    rows = (row(g, g6) for g, g6 in _input_graphs(args.input))
     _emit_rows(rows, args.format, ["graph6", "n", "counts"])
     return 0
 

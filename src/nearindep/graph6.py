@@ -15,6 +15,8 @@ are read as latin-1, and an error names the byte value and its offset.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
+
 from .graphs import Graph, _column_rows
 from .limits import CapabilityError, Limits, check_cap
 
@@ -41,9 +43,17 @@ def _read_digits(s: str, start: int, stop: int, field: str) -> int:
     return val
 
 
+_DIGITS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+                          bytes(range(63, 127)))  # base64's digits onto graph6's
+
+
 def _write_digits(val: int, ndigits: int) -> str:
-    """The inverse of ``_read_digits``: ``val`` as ``ndigits`` 6-bit digits."""
-    return "".join([chr(63 + (val >> 6 * k & 63)) for k in range(ndigits - 1, -1, -1)])
+    """The inverse of ``_read_digits``: ``val`` as ``ndigits`` 6-bit digits, at
+    C level: padded to a multiple of 4 digits, val is whole bytes, which
+    base64 spells as 6-bit digits, mapped onto graph6's by ``_DIGITS``."""
+    pad = -ndigits % 4
+    raw = (val << 6 * pad).to_bytes((ndigits + pad) * 3 // 4, "big")
+    return b2a_base64(raw, newline=False).translate(_DIGITS)[:ndigits].decode("ascii")
 
 
 def parse_graph6(line: str | bytes) -> Graph:

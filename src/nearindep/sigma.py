@@ -10,7 +10,8 @@ Three mutually checking routes:
 * ``sigma_distribution_bruteforce``: the definitional oracle, which
   sweeps all 2^n subsets and histograms the number of induced edges;
 * ``sigma01_recursive``: deletion recursion that decomposes, by
-  ``_solve`` and ``_solve0``; ``_plus_vertex`` applies its rules at a
+  ``_solve`` and ``_solve0``, splitting the far side of each pivot once
+  for all its neighbour terms; ``_plus_vertex`` applies its rules at a
   vertex added to a graph whose pair is known;
 * ``sigma01_tree_dp``: a linear-time rooted DP for forests in label
   order, one ``_label_fold``, whose states ``leaf_deletion_counts``
@@ -146,12 +147,15 @@ def _tree_pair(comp: int, adj: tuple[int, ...]) -> Pair:
 
 
 def _solve(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
-           memo0: dict[int, int]) -> tuple[int, int]:
-    """(sigma0, sigma1) of the subgraph induced on ``mask``; a component
-    missing from the pair memo is folded (a tree) or pivoted (both rules)."""
-    if not mask & (mask - 1):  # no vertex or one: skip the split
+           memo0: dict[int, int], ring: int = 0) -> tuple[int, int]:
+    """(sigma0, sigma1) of the subgraph F induced on ``mask``, sigma1 plus, for
+    each u in ``ring`` (outside F), sigma0(F - N(u)), from F split once: the
+    components of F that N(u) meets are re-split, the others read from the
+    pair memo, and F's lone vertices outside N(u) counted as a shift.  A
+    component missing from the memo is folded (a tree) or pivoted."""
+    if not mask & (mask - 1) and not ring:  # no vertex or one: skip the split
         return (2, 0) if mask else (1, 0)
-    comps, isolated = split_components(mask, adj)
+    comps, isolated = split_components(mask, adj) if mask & (mask - 1) else ((), mask.bit_count())
     s0, s1 = 1, 0
     for comp in comps:
         pair = memo.get(comp)
@@ -160,13 +164,18 @@ def _solve(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
         if pair is None:
             a0, a1 = _solve(comp & ~(1 << v), adj, memo, memo0)
             far = comp & ~adj[v] ^ 1 << v  # comp - N[v]: v is in comp, never in adj[v]
-            b0, b1 = _solve(far, adj, memo, memo0)
-            for u in bits(adj[v] & comp):
-                a1 += _solve0(far & ~adj[u], adj, memo, memo0)  # u is not in far
+            b0, b1 = _solve(far, adj, memo, memo0, adj[v] & comp)  # with the neighbour terms
             pair = memo[comp] = a0 + b0, a1 + b1
         c0, c1 = pair
         s0, s1 = s0 * c0, s1 * c0 + c1 * s0
-    return s0 << isolated, s1 << isolated
+    s0, s1, lone = s0 << isolated, s1 << isolated, mask ^ sum(comps)
+    for u in bits(ring):
+        near = adj[u]
+        t = 1 << (lone & ~near).bit_count()
+        for comp in comps:
+            t *= _solve0(comp & ~near, adj, memo, memo0) if comp & near else memo[comp][0]
+        s1 += t
+    return s0, s1
 
 
 def _solve0(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
@@ -204,10 +213,12 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
     sigma0(G) = sigma0(G-v) + sigma0(G-N[v]) and
     sigma1(G) = sigma1(G-v) + sigma1(G-N[v])
                 + sum over u in N(v) of sigma0(G-N[v]-N[u]).
-    ``_solve`` memoises pairs and applies both rules.  The deg(v) neighbour
-    terms need sigma0 alone, so they go to ``_solve0``: the same
-    decomposition, fold and pivot, the first rule only, and its own memo
-    of counts; a component ``_solve`` has met is read from the pair memo.
+    ``_solve`` memoises pairs and applies both rules, and splits the far
+    side F = G-N[v] once for its pair and all deg(v) neighbour terms, each
+    sigma0 of F less N(u).  The parts of the components N(u) meets go to
+    ``_solve0``: the same decomposition, fold and pivot, the first rule
+    only, and its own memo of counts; a component ``_solve`` has met is
+    read from the pair memo.
     Paths and cycles cost polynomial time, and the work on other graphs
     grows with how slowly deletions break them into trees.
 
@@ -225,12 +236,12 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
 def _plus_vertex(g: Graph, pair: Pair) -> Callable[[int], Pair]:
     """Given pair, the (sigma0, sigma1) of g: the function from a vertex mask
     s of g to the pair of G = g plus a vertex v joined to s, by both pivot
-    rules at v (G-v = g, G-N[v] = g-s); no mask holds v, so one memo serves all s."""
+    rules at v (G-v = g, G-N[v] = g-s), whose far side g-s ``_solve`` splits
+    once for the terms of all u in s; no mask holds v, so one memo serves all s."""
     adj, full, memo, memo0 = g.adj, g.full_mask, {}, {}
 
     def plus(s: int) -> Pair:
-        a0, a1 = _solve(full ^ s, adj, memo, memo0)
-        a1 += sum(_solve0(full & ~(s | adj[u]), adj, memo, memo0) for u in bits(s))
+        a0, a1 = _solve(full ^ s, adj, memo, memo0, s)
         return pair[0] + a0, pair[1] + a1
 
     return plus

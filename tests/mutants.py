@@ -86,10 +86,10 @@ MUTANTS = (
     Mutant("graph6 payload shift one bit short", GRAPH6,
            "shift = 6 * nbytes - npairs", "shift = 6 * nbytes - npairs - 1", (C10,), "b469e6c"),
     Mutant("plus drops the neighbour terms", SIGMA,
-           "a1 += sum(_solve0(full & ~(s | adj[u]), adj, memo, memo0) for u in bits(s))", "a1 += 0",
+           "a0, a1 = _solve(full ^ s, adj, memo, memo0, s)", "a0, a1 = _solve(full ^ s, adj, memo, memo0)",
            (PLUS, "test_generate.py::test_carried_pairs_match_the_recursion_and_the_sweep"), "0d677ff"),
     Mutant("plus solves the parent, not the parent less s", SIGMA,
-           "a0, a1 = _solve(full ^ s, adj, memo, memo0)", "a0, a1 = _solve(full, adj, memo, memo0)",
+           "_solve(full ^ s, adj", "_solve(full, adj",
            (PLUS,), "0d677ff"),
     Mutant("_score zips the graph pairs reversed", VERIFY,
            "map(itemgetter(2), _graph_classes(table.n))", "map(itemgetter(2), reversed(_graph_classes(table.n)))",
@@ -145,12 +145,16 @@ MUTANTS = (
     Mutant("recursion's union rule drops its cross term", SIGMA,
            "s0, s1 = s0 * c0, s1 * c0 + c1 * s0", "s0, s1 = s0 * c0, s1 * c0 + c1", (C8,), None),
     Mutant("isolated vertices double sigma0 only", SIGMA,
-           "return s0 << isolated, s1 << isolated", "return s0 << isolated, s1", (C8,), None),
+           "s0 << isolated, s1 << isolated,", "s0 << isolated, s1,", (C8,), None),
     Mutant("subset sweep skips the mask {0}", SIGMA,
            "for s in range(1, size):", "for s in range(2, size):", (C8,), None),
     Mutant("pivot drops the neighbour term of vertex 0", SIGMA,
-           "for u in bits(adj[v] & comp):", "for u in bits(adj[v] & comp & ~1):",
+           "memo0, adj[v] & comp)", "memo0, adj[v] & comp & ~1)",
            (C8, "test_sigma.py::test_pivot_independence"), None),
+    Mutant("a component N(u) misses gives sigma1, not sigma0", SIGMA,
+           "memo[comp][0]", "memo[comp][1]", (C8, "test_sigma.py::test_pivot_independence"), None),
+    Mutant("a neighbour term counts the lone vertices inside N(u)", SIGMA,
+           "t = 1 << (lone & ~near).bit_count()", "t = 1 << lone.bit_count()", (C8, PLUS), None),
     Mutant("graph6 emits no column from 11 on", GRAPH6,
            "for j in range(1, n):", "for j in range(1, min(n, 11)):", (C10,), None),
     Mutant("gen_graphs drops a class at order 6", GENERATE,
@@ -187,6 +191,13 @@ MUTANTS = (
             "test_cli.py::test_input_errors_exit_2"), None),
     Mutant("_report_csv_row blanks max_q", CLI,
            '"max_q": q_str(doc["max_witness"]),', '"max_q": "",', ("test_cli.py::test_verify_csv",), None),
+    Mutant("a row echoes its line with the header", CLI,
+           'line.removeprefix(b">>graph6<<").decode("ascii")', 'line.decode("ascii")',
+           ("test_cli.py::test_rows_echo_their_input_line[compute]",
+            "test_cli.py::test_rows_echo_their_input_line[distribution]"), None),
+    Mutant("_write_digits pads modulo 3", GRAPH6,
+           "pad = -ndigits % 4", "pad = -ndigits % 3",
+           ("test_graph6.py::test_write_digits_matches_the_per_digit_writer", C10), None),
 )
 
 

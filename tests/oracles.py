@@ -3,8 +3,9 @@
 Labelled enumerations (Pruefer sequences, leaf extension, orbit marking
 over all 2^C(n,2) labelled graphs) that check the isomorph-free streams
 of ``nearindep.generate`` on small orders without canonical codes, the
-column-packed code of a fixed labelling, the leaf deletions of a tree
-solved one induced subgraph at a time, and ``_is_center_rooted``, the
+column-packed code of a fixed labelling, ``write_digits`` (graph6's
+digits one ``chr`` at a time), the leaf deletions of a tree solved one
+induced subgraph at a time, and ``_is_center_rooted``, the
 centre test of a level sequence read whole, which the tree walk's
 carried test must match.
 
@@ -185,6 +186,13 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return Graph(n, tuple(adj))
+
+
+def write_digits(val: int, ndigits: int) -> str:
+    """``val`` as ``ndigits`` graph6 digits, most significant first, one
+    ``chr`` per 6-bit digit: the writer that ``graph6._write_digits``, which
+    goes through base64, must match."""
+    return "".join(chr(63 + (val >> 6 * k & 63)) for k in range(ndigits - 1, -1, -1))
 
 
 def prufer_neighbours(n: int, seq: tuple[int, ...]) -> list[list[int]]:

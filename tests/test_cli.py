@@ -18,6 +18,7 @@ import nearindep.verify
 from nearindep.cli import main
 from nearindep.generate import ClassSpec, _graph_classes, _tree_list
 from nearindep.graph6 import emit_graph6
+from nearindep.graphs import make_named
 
 from oracles import graph_from_pair_mask
 
@@ -72,6 +73,20 @@ def test_csv_rows_end_in_a_bare_newline(capsys, monkeypatch):
     for out in outs:
         assert out.endswith("\n") and "\r" not in out
     assert outs[1].split("\n")[2] == "Ch,4,8 5 2 1"
+
+
+@pytest.mark.parametrize("command, orders", [("compute", (0, 1, 2, 62, 63, 64)), ("distribution", (0, 1, 2, 5))],
+                         ids=["compute", "distribution"])
+def test_rows_echo_their_input_line(capsys, monkeypatch, command, orders):
+    """A row's graph6 field is its input line, stripped and without its
+    header, at both ends of the short size form (orders 0 and 62) and in
+    the long form (63 and 64); the subset sweep of ``distribution`` stops
+    at order 25."""
+    lines = [emit_graph6(make_named("path", n)) for n in orders]
+    feed_stdin(monkeypatch, "".join(f">>graph6<<{line}\n \t{line} \r\n" for line in lines))
+    code, out, _ = run_cli(capsys, command)
+    assert code == 0
+    assert [json.loads(row)["graph6"] for row in out.splitlines()] == [line for line in lines for _ in range(2)]
 
 
 def test_distribution(capsys, monkeypatch):

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from nearindep.graph6 import Graph6Error, emit_graph6, parse_graph6
+from nearindep.graph6 import Graph6Error, _write_digits, emit_graph6, parse_graph6
 from nearindep.graphs import make_graph, make_named
 from nearindep.limits import CapabilityError
 
 from conftest import graphs
+from oracles import write_digits
 
 
 def test_hand_encoded_vectors():
@@ -108,6 +111,18 @@ def test_long_form_matches_networkx(n):
         assert g == make_graph(n, h.edges())
         assert emit_graph6(g).encode("ascii") + b"\n" == theirs
         assert make_graph(n, nx.from_graph6_bytes(emit_graph6(g).encode("ascii")).edges()) == g
+
+
+def test_write_digits_matches_the_per_digit_writer():
+    """Every digit count an order up to 64 writes: 1 or 3 for the size, 0 to
+    336 for the payload.  Each count meets zero, one bit at either end, all
+    ones and random values."""
+    rnd = random.Random(0)
+    for ndigits in range((64 * 63 // 2 + 5) // 6 + 1):
+        width = 6 * ndigits
+        for val in {0, 1 if width else 0, (1 << width) >> 1, (1 << width) - 1,
+                    rnd.getrandbits(width), rnd.getrandbits(width)}:
+            assert _write_digits(val, ndigits) == write_digits(val, ndigits), (val, ndigits)
 
 
 def test_codec_covers_order_62():
