@@ -20,7 +20,7 @@ import sys
 from typing import Iterator
 
 from .generate import ClassSpec, gen_class
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
+from .graph6 import _HEADER, Graph6Error, emit_graph6, parse_graph6
 from .graphs import Graph
 from .limits import CapabilityError
 from .sigma import sigma01, sigma_distribution_bruteforce
@@ -47,7 +47,7 @@ def _input_graphs(path: str | None) -> Iterator[tuple[Graph, str]]:
     def graphs() -> Iterator[tuple[Graph, str]]:
         with contextlib.nullcontext(fh) if stdin else fh:
             for line in filter(None, map(bytes.strip, fh)):
-                yield parse_graph6(line), line.removeprefix(b">>graph6<<").decode("ascii")
+                yield parse_graph6(line), line.decode("ascii").removeprefix(_HEADER)
 
     return graphs()
 

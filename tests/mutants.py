@@ -192,7 +192,7 @@ MUTANTS = (
     Mutant("_report_csv_row blanks max_q", CLI,
            '"max_q": q_str(doc["max_witness"]),', '"max_q": "",', ("test_cli.py::test_verify_csv",), None),
     Mutant("a row echoes its line with the header", CLI,
-           'line.removeprefix(b">>graph6<<").decode("ascii")', 'line.decode("ascii")',
+           'line.decode("ascii").removeprefix(_HEADER)', 'line.decode("ascii")',
            ("test_cli.py::test_rows_echo_their_input_line[compute]",
             "test_cli.py::test_rows_echo_their_input_line[distribution]"), None),
     Mutant("_write_digits pads modulo 3", GRAPH6,
