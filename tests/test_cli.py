@@ -188,14 +188,6 @@ def test_scan_tree_and_forest_bytes(capsys, family, n, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_verify_exit_codes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "3.2", "--n-max", "5")
-    assert code == 0
-    docs = [json.loads(line) for line in out.splitlines()]
-    assert [d["n"] for d in docs] == [1, 2, 3, 4, 5]
-    assert all(d["passed"] for d in docs)
-
-
 def test_verify_csv(capsys, monkeypatch):
     """Each field of a CSV row is that of the JSONL report of the same
     command: a Q as num/den, and a list of graphs joined by ';'.  The
@@ -232,14 +224,6 @@ def test_jobs_do_not_change_output(capsys):
     with pytest.raises(SystemExit) as e:  # only verify keeps the flag
         main(["scan", "--class", "graphs", "--n", "5", "--jobs", "1"])
     assert e.value.code == 2
-
-
-def test_verify_all_within_caps_exits_zero(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "all", "--n-max", "4")
-    assert code == 0
-    docs = [json.loads(line) for line in out.splitlines()]
-    assert all(d["passed"] for d in docs)
-    assert {d["theorem"] for d in docs} >= {"thm-3.2", "cor-3.3", "prop-3.4", "thm-4.1"}
 
 
 def test_verify_all_bytes_and_shared_universes(capsys, monkeypatch):

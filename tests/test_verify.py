@@ -15,7 +15,7 @@ from nearindep.generate import ClassSpec, _graph_classes, gen_class, gen_trees
 from nearindep.graph6 import emit_graph6, parse_graph6
 from nearindep.graphs import bits, make_graph, make_named, max_degree
 from nearindep.limits import CapabilityError
-from nearindep.sigma import leaf_deletion_counts, q_ratio, sigma01
+from nearindep.sigma import leaf_deletion_counts, sigma01
 from nearindep.verify import (
     Check,
     Violation,
@@ -28,66 +28,40 @@ from nearindep.verify import (
 )
 
 import oracles
-from oracles import closed_neighborhood, fraction_leaf_failures, is_forest, strip_isolated
+from oracles import closed_neighborhood, fraction_leaf_failures, strip_isolated
 
 
-def test_connected_lower_small():
-    r = _verify("3.2", 4)
-    assert r.checked == 6 and r.passed
-    assert len(r.equality_witnesses) == 1
-    assert is_star_graph(parse_graph6(r.equality_witnesses[0]))
-    r1 = _verify("3.2", 1)
-    assert r1.checked == 1 and r1.passed and len(r1.equality_witnesses) == 1
+F = Fraction
+K2, P3, S4, S5 = (1, 1), (1, 1, 2), (1, 1, 1, 3), (1, 1, 1, 1, 4)  # one edge, the 3-path, the stars on 4 and 5
+
+# (check, n, delta) -> facts of the paper and OEIS that the report oracle
+# only derives; a graph is given by its degrees without isolated vertices
+PAPER_FACTS = {
+    ("3.1", 4, None): {"checked": 11, "min": (0, ()), "second_smallest": (F(1, 3), [K2, S4])},  # A000088
+    ("3.1", 5, None): {"checked": 34, "bound": F(4, 17)},
+    ("3.2", 7, None): {"checked": 853, "equality": [(1,) * 6 + (6,)]},  # A001349
+    ("3.3", 5, None): {"min": (F(4, 17), S5), "equality": [S5]},
+    **{("3.6", n, 1): {"bound": F(1, 3), "equality": [K2]} for n in (2, 4, 6)},
+    ("3.6", 5, 3): {"bound": F(1, 3), "equality": [S4]},
+    ("3.6", 4, 2): {"min": (F(2, 5), P3), "notes": ["bound", "bound_attained", "anomaly"], "bound_attained": False},
+    ("4.1", 6, None): {"checked": 20, "max": (1, (1,) * 6)},  # A005195; three disjoint edges
+    ("4.5", 2, None): {"bound": F(1, 3), "equality": [K2]},
+}
 
 
-def test_connected_lower_n7():
-    r = _verify("3.2", 7)
-    assert r.checked == 853 and r.passed
-    assert [parse_graph6(w).n for w in r.equality_witnesses] == [7]
+def test_reports_state_the_facts_of_the_paper():
+    def shape(g6):
+        return tuple(sorted(row.bit_count() for row in strip_isolated(parse_graph6(g6)).adj))
 
-
-def test_general_lower_n4():
-    r = _verify("3.1", 4)
-    assert r.passed and r.checked == 11
-    assert r.min_witness is not None and r.min_witness[1] == 0
-    assert parse_graph6(r.min_witness[0]).edge_count() == 0
-    assert r.notes["second_smallest"] == Fraction(1, 3)
-    witnesses = [parse_graph6(w) for w in r.notes["second_smallest_witnesses"]]
-    shapes = sorted((strip_isolated(g).n, is_star_graph(strip_isolated(g))) for g in witnesses)
-    assert shapes == [(2, True), (4, True)]  # one edge plus isolates, and the star
-
-
-def test_general_lower_n5():
-    r = _verify("3.1", 5)
-    assert r.checked == 34 and r.passed
-    assert r.notes["bound"] == Fraction(4, 17)
-
-
-def test_max_degree_one():
-    for n in (2, 4, 6):
-        r = _verify("3.6", n, 1)
-        assert r.theorem_id == "prop-3.4" and r.passed
-        assert r.notes["bound"] == Fraction(1, 3)
-        core = strip_isolated(parse_graph6(r.equality_witnesses[0]))
-        assert core.n == 2 and core.edge_count() == 1
-        assert len(r.equality_witnesses) == 1
-
-
-def test_max_degree_three():
-    r = _verify("3.6", 5, 3)
-    assert r.passed and r.notes["bound"] == Fraction(1, 3)
-    core = strip_isolated(parse_graph6(r.equality_witnesses[0]))
-    assert core.n == 4 and is_star_graph(core)
-
-
-def test_max_degree_two_anomaly():
-    r = _verify("3.6", 4, 2)
-    assert r.passed  # the bound itself holds
-    assert not r.notes["bound_attained"]
-    assert r.min_witness[1] == Fraction(2, 5)
-    assert "anomaly" in r.notes
-    core = strip_isolated(parse_graph6(r.min_witness[0]))
-    assert core.n == 3 and is_star_graph(core)  # the 3-path plus an isolate
+    for (theorem, n, delta), want in PAPER_FACTS.items():
+        r = _verify(theorem, n, delta)
+        notes, witness = r.notes, lambda w: w and (w[1], shape(w[0]))
+        got = {"checked": r.checked, "bound": notes.get("bound"), "bound_attained": notes.get("bound_attained"),
+               "notes": list(notes), "equality": sorted(map(shape, r.equality_witnesses)),
+               "min": witness(r.min_witness), "max": witness(r.max_witness),
+               "second_smallest": (notes.get("second_smallest"),
+                                   sorted(map(shape, notes.get("second_smallest_witnesses", ()))))}
+        assert r.passed and {k: got[k] for k in want} == want, (theorem, n, delta)
 
 
 def test_star_plus_isolated_matches_networkx():
@@ -115,40 +89,8 @@ def test_max_degree_validation():
         _verify("3.6", 9, 1)
     with pytest.raises(ValueError):
         _verify("3.4", 5, 2)  # 3.4 is maximum degree 1 only
-
-
-def test_tree_lower():
-    r = _verify("3.3", 5)
-    assert r.passed and r.min_witness[1] == Fraction(4, 17)
-    assert len(r.equality_witnesses) == 1
-    assert is_star_graph(parse_graph6(r.equality_witnesses[0]))
-
-
-def test_forest_upper_small_orders():
-    r1 = _verify("4.1", 1)
-    assert r1.passed and r1.equality_witnesses  # the single vertex is tight
-    r2 = _verify("4.1", 2)
-    assert r2.passed
-    tight = [parse_graph6(w) for w in r2.equality_witnesses]
-    assert any(g.edge_count() == 1 for g in tight)
-    r45 = _verify("4.5", 2)
-    assert r45.passed and r45.notes["bound"] == Fraction(1, 3) and r45.equality_witnesses
-
-
-def test_forest_upper_n6():
-    r = _verify("4.1", 6)
-    assert r.checked == 20 and r.passed
-    assert r.max_witness[1] == Fraction(1)  # three disjoint edges
-    g = parse_graph6(r.max_witness[0])
-    assert g.edge_count() == 3 and is_forest(g)
-    r45 = run_theorem("4.5", 6)[-1]
-    assert r45.checked == 6 and r45.passed
-
-
-def test_leaf_lemmas_small():
-    r = _verify("4.2", 2)
-    assert r.passed and r.checked == 2  # both ends of the single edge
-    assert all(r.passed for r in run_theorem("4.2", 8))
+    with pytest.raises(ValueError):
+        run_theorem("9.9", 4)
 
 
 def test_leaf_lemma_identity_examples():
@@ -164,10 +106,7 @@ def test_leaf_lemma_identity_examples():
     assert ratio == Fraction(2, 3) == 1 - Fraction(1, (1 << 1) + 1)
 
     # sigma0(S5) = 17 = 2 * sigma0(empty 3) + sigma0(empty 0) = 2*8 + 1
-    s5 = make_named("star", 5)
-    assert sigma01(s5).sigma0 == 17
-    r = _verify("4.2", 5)
-    assert r.passed
+    assert sigma01(make_named("star", 5)).sigma0 == 17
 
 
 def test_extremal_scan_examples():
@@ -191,46 +130,6 @@ def test_extremal_scan_examples():
 def test_check_rejects_an_unknown_comparison():
     with pytest.raises(ValueError, match="comparison"):
         Check("scan", "==", lambda s: Fraction(1))
-
-
-def test_witnesses_reverify():
-    for rep in (_verify("3.2", 5), _verify("4.1", 6)):
-        for g6, q in (rep.min_witness, rep.max_witness):
-            assert q_ratio(parse_graph6(g6)) == q
-        for g6 in rep.equality_witnesses:
-            assert q_ratio(parse_graph6(g6)) == rep.notes["bound"]
-
-
-def test_report_json_shape():
-    doc = _verify("3.2", 3).to_json()
-    assert doc["theorem"] == "thm-3.2" and doc["passed"] is True
-    assert doc["family"] == "connected_graphs" and doc["checked"] == 2
-    assert doc["min_witness"]["q_num"] == "2" and doc["min_witness"]["q_den"] == "5"
-    assert doc["notes"]["bound"] == {"num": "2", "den": "5"}
-
-
-def without_graph6(doc):
-    """A report's JSON with every graph6 string dropped and every list of
-    them replaced by its length: the fields that do not depend on how a
-    class is labelled."""
-    if isinstance(doc, dict):
-        return {k: without_graph6(v) for k, v in doc.items() if k != "graph6"}
-    if isinstance(doc, list):
-        if doc and all(isinstance(x, str) for x in doc):
-            return len(doc)
-        return [without_graph6(x) for x in doc]
-    return doc
-
-
-def test_verify_all_is_pinned_up_to_labelling():
-    """Every field of every report of 'all' to order 7 but the graph6
-    strings, witness counts included, as recorded under the
-    minimum-column-code search."""
-    docs = [without_graph6(r.to_json()) for r in run_theorem("all", 7)]
-    assert len(docs) == 98
-    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == (
-        "7b65ac9919dd509ae3f6b907eeaccf9c5b781a1236ef37dee244087be7ac91e2"
-    )
 
 
 def test_reports_match_the_report_oracle():
@@ -314,22 +213,6 @@ def test_forests_become_graphs_only_where_a_report_prints_them(monkeypatch):
     assert sum(r.checked for r in forests) == 15205
     printed = sum(2 + len(r.equality_witnesses) + len(r.violations) for r in forests)
     assert len(built) == printed == 30
-
-
-def test_run_theorem_catalogue():
-    reports = run_theorem("3.2", 4)
-    assert [r.spec.n for r in reports] == [1, 2, 3, 4]
-    assert all(r.passed for r in reports)
-    reports = run_theorem("3.6", 4)
-    assert {(r.spec.n, r.spec.delta) for r in reports} == {
-        (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
-    }
-    assert all(r.passed for r in reports)
-    with pytest.raises(ValueError):
-        run_theorem("9.9", 4)
-
-
-F = Fraction
 
 
 def _shifted_pairs(delta, *streams):
