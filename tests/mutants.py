@@ -42,13 +42,13 @@ C9 = "test_acceptance.py::test_criterion_9_enumeration_counts"
 C10 = "test_acceptance.py::test_criterion_10_graph6_codec"
 ATLAS = "test_generate.py::test_graph_streams_match_the_networkx_atlas"
 ORBIT = "test_generate.py::test_graph_streams_meet_the_orbit_stabiliser_identity"
+CARRIED = "test_generate.py::test_carried_pairs_match_the_recursion_and_the_sweep"
+PAIRS = "test_generate.py::test_trees_and_forests_carry_their_pairs"
 TREES = "test_generate.py::test_generated_trees_and_forests_pass_the_full_check[gen_trees-18]"
-FORESTS = "test_generate.py::test_generated_trees_and_forests_pass_the_full_check[gen_forests-14]"
 WALK = "test_generate.py::test_tree_stream_equals_filtered_walk"
 PLUS = "test_sigma.py::test_plus_vertex_matches_the_sweep_of_each_child"
 SCAN = "test_verify.py::test_scan_matches_fraction_scan"
 ORACLE = "test_verify.py::test_reports_match_the_report_oracle"
-FACTS = "test_verify.py::test_reports_state_the_facts_of_the_paper"
 
 SIGMA, GENERATE, VERIFY = "nearindep/sigma.py", "nearindep/generate.py", "nearindep/verify.py"
 GRAPHS, GRAPH6, CLI = "nearindep/graphs.py", "nearindep/graph6.py", "nearindep/cli.py"
@@ -89,7 +89,7 @@ MUTANTS = (
            "shift = 6 * nbytes - npairs", "shift = 6 * nbytes - npairs - 1", (C10,), "b469e6c"),
     Mutant("plus drops the neighbour terms", SIGMA,
            "a0, a1 = _solve(full ^ s, adj, memo, memo0, s)", "a0, a1 = _solve(full ^ s, adj, memo, memo0)",
-           (PLUS, ORBIT), "0d677ff"),
+           (PLUS, CARRIED), "0d677ff"),
     Mutant("plus solves the parent, not the parent less s", SIGMA,
            "_solve(full ^ s, adj", "_solve(full, adj",
            (PLUS,), "0d677ff"),
@@ -101,11 +101,11 @@ MUTANTS = (
     Mutant("tree walk keeps the old parent's row bit", GENERATE,
            "adj[par[j]] &= ~(1 << j)", "pass", (WALK,), "0c97f23"),
     Mutant("forest union rule drops its cross term", GENERATE,
-           "s0, s1 = s0 * t0, s1 * t0 + t1 * s0", "s0, s1 = s0 * t0, s1 * t0 + t1", (FORESTS,), "0c97f23"),
+           "s0, s1 = s0 * t0, s1 * t0 + t1 * s0", "s0, s1 = s0 * t0, s1 * t0 + t1", (PAIRS,), "0c97f23"),
     Mutant("tree root closure adds b0 to sigma1", GENERATE,
-           "(a0 + b0, a1 + b1)", "(a0 + b0, a1 + b0)", (TREES,), "0c97f23"),
+           "(a0 + b0, a1 + b1)", "(a0 + b0, a1 + b0)", (PAIRS,), "0c97f23"),
     Mutant("suffix graft's arguments swapped", GENERATE,
-           "top = (_graft(below, state), rest)", "top = (_graft(state, below), rest)", (TREES,), "0c97f23"),
+           "top = (_graft(below, state), rest)", "top = (_graft(state, below), rest)", (PAIRS,), "0c97f23"),
     Mutant("tree walk never steps up to the parent", GENERATE,
            "v = par[v]\n", "pass\n", (WALK,), "0c97f23"),
     Mutant("_score swaps the tree and forest streams", VERIFY,
@@ -139,7 +139,7 @@ MUTANTS = (
            "split.setdefault(key(row[0]), []).append(row)", "split.setdefault(key(row[0]) and key(row[0]), []).append(row)",
            ("test_verify.py::test_views_evaluate_their_key_once_per_row",), "2eac5bf"),
     Mutant("tree root closure drops its sigma1 term", GENERATE,
-           "(a0 + b0, a1 + b1)", "(a0 + b0, b1)", (TREES, C7), "2eac5bf"),
+           "(a0 + b0, a1 + b1)", "(a0 + b0, b1)", (PAIRS, C7), "2eac5bf"),
     Mutant("successor step never moves to the chain parent", GENERATE,
            "q -= 1", "q -= 0", ("test_generate.py::test_tree_walk_rereads_the_first_subtree_only_when_rewritten",), None),
     Mutant("refinement orders fragments by label, not by count", GRAPHS,
@@ -205,7 +205,8 @@ MUTANTS = (
     Mutant("a report's JSON gives its order as its maximum degree", VERIFY,
            '"delta": self.spec.delta,', '"delta": self.spec.n,', (ORACLE,), None),
     Mutant("the anomaly note moves to maximum degree 3", VERIFY,
-           "if spec.delta == 2 and", "if spec.delta == 3 and", (ORACLE, FACTS), None),
+           "if spec.delta == 2 and", "if spec.delta == 3 and",
+           (ORACLE, "test_verify.py::test_max_degree_two_anomaly"), None),
     Mutant("3.5 starts at order 5", VERIFY,
            '"3.5": [(_general_lower, "all_graphs", 4,', '"3.5": [(_general_lower, "all_graphs", 5,', (ORACLE,), None),
     Mutant("the recursion counts the graph of order 0 as one vertex", SIGMA,
@@ -215,9 +216,10 @@ MUTANTS = (
            ("test_sigma.py::test_tree_dp_rejects_a_cycle_in_a_later_component",
             "test_sigma.py::test_tree_dp_accepts_exactly_the_forests"), None),
     Mutant("the recursion's far side drops its neighbour terms", SIGMA,
-           "_solve(far, adj, memo, memo0, adj[v] & comp)", "_solve(far, adj, memo, memo0)", (C2, ORBIT), None),
+           "_solve(far, adj, memo, memo0, adj[v] & comp)", "_solve(far, adj, memo, memo0)", (C2, CARRIED), None),
     Mutant("the class of order 0 holds its rows in a list", GENERATE,
-           "Graph._unchecked(0, ())", "Graph._unchecked(0, [])", (ORBIT,), None),
+           "Graph._unchecked(0, ())", "Graph._unchecked(0, [])",
+           ("test_generate.py::test_graph_classes_pass_the_full_check",), None),
 )
 
 

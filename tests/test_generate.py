@@ -76,17 +76,8 @@ def filtered_walk(n):
 
 
 def test_tree_stream_equals_filtered_walk():
-    """Each stream to order 16 is the plain walk's, tree for tree.  The trees
-    of order 16 are pairwise non-isomorphic trees by ``forest_certificate``
-    (one encoding each), and their masses 16!/|Aut| sum to Cayley's 16^14
-    labelled trees: one member per class.  |Aut| comes from rooted
-    counting at the centre, no engine code."""
     for n in range(1, Limits.tree_checks_max_n + 1):
-        trees = list(gen_trees(n))
-        assert [t.adj for t in trees] == [t.adj for t in filtered_walk(n)], n
-    certs = {forest_certificate(t) for t in trees}
-    assert len(certs) == len(trees) and all(len(c) == 1 for c in certs)
-    assert sum(factorial(n) // forest_aut_count(t) for t in trees) == n ** (n - 2) == 16 ** 14
+        assert [t.adj for t in gen_trees(n)] == [t.adj for t in filtered_walk(n)], n
 
 
 def test_tree_walk_rereads_the_first_subtree_only_when_rewritten(monkeypatch):
@@ -336,6 +327,16 @@ def test_canonical_form_calls_are_pinned(monkeypatch):
     assert len(codes) == 15047
 
 
+def test_carried_pairs_match_the_recursion_and_the_sweep():
+    """The (sigma0, sigma1) each class carries out of the augmentation is
+    that of the graph it emits: by the deletion recursion on orders 1-8,
+    and by the subset sweep, which shares no code with it, on orders 1-7."""
+    for n in range(1, Limits.graphs_max_n + 1):
+        for g, _, pair in _graph_classes(n):
+            assert pair == sigma01_recursive(g), g
+            assert n == 8 or pair == sigma_distribution_bruteforce(g).pair(), g
+
+
 GRAPH_CLASS_DIGESTS = [
     "de10f7f9adc82698c620887ebce1884a0a1b645ab20bf102e3290bc4dfe22a4d",
     "3d2cda7a4d92560ffd5dbb1d772f296f9a3cd0ebe7591f6e4409189b8d7c7029",
@@ -362,6 +363,22 @@ def test_graph_classes_are_pinned_with_their_generators():
     assert digests == GRAPH_CLASS_DIGESTS
 
 
+def test_trees_and_forests_carry_their_pairs():
+    """The (sigma0, sigma1) each tree and forest carries out of generation
+    is that of the graph it emits: by the tree DP's fold for every tree to
+    order 16 and every forest to order 14, and to order 10 also by the
+    fold-free recursion, which shares no ``_graft`` with the walk.  Each
+    forest's pair is zipped with the graph ``gen_forests`` emits for it."""
+    def forests(n):
+        return zip(gen_forests(n), map(itemgetter(1), _forest_classes(n)), strict=True)
+
+    for classes, top in [(_tree_list, Limits.tree_checks_max_n), (forests, Limits.forests_max_n)]:
+        for n in range(1, top + 1):
+            for g, pair in classes(n):
+                assert pair == sigma01_tree_dp(g), g
+                assert n > 10 or pair == fold_free_recursion(g), g
+
+
 def test_graph_streams_meet_the_orbit_stabiliser_identity():
     """A class G on n vertices holds n!/|Aut(G)| labelled graphs, so the
     stream's masses sum to 2^C(n,2), its connected view's to the labelled
@@ -371,13 +388,8 @@ def test_graph_streams_meet_the_orbit_stabiliser_identity():
     by ``min_column_code``, so a member relabelled into another is caught
     even where the masses balance.  Neither |Aut|, from a backtracking
     count, nor the code shares code with ``canonical_form``.  The class
-    counts are the OEIS ones.  Each class passes the full check, and its
-    carried (sigma0, sigma1) is the recursion's and, to order 7, the sweep's."""
+    counts are the OEIS ones."""
     for n in range(9):
-        for g, _, pair in _graph_classes(n):
-            assert_passes_full_check(g)
-            assert pair == sigma01_recursive(g), g
-            assert n == 8 or pair == sigma_distribution_bruteforce(g).pair(), g
         graphs = list(gen_graphs(n))
         assert len({min_column_code(g) for g in graphs}) == len(graphs) == GRAPH_COUNTS[n]
         aut = {g: aut_count(g) for g in graphs}
@@ -387,6 +399,17 @@ def test_graph_streams_meet_the_orbit_stabiliser_identity():
         assert sum(factorial(n) // aut[g] for g in connected) == labelled_connected_graphs(n)
         bounded = (gen_class(ClassSpec("bounded_degree_graphs", n, delta)) for delta in range(n + 1))
         assert sum(factorial(n) // aut[g] for view in bounded for g in view) == 1 << comb(n, 2)
+
+
+def test_tree_stream_meets_the_orbit_stabiliser_identity():
+    """The trees of order 16 are pairwise non-isomorphic trees by
+    ``forest_certificate`` (one encoding each), and their masses
+    16!/|Aut| sum to Cayley's 16^14 labelled trees: one member per class.
+    |Aut| comes from rooted counting at the centre, no engine code."""
+    trees = list(gen_trees(16))
+    certs = {forest_certificate(t) for t in trees}
+    assert len(certs) == len(trees) and all(len(c) == 1 for c in certs)
+    assert sum(factorial(16) // forest_aut_count(t) for t in trees) == 16 ** 14
 
 
 def test_forest_stream_meets_the_orbit_stabiliser_identity():
@@ -419,21 +442,21 @@ def test_generated_trees_and_forests_pass_the_full_check(gen, cap):
     """Also the label order that ``sigma01_tree_dp`` and
     ``leaf_deletion_counts`` fold: every vertex has at most one lower
     neighbour, and in a tree only vertex 0 has none.  The same walk counts
-    the classes at the cap, and zips each graph to order 16 (trees, from
-    ``_tree_list``) or 14 (forests) with its carried (sigma0, sigma1): the
-    DP's, and to order 10 that of the fold-free recursion, no ``_graft``."""
-    table, top = (_tree_list, Limits.tree_checks_max_n) if gen is gen_trees else (_forest_classes, cap)
+    the classes at the cap."""
     for n in range(1, cap + 1):
         count = 0
-        rows = zip(gen(n), map(itemgetter(1), table(n)), strict=True) if n <= top else ((g, None) for g in gen(n))
-        for count, (g, pair) in enumerate(rows, 1):
+        for count, g in enumerate(gen(n), 1):
             assert_passes_full_check(g)
             lower = lower_degrees(g)
             assert max(lower) <= 1, g
             assert gen is gen_forests or lower.count(0) == 1, g
-            assert pair is None or pair == sigma01_tree_dp(g), g
-            assert n > 10 or pair == fold_free_recursion(g), g
     assert count == {gen_trees: 123_867, gen_forests: 8_599}[gen]  # OEIS A000055, A005195
+
+
+def test_graph_classes_pass_the_full_check():
+    for n in range(Limits.graphs_max_n + 1):
+        for g, _, _ in _graph_classes(n):
+            assert_passes_full_check(g)
 
 
 def test_generators_do_not_run_the_full_check(monkeypatch):

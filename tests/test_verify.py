@@ -34,34 +34,72 @@ from oracles import closed_neighborhood, fraction_leaf_failures, strip_isolated
 F = Fraction
 K2, P3, S4, S5 = (1, 1), (1, 1, 2), (1, 1, 1, 3), (1, 1, 1, 1, 4)  # one edge, the 3-path, the stars on 4 and 5
 
-# (check, n, delta) -> facts of the paper and OEIS that the report oracle
-# only derives; a graph is given by its degrees without isolated vertices
-PAPER_FACTS = {
-    ("3.1", 4, None): {"checked": 11, "min": (0, ()), "second_smallest": (F(1, 3), [K2, S4])},  # A000088
-    ("3.1", 5, None): {"checked": 34, "bound": F(4, 17)},
-    ("3.2", 7, None): {"checked": 853, "equality": [(1,) * 6 + (6,)]},  # A001349
-    ("3.3", 5, None): {"min": (F(4, 17), S5), "equality": [S5]},
-    **{("3.6", n, 1): {"bound": F(1, 3), "equality": [K2]} for n in (2, 4, 6)},
-    ("3.6", 5, 3): {"bound": F(1, 3), "equality": [S4]},
-    ("3.6", 4, 2): {"min": (F(2, 5), P3), "notes": ["bound", "bound_attained", "anomaly"], "bound_attained": False},
-    ("4.1", 6, None): {"checked": 20, "max": (1, (1,) * 6)},  # A005195; three disjoint edges
-    ("4.5", 2, None): {"bound": F(1, 3), "equality": [K2]},
-}
 
-
-def test_reports_state_the_facts_of_the_paper():
+def assert_facts(theorem, n, delta=None, **want):
+    """The report of ``theorem`` at order n passes and states ``want``:
+    facts of the paper and OEIS that the report oracle only derives.  A
+    graph is given by its degrees without isolated vertices."""
     def shape(g6):
         return tuple(sorted(row.bit_count() for row in strip_isolated(parse_graph6(g6)).adj))
 
-    for (theorem, n, delta), want in PAPER_FACTS.items():
-        r = _verify(theorem, n, delta)
-        notes, witness = r.notes, lambda w: w and (w[1], shape(w[0]))
-        got = {"checked": r.checked, "bound": notes.get("bound"), "bound_attained": notes.get("bound_attained"),
-               "notes": list(notes), "equality": sorted(map(shape, r.equality_witnesses)),
-               "min": witness(r.min_witness), "max": witness(r.max_witness),
-               "second_smallest": (notes.get("second_smallest"),
-                                   sorted(map(shape, notes.get("second_smallest_witnesses", ()))))}
-        assert r.passed and {k: got[k] for k in want} == want, (theorem, n, delta)
+    r = _verify(theorem, n, delta)
+    notes, witness = r.notes, lambda w: w and (w[1], shape(w[0]))
+    got = {"checked": r.checked, "bound": notes.get("bound"), "bound_attained": notes.get("bound_attained"),
+           "notes": list(notes), "equality": sorted(map(shape, r.equality_witnesses)),
+           "min": witness(r.min_witness), "max": witness(r.max_witness),
+           "second_smallest": (notes.get("second_smallest"),
+                               sorted(map(shape, notes.get("second_smallest_witnesses", ()))))}
+    assert r.passed and {k: got[k] for k in want} == want, (theorem, n, delta)
+
+
+def test_connected_lower_n7():
+    assert_facts("3.2", 7, checked=853, equality=[(1,) * 6 + (6,)])  # A001349
+
+
+def test_general_lower_n4():
+    assert_facts("3.1", 4, checked=11, min=(0, ()), second_smallest=(F(1, 3), [K2, S4]))  # A000088
+
+
+def test_general_lower_n5():
+    assert_facts("3.1", 5, checked=34, bound=F(4, 17))
+
+
+def test_max_degree_one():
+    for n in (2, 4, 6):
+        assert_facts("3.6", n, 1, bound=F(1, 3), equality=[K2])
+
+
+def test_max_degree_three():
+    assert_facts("3.6", 5, 3, bound=F(1, 3), equality=[S4])
+
+
+def test_max_degree_two_anomaly():
+    assert_facts("3.6", 4, 2, min=(F(2, 5), P3), notes=["bound", "bound_attained", "anomaly"], bound_attained=False)
+
+
+def test_tree_lower():
+    assert_facts("3.3", 5, min=(F(4, 17), S5), equality=[S5])
+
+
+def test_forest_upper_small_orders():
+    assert_facts("4.5", 2, bound=F(1, 3), equality=[K2])
+
+
+def test_forest_upper_n6():
+    assert_facts("4.1", 6, checked=20, max=(1, (1,) * 6))  # A005195; three disjoint edges
+
+
+def test_run_theorem_catalogue():
+    reports = run_theorem("3.2", 4)
+    assert [r.spec.n for r in reports] == [1, 2, 3, 4]
+    assert all(r.passed for r in reports)
+    reports = run_theorem("3.6", 4)
+    assert {(r.spec.n, r.spec.delta) for r in reports} == {
+        (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
+    }
+    assert all(r.passed for r in reports)
+    with pytest.raises(ValueError):
+        run_theorem("9.9", 4)
 
 
 def test_star_plus_isolated_matches_networkx():
@@ -89,8 +127,6 @@ def test_max_degree_validation():
         _verify("3.6", 9, 1)
     with pytest.raises(ValueError):
         _verify("3.4", 5, 2)  # 3.4 is maximum degree 1 only
-    with pytest.raises(ValueError):
-        run_theorem("9.9", 4)
 
 
 def test_leaf_lemma_identity_examples():
