@@ -1,4 +1,6 @@
+import gc
 import random
+from contextlib import contextmanager
 from itertools import permutations
 
 import pytest
@@ -55,3 +57,37 @@ def brute_force_automorphisms(g: Graph) -> set[tuple[int, ...]]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, name)`` rebinds ``owner.name`` for the test to a wrapper
+    that calls the real one, logs ``(args, result)`` for each call that
+    returns, and returns that log."""
+    def install(owner, name: str) -> list[tuple[tuple, object]]:
+        log: list[tuple[tuple, object]] = []
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            log.append((args, result))
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return log
+
+    return install
+
+
+@contextmanager
+def no_cyclic_garbage():
+    """Runs the block with the collector off, then asserts that it left
+    nothing for the collector: reference counting alone freed what the
+    block built."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -220,6 +220,21 @@ MUTANTS = (
     Mutant("the class of order 0 holds its rows in a list", GENERATE,
            "Graph._unchecked(0, ())", "Graph._unchecked(0, [])",
            ("test_generate.py::test_graph_classes_pass_the_full_check",), None),
+    Mutant("a graft drops the edge from the root to the branch's root", SIGMA,
+           "a1 * cb0 + a0 * (cb1 + ca0)", "a1 * cb0 + a0 * cb1", (C1, "test_sigma.py::test_tree_dp_examples"), None),
+    Mutant("a prune leaves the edge from the root to the branch's root", SIGMA,
+           "(a1 - ra0 * (cb1 + ca0)) // cb0", "(a1 - ra0 * cb1) // cb0",
+           (C7, "test_verify.py::test_leaf_deletion_counts_on_labelled_trees"), None),
+    Mutant("lemma 4.2 fails at equality", VERIFY,
+           "if nv0 * (num + 1) > v0 * num:", "if nv0 * (num + 1) >= v0 * num:",
+           (C7, "test_verify.py::test_leaf_lemma_predicates_match_fractions"), None),
+    Mutant("a component grows from one vertex of its frontier a step", GRAPHS,
+           "grown |= adj[low.bit_length() - 1]", "grown = adj[low.bit_length() - 1]",
+           (C2, "test_properties.py::test_split_components_of_a_sub_mask_match_networkx"), None),
+    Mutant("canonical_form keeps only the last least leaf", GRAPHS,
+           "if best < 0 or code < best:", "if best < 0 or code <= best:",
+           ("test_graphs.py::test_canonical_form_generates_the_whole_group",
+            "test_graphs.py::test_canonical_form_at_the_cap[petersen]"), None),
 )
 
 

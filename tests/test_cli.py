@@ -1,9 +1,11 @@
+import ast
 import csv
 import gc
 import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -226,21 +228,16 @@ def test_jobs_do_not_change_output(capsys):
     assert e.value.code == 2
 
 
-def test_verify_all_bytes_and_shared_universes(capsys, monkeypatch):
+def test_verify_all_bytes_and_shared_universes(capsys, spy):
     """The whole catalogue to order 6 is pinned byte for byte, and each
     universe is read once per order from the stream that ``_score`` reads:
     connected and exact-maximum-degree graphs are read off the all-graphs
     universe of the same order."""
-    calls: Counter = Counter()
-
-    def counting(name, spec_of):
-        real = getattr(nearindep.verify, name)
-        monkeypatch.setattr(nearindep.verify, name, lambda arg: calls.update([spec_of(arg)]) or real(arg))
-
-    counting("gen_class", lambda spec: spec)  # the graph tables' stream, zipped with their pairs
-    counting("_tree_list", lambda n: ClassSpec("trees", n))
-    counting("_forest_classes", lambda n: ClassSpec("forests", n))
+    graphs = spy(nearindep.verify, "gen_class")  # the graph tables' stream, zipped with their pairs
+    trees, forests = spy(nearindep.verify, "_tree_list"), spy(nearindep.verify, "_forest_classes")
     code, out, _ = run_cli(capsys, "verify", "--theorem", "all", "--n-max", "6")
+    calls = Counter([spec for (spec,), _ in graphs] + [ClassSpec("trees", n) for (n,), _ in trees]
+                    + [ClassSpec("forests", n) for (n,), _ in forests])
     assert code == 0 and len(out.splitlines()) == 80
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "6b4a75d82e1d83326454e7c651251e3cb62fe3a03bea79f14bc147bfdfe303a9"
@@ -422,6 +419,27 @@ def test_cli_import_loads_no_dataclasses():
     code = "import sys, nearindep.cli; print('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+def test_the_test_extra_lists_every_library_the_tests_import():
+    """``pip install -e .[test]`` brings every third-party module that a
+    file of ``tests/`` imports or hands to ``pytest.importorskip``."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    listed = {re.match(r"[\w.-]+", requirement)[0].lower() for requirement in project["optional-dependencies"]["test"]}
+    imported = set()
+    for path in (root / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                imported.add(node.args[0].value)
+    top = {name.partition(".")[0] for name in imported} - set(sys.stdlib_module_names)
+    local = {name for name in top if (root / "tests" / f"{name}.py").exists() or (root / "src" / name).is_dir()}
+    assert sorted(top - local - listed) == []
 
 
 def run_example(capsys, monkeypatch, command: str) -> list[str]:

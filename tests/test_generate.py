@@ -80,20 +80,14 @@ def test_tree_stream_equals_filtered_walk():
         assert [t.adj for t in gen_trees(n)] == [t.adj for t in filtered_walk(n)], n
 
 
-def test_tree_walk_rereads_the_first_subtree_only_when_rewritten(monkeypatch):
+def test_tree_walk_rereads_the_first_subtree_only_when_rewritten(spy):
     """The walk carries the first root subtree's end and depth from visit
     to visit and re-reads them only when a step rewrote from inside it:
     82 reads at n = 12 and 1,230 of the 20,542 visits at n = 16."""
-    reads = Counter()
-
-    def spy(layout, real=generate._first_subtree):
-        reads[len(layout)] += 1
-        return real(layout)
-
-    monkeypatch.setattr(generate, "_first_subtree", spy)
+    reads = spy(generate, "_first_subtree")
     assert sum(1 for _ in gen_trees(12)) == 551
     assert sum(1 for _ in gen_trees(16)) == 19320
-    assert reads == {12: 82, 16: 1230}
+    assert Counter(len(layout) for (layout,), _ in reads) == {12: 82, 16: 1230}
 
 
 def test_trees_match_networkx():
@@ -305,22 +299,15 @@ def test_outranked_matches_the_key_oracle():
     assert outcomes == {"outranked": 561, "kept": 1383}
 
 
-def test_canonical_form_calls_are_pinned(monkeypatch):
+def test_canonical_form_calls_are_pinned(spy):
     """The work of generation up to order 8, one call per child that
     passes the deletion rule: 1,252 calls find the classes of orders 1-7, and the other 103
     return a code already found; to order 8 it is 15,047 calls."""
-    codes = []
-    real = generate.canonical_form
-
-    def spy(g):
-        out = real(g)
-        codes.append(out[0])
-        return out
-
-    monkeypatch.setattr(generate, "canonical_form", spy)
+    calls = spy(generate, "canonical_form")
     _graph_classes.cache_clear()
     _graph_classes(8)
     _graph_classes.cache_clear()
+    codes = [code for _, (code, _, _) in calls]
     below = [code for code in codes if code.n < 8]
     assert len(below) == 1355
     assert len(set(below)) == sum(GRAPH_COUNTS[1:8]) == 1252
@@ -468,12 +455,11 @@ def test_generators_do_not_run_the_full_check(monkeypatch):
     assert len(_graph_classes.__wrapped__(5)) == 34
 
 
-def test_every_graph_given_to_canonical_form_passes_the_full_check(monkeypatch):
-    seen = []
-    real = generate.canonical_form
-    monkeypatch.setattr(generate, "canonical_form", lambda g: seen.append(g) or real(g))
+def test_every_graph_given_to_canonical_form_passes_the_full_check(spy):
+    calls = spy(generate, "canonical_form")
     _graph_classes.cache_clear()
     _graph_classes(7)
+    seen = [g for (g,), _ in calls]
     assert {g.n for g in seen} == set(range(1, 8))
     for g in seen:
         assert_passes_full_check(g)

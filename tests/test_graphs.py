@@ -1,11 +1,11 @@
-import gc
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from nearindep.graphs import (
     CanonicalCode,
@@ -24,7 +24,7 @@ from nearindep.limits import CapabilityError
 from nearindep.sigma import SigmaDistribution, SigmaPair
 from nearindep.verify import STAR_LOWER, Check, Violation
 
-from conftest import brute_force_automorphisms, graphs, random_graph
+from conftest import brute_force_automorphisms, graphs, no_cyclic_garbage, random_graph
 from oracles import (
     closed_neighborhood,
     disjoint_union,
@@ -83,15 +83,14 @@ def test_graph_invariants_enforced():
         make_named("path", 2.0)      # float order, before the edge list is built
 
 
-def test_make_graph_and_parse_graph6_run_the_full_check(monkeypatch):
+def test_make_graph_and_parse_graph6_run_the_full_check(spy):
     """Only the generators build through ``Graph._unchecked``: graphs made
     from edge lists or read from graph6 still pass ``Graph._check``, which
     sees the fields before the graph is built."""
-    checked = []
-    real = Graph._check
-    monkeypatch.setattr(Graph, "_check", lambda n, adj: checked.append((n, adj)) or real(n, adj))
+    calls = spy(Graph, "_check")
     g = make_graph(4, [(0, 1), (1, 2)])
     h = parse_graph6(emit_graph6(g))
+    checked = [args for args, _ in calls]
     assert len(checked) == 2 and checked[0] == (g.n, g.adj) and checked[1] == (h.n, h.adj) and g == h
     assert checked[0][1] is g.adj and checked[1][1] is h.adj
 
@@ -230,117 +229,16 @@ def test_canonical_code_cap():
         canonical_code(make_named("empty", 11))
 
 
-def closure(n: int, gens) -> set[tuple[int, ...]]:
-    """Every element of the group generated by gens, by breadth-first search."""
-    group = {tuple(range(n))}
-    frontier = list(group)
-    while frontier:
-        found = []
-        for p in frontier:
-            for a in gens:
-                img = tuple(a[p[v]] for v in range(n))
-                if img not in group:
-                    group.add(img)
-                    found.append(img)
-        frontier = found
-    return group
-
-
 def group_order(n: int, gens) -> int:
-    """Order of the group generated by gens, by the Schreier-Sims algorithm:
-    a base b_0, b_1, ... and, for each stabiliser G_i of b_0..b_{i-1}, strong
-    generators and a transversal of the orbit of b_i; |G| is the product of
-    the orbit lengths.  Permutations compose as (a*b)[v] = a[b[v]]."""
-    ident = tuple(range(n))
-
-    def mul(a, b):
-        return tuple(a[x] for x in b)
-
-    def inv(a):
-        out = [0] * n
-        for v, x in enumerate(a):
-            out[x] = v
-        return tuple(out)
-
-    base: list[int] = []
-    strong: list[list[tuple[int, ...]]] = []
-    trans: list[dict[int, tuple[int, ...]]] = []
-
-    def new_level(h):
-        base.append(next(v for v in range(n) if h[v] != v))
-        strong.append([])
-        trans.append({})
-
-    def orbit(i):
-        b = base[i]
-        t = {b: ident}
-        queue = [b]
-        for p in queue:
-            for s in strong[i]:
-                if s[p] not in t:
-                    t[s[p]] = mul(s, t[p])
-                    queue.append(s[p])
-        trans[i] = t
-
-    def sift(h, i):
-        for j in range(i, len(base)):
-            x = h[base[j]]
-            if x not in trans[j]:
-                return h, j
-            h = mul(inv(trans[j][x]), h)
-        return h, len(base)
-
-    for h in gens:
-        if h == ident:
-            continue
-        if all(h[b] == b for b in base):
-            new_level(h)
-        for i in range(len(base)):
-            strong[i].append(h)
-            if h[base[i]] != base[i]:
-                break
-    for i in range(len(base)):
-        orbit(i)
-    i = len(base) - 1
-    while i >= 0:
-        redo = None
-        for p, u in list(trans[i].items()):
-            for s in strong[i]:
-                h, j = sift(mul(inv(trans[i][s[p]]), mul(s, u)), i + 1)
-                if h != ident:
-                    redo = (h, j)
-                    break
-            if redo:
-                break
-        if redo is None:
-            i -= 1
-            continue
-        h, j = redo
-        if j == len(base):
-            new_level(h)
-        for level in range(i + 1, j + 1):
-            strong[level].append(h)
-            orbit(level)
-        i = j
-    return prod(len(t) for t in trans)
-
-
-def test_group_order_helper_matches_closure(rng):
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            phi = list(range(n))
-            rng.shuffle(phi)
-            gens.append(tuple(phi))
-        assert group_order(n, gens) == len(closure(n, gens))
+    """Order of the group that gens, permutations of range(n), generate."""
+    return PermutationGroup([Permutation(list(phi), size=n) for phi in gens]).order()
 
 
 def test_canonical_form_automorphisms(rng):
     """The second element is a set of generators, not the group: every
     one is an automorphism other than the identity."""
     _, gens, _ = canonical_form(make_named("star", 5))
-    assert len(closure(5, gens)) == 24  # the four leaves permute freely
+    assert group_order(5, gens) == 24  # the four leaves permute freely
     for _ in range(40):
         g = random_graph(rng.randint(0, 8), rng)
         _, gens, _ = canonical_form(g)
@@ -352,7 +250,8 @@ def test_canonical_form_automorphisms(rng):
 def test_canonical_form_generates_the_whole_group(rng):
     for _ in range(40):
         g = random_graph(rng.randint(0, 6), rng)
-        assert closure(g.n, canonical_form(g)[1]) == brute_force_automorphisms(g)
+        gens, group = canonical_form(g)[1], brute_force_automorphisms(g)
+        assert set(gens) <= group and group_order(g.n, gens) == len(group)
 
 
 def test_canonical_form_groups_of_complete_and_empty_graphs():
@@ -360,7 +259,7 @@ def test_canonical_form_groups_of_complete_and_empty_graphs():
         for family in ("complete", "empty"):
             _, gens, _ = canonical_form(make_named(family, n))
             assert len(gens) == max(n - 1, 0)
-            assert len(closure(n, gens)) == factorial(n)
+            assert group_order(n, gens) == factorial(n)
 
 
 @settings(max_examples=60)
@@ -481,14 +380,9 @@ def test_canonical_form_leaves_no_cyclic_garbage(rng):
     frees its whole search by reference counting alone."""
     drawn = [make_graph(8, [(u, v) for v in range(8) for u in range(v) if rng.random() < p])
              for p in (0.2, 0.5, 0.8) for _ in range(10)]
-    gc.collect()
-    gc.disable()
-    try:
+    with no_cyclic_garbage():
         for g in [_petersen(), MATCHING5, TWO_C5, make_named("complete", 8), *drawn]:
             canonical_form(g)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_relabel_validates():

@@ -1,4 +1,3 @@
-import gc
 import random
 import sys
 from collections import Counter
@@ -23,7 +22,7 @@ from nearindep.sigma import (
     star_q,
 )
 
-from conftest import forests, graphs, random_graph
+from conftest import forests, graphs, no_cyclic_garbage, random_graph
 from oracles import (
     combine_union,
     disjoint_union,
@@ -150,16 +149,14 @@ def test_sigma01_on_unions_and_a_shuffled_path(g, want, oracle):
     assert sigma01(g) == want == oracle(g)
 
 
-def test_sigma01_sends_a_tree_off_label_order_to_the_recursion(monkeypatch):
+def test_sigma01_sends_a_tree_off_label_order_to_the_recursion(spy):
     """``sigma01`` is the recursion, looked up as the module-level
     ``sigma01_recursive`` at each call, so a rebinding there (a tracer's
     span) sees every count; a tree the DP would refuse is counted too."""
     t = relabel(make_named("star", 6), [5, 4, 3, 2, 1, 0])  # the centre has five lower neighbours
-    calls = []
-    real = nearindep.sigma.sigma01_recursive
-    monkeypatch.setattr(nearindep.sigma, "sigma01_recursive", lambda h: calls.append(h) or real(h))
+    calls = spy(nearindep.sigma, "sigma01_recursive")
     assert sigma01(t) == SigmaPair(33, 5)
-    assert len(calls) == 1 and calls[0] is t
+    assert len(calls) == 1 and calls[0][0][0] is t
 
 
 def test_star_q():
@@ -222,17 +219,14 @@ def solve0_calls(monkeypatch):
 
 
 @pytest.fixture
-def tree_pair_calls(monkeypatch):
-    """The mask of every tree component that the recursion folds."""
-    seen = []
-    real = nearindep.sigma._tree_pair
+def tree_pair_calls(spy):
+    """Every fold of a tree component by the recursion."""
+    return spy(nearindep.sigma, "_tree_pair")
 
-    def spy(comp, adj):
-        seen.append(comp)
-        return real(comp, adj)
 
-    monkeypatch.setattr(nearindep.sigma, "_tree_pair", spy)
-    return seen
+def folded(calls) -> list[int]:
+    """The mask of each tree component in ``tree_pair_calls``."""
+    return [comp for (comp, _), _ in calls]
 
 
 def test_pivot_independence(rng, solve0_calls):
@@ -349,7 +343,7 @@ def test_path_closed_form_at_order_64(seed, solve0_calls, tree_pair_calls):
     with pivots(seed) as askers:
         got = sigma01_recursive(p64)
     if seed is None:  # one fold of the whole path
-        assert tree_pair_calls == [p64.full_mask]
+        assert folded(tree_pair_calls) == [p64.full_mask]
     else:
         assert solve0_calls and not tree_pair_calls
     assert set(askers) == (set() if seed is None else {"_solve", "_solve0"})
@@ -427,12 +421,12 @@ def test_folded_trees_match_the_fold_free_recursion(rng, tree_pair_calls):
         g = make_graph(n, t.edges() + chords)
         del tree_pair_calls[:]
         want = sigma01_recursive(g)
-        folded = len(tree_pair_calls)
-        assert folded and g.full_mask not in tree_pair_calls
-        off_order += any(max(lower_degrees(induced(g, comp))) > 1 for comp in tree_pair_calls)
+        comps = folded(tree_pair_calls)
+        assert comps and g.full_mask not in comps
+        off_order += any(max(lower_degrees(induced(g, comp))) > 1 for comp in comps)
         with random_pivots(random.Random(rng.getrandbits(32))):
             assert sigma01_recursive(g) == want
-        assert len(tree_pair_calls) == folded
+        assert len(tree_pair_calls) == len(comps)
     assert off_order
 
 
@@ -442,42 +436,31 @@ def readme_gnm(n, m, seed):
     return make_graph(n, random.Random(seed).sample(pairs, m))
 
 
-def test_split_calls_are_pinned(monkeypatch):
+def test_split_calls_are_pinned(spy):
     """The work of one recursion call, free of timing noise: every tree
     component is folded whole, so it is never split again, and each far
     side of a pivot is split once for all its neighbour terms.  The calls of
     ``_solve``, ``_solve0`` and ``_tree_pair`` are pinned too, so a wrong
     N[v] or N[u] mask shows up by name."""
-    calls = Counter()
-
-    def spy(name):
-        real = getattr(nearindep.sigma, name)
-        return lambda *args: calls.update((name,)) or real(*args)
-
-    for name in ("split_components", "_solve", "_solve0", "_tree_pair"):
-        monkeypatch.setattr(nearindep.sigma, name, spy(name))
+    calls = {name: spy(nearindep.sigma, name) for name in ("split_components", "_solve", "_solve0", "_tree_pair")}
     for g, splits, solve, solve0, folds in ((grid(6), 1786, 405, 1455, 265),
                                             (readme_gnm(64, 96, 1), 5802, 891, 5043, 1545),
                                             (grid(7), 10469, 1891, 8823, 785)):
-        calls.clear()
+        for log in calls.values():
+            log.clear()
         sigma01_recursive(g)
-        assert calls["split_components"] == splits
-        assert (calls["_solve"], calls["_solve0"], calls["_tree_pair"]) == (solve, solve0, folds)
+        assert len(calls["split_components"]) == splits
+        assert (len(calls["_solve"]), len(calls["_solve0"]), len(calls["_tree_pair"])) == (solve, solve0, folds)
 
 
 def test_recursion_leaves_no_cyclic_garbage(solve0_calls):
     g = make_graph(12, [(v, (v + 1) % 12) for v in range(12)] + [(0, 6), (3, 9), (1, 4)])
     r = AskingRandom(5)
-    gc.collect()
-    gc.disable()
-    try:
+    with no_cyclic_garbage():
         sigma01_recursive(g)
         default_calls = len(solve0_calls)
         with random_pivots(r):
             sigma01_recursive(g)
         sigma01(disjoint_union(g, make_named("path", 4)))
-        assert gc.collect() == 0
-        assert 0 < default_calls < len(solve0_calls)
-        assert set(r.askers) == {"_solve", "_solve0"}
-    finally:
-        gc.enable()
+    assert 0 < default_calls < len(solve0_calls)
+    assert set(r.askers) == {"_solve", "_solve0"}

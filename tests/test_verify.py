@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 from collections import Counter
@@ -28,6 +27,7 @@ from nearindep.verify import (
 )
 
 import oracles
+from conftest import no_cyclic_garbage
 from oracles import closed_neighborhood, fraction_leaf_failures, strip_isolated
 
 
@@ -183,68 +183,54 @@ def test_reports_match_the_report_oracle():
         oracles.scored.cache_clear()  # the universes the cases share, scored once
 
 
-def test_graph_tables_are_scored_at_augmentation(monkeypatch):
+def test_graph_tables_are_scored_at_augmentation(monkeypatch, spy):
     """``run_theorem("all", 7)`` from cold: each graph class takes its Q
     from the pair that ``_plus_vertex`` extends once per class, 1,252
     times, so the recursion never runs (1,233 times when each class was
     scored from scratch), and ``canonical_form`` still runs 1,355 times."""
-    calls = Counter()
-    real_recursive = sigma_module.sigma01_recursive
-    real_plus, real_canonical = generate_module._plus_vertex, generate_module.canonical_form
+    extended = []
 
-    def plus_vertex(g, pair):
-        plus = real_plus(g, pair)
-        return lambda s: calls.update(["plus"]) or plus(s)
+    def plus_vertex(g, pair, real=generate_module._plus_vertex):
+        plus = real(g, pair)
+        return lambda s: extended.append(s) or plus(s)
 
-    monkeypatch.setattr(sigma_module, "sigma01_recursive", lambda g: calls.update(["recursive"]) or real_recursive(g))
+    recursive = spy(sigma_module, "sigma01_recursive")
     monkeypatch.setattr(generate_module, "_plus_vertex", plus_vertex)
-    monkeypatch.setattr(generate_module, "canonical_form", lambda g: calls.update(["canonical"]) or real_canonical(g))
+    canonical = spy(generate_module, "canonical_form")
     _graph_classes.cache_clear()
     try:
         assert len(run_theorem("all", 7)) == 98
     finally:
         _graph_classes.cache_clear()
-    assert calls == {"plus": 1252, "canonical": 1355}
+    assert (len(extended), len(canonical), len(recursive)) == (1252, 1355, 0)
 
 
-def test_tree_and_forest_tables_are_scored_in_generation(monkeypatch):
+def test_tree_and_forest_tables_are_scored_in_generation(monkeypatch, spy):
     """``run_theorem("4.1", 16)`` from cold: each tree and forest takes its Q
     from the pair it carries out of generation, so neither ``q_ratio`` nor
     ``_label_fold`` runs.  The grafting is the tree walk's alone: 147,386
     grafts over the trees of orders 1-16, where one fold per tree makes
     497,380, n grafts for a tree on n vertices."""
-    calls = Counter()
-
     def refuse(*args):
         raise AssertionError("a tree or forest scored from scratch")
 
     for module, name in ((sigma_module, "q_ratio"), (verify_module, "q_ratio"), (sigma_module, "_label_fold")):
         monkeypatch.setattr(module, name, refuse)
-    for module in (sigma_module, generate_module):
-        def graft(root, branch, real=module._graft):
-            calls["graft"] += 1
-            return real(root, branch)
-        monkeypatch.setattr(module, "_graft", graft)
+    grafts = [spy(module, "_graft") for module in (sigma_module, generate_module)]
     generate_module._tree_list.cache_clear()
     try:
         assert len(run_theorem("4.1", 16)) == 30
     finally:
         generate_module._tree_list.cache_clear()
-    assert calls["graft"] == 147386
+    assert sum(map(len, grafts)) == 147386
     assert 3 * 147386 < sum(g.n for n in range(1, 17) for g in gen_trees(n)) == 497380
 
 
-def test_forests_become_graphs_only_where_a_report_prints_them(monkeypatch):
+def test_forests_become_graphs_only_where_a_report_prints_them(spy):
     """``run_theorem("4.1", 14)`` scans 15,205 forests but builds the rows
     of 30: the least and greatest Q of each of the 14 orders, and the
     equality witnesses at orders 1 and 2, one build per graph6 printed."""
-    built = []
-
-    def rows(forest, real=generate_module._forest_rows):
-        built.append(forest)
-        return real(forest)
-
-    monkeypatch.setattr(generate_module, "_forest_rows", rows)
+    built = spy(generate_module, "_forest_rows")
     forests = [r for r in run_theorem("4.1", 14) if r.spec.family == "forests"]
     assert sum(r.checked for r in forests) == 15205
     printed = sum(2 + len(r.equality_witnesses) + len(r.violations) for r in forests)
@@ -392,19 +378,13 @@ def test_violation_paths(monkeypatch, case):
     assert not report.passed
 
 
-def test_extremal_rule_reads_each_row_once(monkeypatch):
+def test_extremal_rule_reads_each_row_once(spy):
     """The scan records attainment as it goes, so the extremal predicate
     runs on equality rows only: on the star of order 10, which
     ``gen_trees`` yields last of the 106 trees."""
-    calls = Counter()
-
-    def counting_star(g):
-        calls["star"] += 1
-        return is_star_graph(g)
-
-    monkeypatch.setattr(verify_module, "is_star_graph", counting_star)
+    calls = spy(verify_module, "is_star_graph")
     report = _verify("3.3", 10)
-    assert report.passed and calls["star"] == 1
+    assert report.passed and len(calls) == 1
 
 
 def test_extremal_rule_needs_one_accepted_graph_to_attain(monkeypatch):
@@ -467,21 +447,15 @@ def test_scan_matches_fraction_scan(case):
 
 
 @pytest.mark.parametrize("theorem, n_max, built", [("4.1", 16, 90), ("all", 8, 230)])
-def test_fractions_are_built_per_report_not_per_row(monkeypatch, theorem, n_max, built):
+def test_fractions_are_built_per_report_not_per_row(spy, theorem, n_max, built):
     """The scans compare integer pairs, so a ``Fraction`` is built only for
     a value that a report prints: about three per distinct report (the two
     witnesses and the bound), where a Fraction Q per row built 47,743 on
     4.1 to 16 (47,713 rows) and 13,849 on 'all' to 8 when it made 108
     reports."""
-    calls = Counter()
-
-    def counting_fraction(*args):
-        calls["fraction"] += 1
-        return Fraction(*args)
-
-    monkeypatch.setattr(verify_module, "Fraction", counting_fraction)
+    calls = spy(verify_module, "Fraction")
     distinct = {id(r) for r in run_theorem(theorem, n_max)}
-    assert calls["fraction"] == built <= 3 * len(distinct)
+    assert len(calls) == built <= 3 * len(distinct)
 
 
 def test_views_evaluate_their_key_once_per_row(monkeypatch):
@@ -629,7 +603,7 @@ def test_leaf_deletion_counts_reject_non_trees():
     assert per_leaf(one) == oracles.leaf_deletion_counts(one) == ((2, 0), [])
 
 
-def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
+def test_leaf_lemmas_walk_each_tree_once(spy):
     """Each tree is walked once, for its own counts and those of its leaf
     deletions, and ``run_theorem`` reports what ``_leaf_lemmas`` makes of
     the scored rows.  One walk of a tree on n vertices is n grafts up, the
@@ -640,25 +614,15 @@ def test_leaf_lemmas_walk_each_tree_once(monkeypatch):
     scored = [verify_module._leaf_lemmas(spec, verify_module._score(spec))
               for spec in (ClassSpec("trees", n) for n in range(2, 13))]
     trees = [g for n in range(2, 13) for g in gen_trees(n)]
-    calls = Counter()
-
-    def counting(name, module):
-        def count(*args, real=getattr(module, name)):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(module, name, count)
-
-    counting("_graft", sigma_module)
-    counting("_graft", generate_module)
-    counting("_prune", sigma_module)
-    counting("leaf_lemma_failures", verify_module)
+    grafts = [spy(module, "_graft") for module in (sigma_module, generate_module)]
+    prunes, tested = spy(sigma_module, "_prune"), spy(verify_module, "leaf_lemma_failures")
     generate_module._tree_list.cache_clear()
     reports = run_theorem("4.4", 12)
     inner = sum(g.degree(z) > 1 for g in trees for z in range(1, g.n))
     assert sum(g.n for g in trees) + inner == 15362 and all(r.passed for r in reports)
-    assert calls["_graft"] == 15362 + 4568
-    assert calls["_prune"] == inner == 4357
-    assert calls["leaf_lemma_failures"] == 3504 and sum(r.checked for r in reports) == 5663
+    assert sum(map(len, grafts)) == 15362 + 4568
+    assert len(prunes) == inner == 4357
+    assert len(tested) == 3504 and sum(r.checked for r in reports) == 5663
     assert [r.to_json() for r in reports] == [r.to_json() for r in scored]
     assert _verify("4.2", 9).to_json() == scored[7].to_json()
 
@@ -668,13 +632,8 @@ def test_leaf_deletion_counts_leave_no_cyclic_garbage():
     with pytest.raises(ValueError, match="requires a tree"):  # vertices 1 and 2 have no lower neighbour
         leaf_deletion_counts(drawn)
     tree = oracles.in_label_order(drawn)
-    gc.collect()
-    gc.disable()
-    try:
+    with no_cyclic_garbage():
         leaf_deletion_counts(tree)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 @st.composite
@@ -726,14 +685,8 @@ def _graph6_strings(report) -> int:
 
 
 @pytest.mark.parametrize("theorem, n_max", [("4.1", 12), ("all", 6)])
-def test_graph6_emitted_only_for_reported_graphs(monkeypatch, theorem, n_max):
-    calls = Counter()
-
-    def counting_emit(g):
-        calls["emit"] += 1
-        return emit_graph6(g)
-
-    monkeypatch.setattr(verify_module, "emit_graph6", counting_emit)
+def test_graph6_emitted_only_for_reported_graphs(spy, theorem, n_max):
+    calls = spy(verify_module, "emit_graph6")
     reports = run_theorem(theorem, n_max)
     distinct = {id(r): r for r in reports}.values()  # 'all' lists shared reports more than once
-    assert calls["emit"] == sum(map(_graph6_strings, distinct)) > 0
+    assert len(calls) == sum(map(_graph6_strings, distinct)) > 0
