@@ -23,14 +23,8 @@ from .sigma import (
     sigma_distribution_bruteforce,
     star_q,
 )
-from .generate import ClassSpec, gen_class, gen_forests, gen_graphs, gen_trees
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .verify import (
-    VerificationReport,
-    Violation,
-    extremal_scan,
-    run_theorem,
-)
+from ._lazy import __getattr__  # the generation and verification names, on first access
 
 __version__ = "0.1.0"
 

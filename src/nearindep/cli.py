@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import json
 import os
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
-from .generate import ClassSpec, gen_class
 from .graph6 import _HEADER, Graph6Error, emit_graph6, parse_graph6
 from .graphs import Graph
 from .limits import CapabilityError
 from .sigma import sigma01, sigma_distribution_bruteforce
-from .verify import THEOREMS, extremal_scan, run_theorem
 
 CLI_FAMILIES = {
     "trees": "trees",
@@ -68,6 +65,7 @@ def _record_row(g: Graph, g6: str) -> dict:
 
 def _emit_rows(rows: Iterator[dict], fmt: str, fieldnames: list[str]) -> None:
     if fmt == "csv":
+        import csv
         writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in rows:
@@ -94,7 +92,8 @@ def _cmd_distribution(args) -> int:
     return 0
 
 
-def _class_spec(args) -> ClassSpec:
+def _class_spec(args):
+    from .generate import ClassSpec
     family = CLI_FAMILIES[args.cls]
     delta = args.delta
     if delta is not None:
@@ -105,12 +104,14 @@ def _class_spec(args) -> ClassSpec:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import gen_class
     for g in gen_class(_class_spec(args)):
         print(emit_graph6(g))
     return 0
 
 
 def _cmd_scan(args) -> int:
+    from .verify import extremal_scan
     report = extremal_scan(_class_spec(args))
     doc = report.to_json()
     if args.objective is not None:
@@ -143,6 +144,7 @@ def _report_csv_row(doc: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_theorem
     reports = run_theorem(args.theorem, args.n_max)
     docs = (r.to_json() for r in reports)
     rows = map(_report_csv_row, docs) if args.format == "csv" else docs
@@ -153,6 +155,14 @@ def _cmd_verify(args) -> int:
     ]
     _emit_rows(rows, args.format, fieldnames)
     return 0 if all(r.passed for r in reports) else 1
+
+
+class _TheoremIds:
+    """``--theorem``'s choices, read from ``verify`` only when argparse checks or prints them."""
+
+    def __iter__(self):
+        from .verify import THEOREMS
+        return iter((*THEOREMS, "all"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="run the named bound checks up to an order")
-    p.add_argument("--theorem", required=True, choices=THEOREMS + ("all",))
+    p.add_argument("--theorem", required=True).choices = _TheoremIds()  # add_argument would iterate choices=
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="accepted and ignored; scans run in one process")

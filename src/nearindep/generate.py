@@ -18,9 +18,9 @@ reads the pairs that every family carries and scores no class from scratch.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import chain, combinations_with_replacement, product
-from typing import Callable, Iterator
 
 from .graphs import Graph, _column_rows, bits, canonical_form, is_connected, max_degree
 from .limits import Limits, check_cap

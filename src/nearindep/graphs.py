@@ -21,7 +21,7 @@ labelling, the vertex order that spells the code.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .limits import Limits, check_cap
 

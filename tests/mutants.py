@@ -52,6 +52,7 @@ ORACLE = "test_verify.py::test_reports_match_the_report_oracle"
 
 SIGMA, GENERATE, VERIFY = "nearindep/sigma.py", "nearindep/generate.py", "nearindep/verify.py"
 GRAPHS, GRAPH6, CLI = "nearindep/graphs.py", "nearindep/graph6.py", "nearindep/cli.py"
+LAZY = "nearindep/_lazy.py"
 
 MUTANTS = (
     Mutant("label fold never grafts vertex 0 onto TOP", SIGMA,
@@ -235,6 +236,15 @@ MUTANTS = (
            "if best < 0 or code < best:", "if best < 0 or code <= best:",
            ("test_graphs.py::test_canonical_form_generates_the_whole_group",
             "test_graphs.py::test_canonical_form_at_the_cap[petersen]"), None),
+    Mutant("the package looks run_theorem up in generate", LAZY,
+           '"run_theorem"), "verify")', '"run_theorem"), "verify") | {"run_theorem": "generate"}',
+           ("test_cli.py::test_package_names_resolve_to_their_home_modules",), None),
+    Mutant("the CLI imports verify at module level", CLI,
+           "from .sigma import sigma01, sigma_distribution_bruteforce\n",
+           "from .sigma import sigma01, sigma_distribution_bruteforce\nfrom .verify import run_theorem\n",
+           ("test_cli.py::test_each_command_loads_only_the_engine_it_runs[compute]",
+            "test_cli.py::test_each_command_loads_only_the_engine_it_runs[distribution]",
+            "test_cli.py::test_each_command_loads_only_the_engine_it_runs[gen]"), None),
 )
 
 

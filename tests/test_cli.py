@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import nearindep
+import nearindep.generate
 import nearindep.verify
 from nearindep.cli import main
 from nearindep.generate import ClassSpec, _graph_classes, _tree_list
@@ -362,8 +363,8 @@ def test_main_restores_the_collector(capsys, monkeypatch):
     ``main`` (exit 0, exit 2 on a capability error or on bad graph6, an
     argparse usage error) it is on again exactly when it was on before."""
     during = []
-    real = nearindep.cli.gen_class
-    monkeypatch.setattr(nearindep.cli, "gen_class", lambda spec: during.append(gc.isenabled()) or real(spec))
+    real = nearindep.generate.gen_class
+    monkeypatch.setattr(nearindep.generate, "gen_class", lambda spec: during.append(gc.isenabled()) or real(spec))
     runs = [(["gen", "--class", "trees", "--n", "4"], 0), (["gen", "--class", "graphs", "--n", "9"], 2), (["compute"], 2)]
     try:
         for enabled in (True, False):
@@ -410,15 +411,59 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package first on its path, on empty stdin."""
+    src = str(Path(nearindep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], input=b"", capture_output=True, env=env, timeout=60)
+
+
 def test_cli_import_loads_no_dataclasses():
     """Every ``nearindep`` process imports the CLI first.  ``dataclasses``
     (with ``inspect``, ``ast``, ``dis`` and ``tokenize``) took about 15 ms
     of that import, so the engine's records are built without it."""
-    src = str(Path(nearindep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, nearindep.cli; print('dataclasses' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    proc = run_python("-c", "import sys, nearindep.cli; print('dataclasses' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+def test_the_engine_imports_no_typing():
+    """The engine's annotations take their names from ``collections.abc``,
+    so without ``site`` (whose ``.pth`` hooks may load it) no module of the
+    package imports ``typing``."""
+    proc = run_python("-S", "-c", "import sys, nearindep.cli, nearindep.verify; print('typing' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("compute", ""),
+    ("distribution", ""),
+    ("gen --class trees --n 1", "nearindep.generate"),
+    ("verify --theorem 3.1 --n-max 1", "nearindep.generate nearindep.verify"),
+], ids=["compute", "distribution", "gen", "verify"])
+def test_each_command_loads_only_the_engine_it_runs(command, loaded):
+    """A command imports generation, verification and ``csv`` only if it
+    runs them: ``compute`` and ``distribution`` load none of the three, and
+    ``gen`` no verification."""
+    watched = "{'nearindep.generate', 'nearindep.verify', 'csv'}"
+    code = f"import sys; from nearindep.cli import main; main(); print(*sorted({watched} & set(sys.modules)))"
+    proc = run_python("-c", code, *command.split())
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, loaded.encode(), b"")
+
+
+def test_package_names_resolve_to_their_home_modules():
+    """Each name of ``nearindep.__all__``, the nine that ``__init__`` leaves
+    to first access included, is the object its defining module holds;
+    ``import *`` binds all of them, and an unknown name is an
+    ``AttributeError``, so ``hasattr`` answers False."""
+    for name in nearindep.__all__:
+        obj = getattr(nearindep, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from nearindep import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(nearindep.__all__) and len(nearindep.__all__) == 29
+    with pytest.raises(AttributeError, match="'nearindep' has no attribute 'gen_cycles'"):
+        nearindep.gen_cycles
+    assert not hasattr(nearindep, "CATALOGUE")
 
 
 def test_the_test_extra_lists_every_library_the_tests_import():
