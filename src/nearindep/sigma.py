@@ -10,9 +10,10 @@ Three mutually checking routes:
 * ``sigma_distribution_bruteforce``: the definitional oracle, which
   sweeps all 2^n subsets and histograms the number of induced edges;
 * ``sigma01_recursive``: deletion recursion that decomposes, by
-  ``_solve`` and ``_solve0``, splitting the far side of each pivot once
-  for all its neighbour terms; ``_plus_vertex`` applies its rules at a
-  vertex added to a graph whose pair is known;
+  ``_solve`` and ``_solve0``, splitting each pivot's far side once for
+  all its neighbour terms, sigma0(C - x) as sigma0(C) - sigma0(C - N[x]);
+  ``_plus_vertex`` applies its rules at a vertex added to a graph whose
+  pair is known;
 * ``sigma01_tree_dp``: a linear-time rooted DP for forests in label
   order, one ``_label_fold``, whose states ``leaf_deletion_counts``
   reroots for the leaf checks of ``verify``.
@@ -149,10 +150,10 @@ def _tree_pair(comp: int, adj: tuple[int, ...]) -> Pair:
 def _solve(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
            memo0: dict[int, int], ring: int = 0) -> tuple[int, int]:
     """(sigma0, sigma1) of the subgraph F induced on ``mask``, sigma1 plus, for
-    each u in ``ring`` (outside F), sigma0(F - N(u)), from F split once: the
-    components of F that N(u) meets are re-split, the others read from the
-    pair memo, and F's lone vertices outside N(u) counted as a shift.  A
-    component missing from the memo is folded (a tree) or pivoted."""
+    each u in ``ring`` (outside F), sigma0(F - N(u)), from F split once: a
+    component C that N(u) misses is read from the pair memo, one it meets at x alone
+    is sigma0(C) - sigma0(C - N[x]), any other is re-split less N(u), and the
+    lone vertices outside N(u) are a shift.  A memo miss is folded or pivoted."""
     if not mask & (mask - 1) and not ring:  # no vertex or one: skip the split
         return (2, 0) if mask else (1, 0)
     comps, isolated = split_components(mask, adj) if mask & (mask - 1) else ((), mask.bit_count())
@@ -173,7 +174,12 @@ def _solve(mask: int, adj: tuple[int, ...], memo: dict[int, tuple[int, int]],
         near = adj[u]
         t = 1 << (lone & ~near).bit_count()
         for comp in comps:
-            t *= _solve0(comp & ~near, adj, memo, memo0) if comp & near else memo[comp][0]
+            c0, meet = memo[comp][0], comp & near
+            if meet & (meet - 1):
+                c0 = _solve0(comp & ~near, adj, memo, memo0)
+            elif meet:  # at one vertex x: sigma0(C - x) = sigma0(C) - sigma0(C - N[x])
+                c0 -= _solve0(comp & ~adj[meet.bit_length() - 1] ^ meet, adj, memo, memo0)
+            t *= c0
         s1 += t
     return s0, s1
 
@@ -215,10 +221,10 @@ def sigma01_recursive(g: Graph) -> SigmaPair:
                 + sum over u in N(v) of sigma0(G-N[v]-N[u]).
     ``_solve`` memoises pairs and applies both rules, and splits the far
     side F = G-N[v] once for its pair and all deg(v) neighbour terms, each
-    sigma0 of F less N(u).  The parts of the components N(u) meets go to
-    ``_solve0``: the same decomposition, fold and pivot, the first rule
-    only, and its own memo of counts; a component ``_solve`` has met is
-    read from the pair memo.
+    sigma0 of F less N(u): read from the pair memo on a component C that N(u)
+    misses, as sigma0(C) - sigma0(C - N[x]) on one it meets at x alone (the
+    first rule read backwards), else by ``_solve0`` on C less N(u): the same
+    decomposition, fold and pivot, the first rule only, its own memo of counts.
     Paths and cycles cost polynomial time, and the work on other graphs
     grows with how slowly deletions break them into trees.
 

@@ -156,6 +156,14 @@ MUTANTS = (
            (C8, "test_sigma.py::test_pivot_independence"), None),
     Mutant("a component N(u) misses gives sigma1, not sigma0", SIGMA,
            "memo[comp][0]", "memo[comp][1]", (C8, "test_sigma.py::test_pivot_independence"), None),
+    Mutant("a one-vertex term drops only x", SIGMA,
+           "comp & ~adj[meet.bit_length() - 1] ^ meet", "comp ^ meet",
+           (C2, "test_sigma.py::test_grid_counts_match_the_transfer_matrix[6-None]",
+            "test_sigma.py::test_pivot_independence"), None),
+    Mutant("a one-vertex term adds sigma0(C - N[x])", SIGMA,
+           "c0 -= _solve0(", "c0 += _solve0(",
+           (C2, "test_sigma.py::test_grid_counts_match_the_transfer_matrix[6-None]",
+            "test_sigma.py::test_pivot_independence"), None),
     Mutant("a neighbour term counts the lone vertices inside N(u)", SIGMA,
            "t = 1 << (lone & ~near).bit_count()", "t = 1 << lone.bit_count()", (C8, PLUS), None),
     Mutant("graph6 emits no column from 11 on", GRAPH6,

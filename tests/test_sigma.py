@@ -204,13 +204,20 @@ def solve0_calls(monkeypatch):
     that ``_solve`` makes for a neighbour term must be on the part of a
     component of the far side that N(u) meets, so a proper part of a
     component in the pair memo: a term where N(u) misses the component
-    reads its sigma0 from the memo instead."""
+    reads its sigma0 from the memo instead.  Where N(u) meets the
+    component C at one vertex x, the call asks for C - N[x] exactly, as
+    sigma0(C - x) is sigma0(C) less that count."""
     seen = []
     real = nearindep.sigma._solve0
 
     def spy(mask, adj, memo, memo0):
-        if sys._getframe(1).f_code.co_name == "_solve":
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_solve":
             assert any(mask & comp == mask != comp for comp in memo), f"a term on {mask:#x}, which N(u) misses"
+            comp = caller.f_locals["comp"]
+            if not (meet := comp & caller.f_locals["near"]) & (meet - 1):
+                x = meet.bit_length() - 1
+                assert mask == comp & ~(adj[x] | 1 << x), f"a term on {mask:#x}, not {comp:#x} less N[{x}]"
         seen.append(mask)
         return real(mask, adj, memo, memo0)
 
@@ -443,9 +450,9 @@ def test_split_calls_are_pinned(spy):
     ``_solve``, ``_solve0`` and ``_tree_pair`` are pinned too, so a wrong
     N[v] or N[u] mask shows up by name."""
     calls = {name: spy(nearindep.sigma, name) for name in ("split_components", "_solve", "_solve0", "_tree_pair")}
-    for g, splits, solve, solve0, folds in ((grid(6), 1786, 405, 1455, 265),
-                                            (readme_gnm(64, 96, 1), 5802, 891, 5043, 1545),
-                                            (grid(7), 10469, 1891, 8823, 785)):
+    for g, splits, solve, solve0, folds in ((grid(6), 1683, 405, 1399, 274),
+                                            (readme_gnm(64, 96, 1), 5056, 891, 4419, 1364),
+                                            (grid(7), 9886, 1891, 8413, 868)):
         for log in calls.values():
             log.clear()
         sigma01_recursive(g)
