@@ -18,8 +18,8 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .graph6 import _HEADER, Graph6Error, emit_graph6, parse_graph6
-from .graphs import Graph
+from .graph6 import _HEADER, Graph6Error, _emit_code, emit_graph6, parse_graph6
+from .graphs import Graph, _parent_code
 from .limits import CapabilityError
 from .sigma import sigma01, sigma_distribution_bruteforce
 
@@ -104,9 +104,13 @@ def _class_spec(args):
 
 
 def _cmd_gen(args) -> int:
-    from .generate import gen_class
-    for g in gen_class(_class_spec(args)):
-        print(emit_graph6(g))
+    from .generate import _forest_classes, _tree_classes, gen_class
+    spec = _class_spec(args)
+    records = {"trees": _tree_classes, "forests": _forest_classes}.get(spec.family)  # printed from parents
+    lines = map(emit_graph6, gen_class(spec)) if records is None else (
+        _emit_code(r.n, _parent_code(r.par)) for r, _ in records(spec.n))
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -11,8 +11,8 @@
 * ``gen_trees``, ``gen_forests``, ``gen_graphs`` and ``gen_class``: the
   same streams as graphs.
 
-Every class carries its (sigma0, sigma1) out of generation, so ``verify``
-reads the pairs that every family carries and scores no class from scratch.
+A tree travels as its parent array (``_Tree``), a forest as its trees (``_Forest``),
+each with its (sigma0, sigma1); rows are built only where one is read as a graph.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations_with_replacement, product
 
-from .graphs import Graph, _column_rows, bits, canonical_form, is_connected, max_degree
+from .graphs import Graph, _column_rows, _parent_rows, bits, canonical_form, is_connected, max_degree
 from .limits import Limits, check_cap
 from .sigma import LEAF, Pair, _graft, _plus_vertex
 
@@ -90,9 +90,20 @@ def _first_subtree(layout: list[int]) -> tuple[int, int]:
     return m, max(layout[1:m], default=0)
 
 
-def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
+class _Tree(bytes):
+    """A tree as its parent array: entry j > 0 is vertex j's preorder parent, the
+    root 0's is n, where ``sigma._label_fold`` keeps ``TOP``; rows built on each read."""
+
+    __slots__ = ()
+    n = property(len)
+    adj = property(_parent_rows)
+    par = property(lambda self: self)
+    full_mask, edge_count = Graph.full_mask, Graph.edge_count
+
+
+def _tree_classes(n: int) -> Iterator[tuple[_Tree, Pair]]:
     """One representative per isomorphism class of free trees on n vertices,
-    with its (sigma0, sigma1).
+    as its parent array, with its (sigma0, sigma1).
 
     The walk starts at the path rooted at its centre and visits the
     centre-rooted canonical level sequences in decreasing lexicographic
@@ -116,7 +127,7 @@ def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
     for 123,867 trees, where the plain walk visits all 1,721,159 rooted
     trees.  The first subtree is re-read on 1,230 of 20,542 visits at
     n = 16.  Preorder labels give every vertex but 0 one lower neighbour,
-    its parent.
+    its parent, so the walk's list ``par`` is the whole tree, yielded as a ``_Tree``.
 
     Each layout is built from position ``keep`` on, the first one rewritten
     since the last layout built.  Below ``keep``, par[i] is vertex i's
@@ -129,7 +140,7 @@ def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
         raise ValueError(f"gen_trees needs n >= 1, got {n}")
     check_cap(n, Limits.trees_max_n, "gen_trees")
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    adj, par, path, keep = [0] * n, [0] * n, [(LEAF, None)] * n, 1
+    par, path, keep = [n] * n, [(LEAF, None)] * n, 1  # par[0] = n: the root's entry
     m, h1 = _first_subtree(layout)
     while True:
         h2 = max(layout[m:], default=0)
@@ -142,9 +153,6 @@ def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
                     state, (below, rest) = top
                     top = (_graft(below, state), rest)
                     v = par[v]
-                adj[par[j]] &= ~(1 << j)  # cut j from the parent it had in the last layout built
-                adj[v] |= 1 << j
-                adj[j] = 1 << v
                 par[j], v = v, j
                 top = path[j] = (LEAF, top)
             state, top = top
@@ -152,7 +160,7 @@ def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
                 below, top = top
                 state = _graft(below, state)
             a0, a1, b0, b1 = state  # root in plus root out
-            yield Graph._unchecked(n, tuple(adj)), (a0 + b0, a1 + b1)
+            yield _Tree(par), (a0 + b0, a1 + b1)
             keep = p = _next_rooted_layout(layout)
             if p is None:  # after the star
                 return
@@ -168,12 +176,12 @@ def _tree_classes(n: int) -> Iterator[tuple[Graph, Pair]]:
 
 
 def gen_trees(n: int) -> Iterator[Graph]:
-    """The trees of ``_tree_classes``, without their pairs."""
-    return (g for g, _ in _tree_classes(n))
+    """The trees of ``_tree_classes`` as graphs, without their pairs."""
+    return (Graph._unchecked(n, t.adj) for t, _ in _tree_classes(n))
 
 
 @cache
-def _tree_list(n: int) -> tuple[tuple[Graph, Pair], ...]:
+def _tree_list(n: int) -> tuple[tuple[_Tree, Pair], ...]:
     return tuple(_tree_classes(n))
 
 
@@ -192,23 +200,25 @@ def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]
             yield (k,) + rest
 
 
+def _forest_parents(forest: _Forest) -> bytes:
+    """The parents of a forest: each tree's, shifted past the trees before it."""
+    trees = [tree for tree, _ in chain.from_iterable(forest)]
+    return bytes(p + shift for tree, shift in zip(trees, accumulate(map(len, trees), initial=0)) for p in tree)
+
+
 def _forest_rows(forest: _Forest) -> tuple[int, ...]:
-    """The adjacency rows of a forest: each tree's, shifted past the trees before it."""
-    rows = []
-    for tree, _ in chain.from_iterable(forest):
-        shift = len(rows)
-        rows.extend(row << shift for row in tree.adj)
-    return tuple(rows)
+    """The adjacency rows of a forest, from its parents."""
+    return _parent_rows(forest.par)
 
 
 class _Forest(tuple):
-    """A forest as the (tree, pair) classes chosen for it, one tuple per
-    tree order: read as a ``Graph`` through ``n`` and ``adj``, its rows
-    built by ``_forest_rows`` on each read."""
+    """A forest as the (tree, pair) classes chosen for it, one tuple per tree
+    order: read as a ``Graph``, its rows built by ``_forest_rows`` on each read."""
 
     __slots__ = ()
     n = property(lambda self: sum(tree.n for tree, _ in chain.from_iterable(self)))
     adj = property(lambda self: _forest_rows(self))
+    par = property(_forest_parents)
 
 
 def _forest_classes(n: int) -> Iterator[tuple[_Forest, Pair]]:

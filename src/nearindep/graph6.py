@@ -15,7 +15,7 @@ are read as latin-1, and an error names the byte value and its offset.
 
 from __future__ import annotations
 
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 
 from .graphs import Graph, _column_rows
 from .limits import CapabilityError, Limits, check_cap
@@ -43,8 +43,8 @@ def _read_digits(s: str, start: int, stop: int, field: str) -> int:
     return val
 
 
-_DIGITS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-                          bytes(range(63, 127)))  # base64's digits onto graph6's
+_BASE64, _GRAPH6 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+_DIGITS, _UNDIGITS = bytes.maketrans(_BASE64, _GRAPH6), bytes.maketrans(_GRAPH6, _BASE64)  # and back
 
 
 def _write_digits(val: int, ndigits: int) -> str:
@@ -80,23 +80,32 @@ def parse_graph6(line: str | bytes) -> Graph:
         raise Graph6Error(f"truncated bit payload: need {nbytes} bytes, got {len(s) - head}", len(s))
     if len(s) > head + nbytes:
         raise Graph6Error("trailing bytes after bit payload", head + nbytes)
-    # The inverse of emit_graph6: one integer, its padding below the last column.
-    val = _read_digits(s, head, head + nbytes, "payload")
+    # The inverse of emit_graph6 and _write_digits: one integer, its padding below the last column.
+    raw = s[head:].encode("ascii", "ignore")
+    if len(raw) != nbytes or raw.translate(None, _GRAPH6):
+        _read_digits(s, head, head + nbytes, "payload")  # raises, naming the byte outside 63-126
+    val = int.from_bytes(a2b_base64(b"A" * (-nbytes % 4) + raw.translate(_UNDIGITS)), "big")  # led by zero digits
     shift = 6 * nbytes - npairs
     if val & ((1 << shift) - 1):
         raise Graph6Error("nonzero padding bits", head + nbytes - 1)
-    return Graph(n, _column_rows(n, val >> shift))
+    return Graph._unchecked(n, _column_rows(n, val >> shift))  # symmetric and loop-free as built
+
+
+def _emit_code(n: int, val: int) -> str:
+    """The graph6 line of order n whose pair bits ``val`` packs as ``_column_rows`` reads them."""
+    npairs = n * (n - 1) // 2
+    size = chr(63 + n) if n < 63 else "~" + _write_digits(n, 3)
+    return size + _write_digits(val << -npairs % 6, (npairs + 5) // 6)
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a labelled graph as a graph6 line (no newline), in the long
     size form from order 63 on."""
     # Column j holds the pairs (0, j) .. (j - 1, j): the bits of adj[j]
-    # below j, bit i landing at stream position j(j-1)/2 + i.  The padded
-    # stream is one integer, most significant bit first.
+    # below j, bit i landing at stream position j(j-1)/2 + i.  The stream
+    # is one integer, most significant bit first.
     n, adj = g.n, g.adj
-    nbytes = (n * (n - 1) // 2 + 5) // 6
-    top = 6 * nbytes - 1
+    top = n * (n - 1) // 2 - 1
     val = 0
     for j in range(1, n):
         row = adj[j] & ((1 << j) - 1)
@@ -105,5 +114,4 @@ def emit_graph6(g: Graph) -> str:
             low = row & -row
             val |= 1 << (base - low.bit_length() + 1)
             row ^= low
-    size = chr(63 + n) if n < 63 else "~" + _write_digits(n, 3)
-    return size + _write_digits(val, nbytes)
+    return _emit_code(n, val)

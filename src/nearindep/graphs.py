@@ -221,6 +221,26 @@ def _column_rows(n: int, val: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
+def _parent_rows(par: bytes) -> tuple[int, ...]:
+    """The rows of the forest where vertex j hangs from par[j] < j, or is a root."""
+    adj = [0] * len(par)
+    for j, p in enumerate(par):
+        if p < j:
+            adj[p] |= 1 << j
+            adj[j] = 1 << p  # j's children come after it
+    return tuple(adj)
+
+
+def _parent_code(par: bytes) -> int:
+    """The pair bits, packed as ``_column_rows`` reads them, of the forest where j hangs from par[j] < j."""
+    base, code = len(par) * (len(par) - 1) // 2 - 1, 0  # the bit of the pair (0, j), column j's first
+    for j, p in enumerate(par):
+        if p < j:
+            code |= 1 << (base - p)
+        base -= j
+    return code
+
+
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
     """Refine the ordered partition ``cells`` (vertex masks) until it is
     equitable.  Each splitter w taken from ``queue`` splits every cell by

@@ -285,20 +285,26 @@ def _prune(whole: State, branch: State) -> State:
     return ra0, (a1 - ra0 * (cb1 + ca0)) // cb0, rb0, (b1 - rb0 * (cb1 + ca1)) // out0
 
 
-def _label_fold(adj: tuple[int, ...]) -> list[State] | None:
-    """The states ``down`` of a graph in label order: ``_graft`` folds
-    z = n-1 ... 0 onto its one lower neighbour, its parent, or a root onto
-    ``TOP`` at index n, so down[n][2:] is the (sigma0, sigma1) of the forest.
-    None when some vertex has two lower neighbours, as a cycle's top has."""
-    n = len(adj)
-    down = [LEAF] * n + [TOP]
+def _label_parents(adj: tuple[int, ...]) -> list[int] | None:
+    """Each vertex's one lower neighbour, or n at a root; None when some
+    vertex has two lower neighbours, as a cycle's top has."""
+    lows = [row & ((1 << z) - 1) for z, row in enumerate(adj)]
+    if any(low & (low - 1) for low in lows):
+        return None
+    return [low.bit_length() - 1 if low else len(adj) for low in lows]
+
+
+def _label_fold(par: bytes | list[int]) -> tuple[list[State], list[int]]:
+    """The states ``down`` and child masks ``kids`` of a forest in label order
+    from its parents: ``_graft`` folds z = n-1 ... 0 onto par[z], a root onto
+    ``TOP`` at n, so down[n][2:] is the forest's (sigma0, sigma1), kids[n] its roots."""
+    n = len(par)
+    down, kids = [LEAF] * n + [TOP], [0] * (n + 1)
     for z in range(n - 1, -1, -1):
-        low = adj[z] & ((1 << z) - 1)
-        if low & (low - 1):
-            return None
-        p = low.bit_length() - 1  # -1 at a root, which indexes TOP
+        p = par[z]
         down[p] = _graft(down[p], down[z])
-    return down
+        kids[p] |= 1 << z
+    return down, kids
 
 
 def sigma01_tree_dp(g: Graph) -> SigmaPair:
@@ -307,21 +313,21 @@ def sigma01_tree_dp(g: Graph) -> SigmaPair:
     A graph where no vertex has two lower neighbours is a forest, as every
     generated forest is.  Any other graph, cyclic or not, raises ValueError.
     """
-    down = _label_fold(g.adj)
-    if down is None:
+    par = _label_parents(g.adj)
+    if par is None:
         raise ValueError("sigma01_tree_dp requires acyclic input in label order")
-    return SigmaPair(*down[g.n][2:])
+    return SigmaPair(*_label_fold(par)[0][g.n][2:])
 
 
-def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair, Pair]]]:
+def leaf_deletion_counts(tree: Graph | bytes) -> tuple[Pair, list[tuple[int, Pair, Pair, Pair]]]:
     """(sigma of T, supports) for a tree T on n >= 1 vertices, each sigma a
     (sigma0, sigma1) pair: supports holds (leaves, sigma of T-v, sigma of
     T-N[v], sigma of T-N[u]) per support vertex u, in vertex order, leaves
     the mask of u's degree-1 neighbours v, which all give the same counts.
 
-    T must be in label order: each vertex z > 0 has one lower neighbour,
-    its parent, so vertex 0 is the one root ``_label_fold`` hangs from
-    ``TOP``, and a neighbour y of z is a child exactly when y > z.  The fold
+    T is its parent array as ``bytes``, as the tree walk yields it, or a
+    ``Graph`` in label order, where each z > 0 has one lower neighbour, its
+    parent; 0 is the one root ``_label_fold`` hangs from ``TOP``.  The fold
     gives sigma of T and ``down[z]``, the branch at z away from its parent.
     Top-down, at each z > 0 with children, the whole tree rooted at z
     follows, and ``up[z]``, the branch at the parent away from z, is that
@@ -335,21 +341,22 @@ def leaf_deletion_counts(tree: Graph) -> tuple[Pair, list[tuple[int, Pair, Pair,
     excluded parts of the branches at u, 1 at a leaf.  O(n) per tree, in
     plain loops, no closures and no recursion.
     """
-    adj, n = tree.adj, tree.n
-    down = _label_fold(adj) if n else None
-    # Vertex 0 is a root; a second root would multiply down[n]'s sigma0 by at least 2.
-    if down is None or down[n][2] != down[0][0] + down[0][2]:
+    par = tree if isinstance(tree, bytes) else _label_parents(tree.adj)
+    down, kids = _label_fold(par or ())
+    if kids[-1] != 1:  # kids[n]: the roots, vertex 0 alone (none if par is None)
         raise ValueError("leaf_deletion_counts requires a tree in label order")
+    n = len(par)
     up, whole = [LEAF] * n, [down[0]] * n  # whole[0] is the root's down state
-    ends = sum(1 << v for v, row in enumerate(adj) if not row & (row - 1))  # degree <= 1: the leaves
+    ends = sum(1 << v for v in range(1, n) if not kids[v]) | (kids[0].bit_count() <= 1)  # degree <= 1: the leaves
     out = []
     for u in range(n):  # a parent is below its children
-        if u and adj[u] >> u > 1:
-            up[u] = _prune(whole[(adj[u] & ((1 << u) - 1)).bit_length() - 1], down[u])
+        row = kids[u] | (1 << par[u] if u else 0)  # u's neighbours
+        if u and kids[u]:
+            up[u] = _prune(whole[par[u]], down[u])
             whole[u] = _graft(down[u], up[u])
-        if leaves := adj[u] & ends:
+        if leaves := row & ends:
             nu0, nu1 = 1, 0
-            for y in bits(adj[u] ^ leaves):
+            for y in bits(row ^ leaves):
                 _, _, yb0, yb1 = down[y] if y > u else up[u]
                 nu0, nu1 = nu0 * yb0, nu1 * yb0 + nu0 * yb1
             a0, a1, b0, b1 = whole[u]

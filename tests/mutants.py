@@ -46,6 +46,7 @@ CARRIED = "test_generate.py::test_carried_pairs_match_the_recursion_and_the_swee
 PAIRS = "test_generate.py::test_trees_and_forests_carry_their_pairs"
 TREES = "test_generate.py::test_generated_trees_and_forests_pass_the_full_check[gen_trees-18]"
 WALK = "test_generate.py::test_tree_stream_equals_filtered_walk"
+RECORDS = "test_generate.py::test_tree_and_forest_records_read_and_print_as_their_graphs"
 PLUS = "test_sigma.py::test_plus_vertex_matches_the_sweep_of_each_child"
 SCAN = "test_verify.py::test_scan_matches_fraction_scan"
 ORACLE = "test_verify.py::test_reports_match_the_report_oracle"
@@ -69,11 +70,12 @@ MUTANTS = (
            "down[p] = _graft(down[p], down[z])", "down[p] = _graft(down[p], down[z]) if z != n - 1 or n < 5 else down[p]",
            ("test_sigma.py::test_forest_scorers_agree",), "b469e6c"),
     Mutant("gen_trees drops one tree at order 7", GENERATE,
-           "return (g for g, _ in _tree_classes(n))",
-           "return (g for i, (g, _) in enumerate(_tree_classes(n)) if n != 7 or i)", (C9,), "b469e6c"),
+           "return (Graph._unchecked(n, t.adj) for t, _ in _tree_classes(n))",
+           "return (Graph._unchecked(n, t.adj) for i, (t, _) in enumerate(_tree_classes(n)) if n != 7 or i)",
+           (C9,), "b469e6c"),
     Mutant("gen_trees repeats the first tree last at order 7", GENERATE,
-           "return (g for g, _ in _tree_classes(n))",
-           "trees = [g for g, _ in _tree_classes(n)]\n"
+           "return (Graph._unchecked(n, t.adj) for t, _ in _tree_classes(n))",
+           "trees = [Graph._unchecked(n, t.adj) for t, _ in _tree_classes(n)]\n"
            "    return iter(trees[:-1] + trees[:1] if n == 7 else trees)", (C9,), "b469e6c"),
     Mutant("gen_graphs yields one class twice at order 5", GENERATE,
            "    for g, _, _ in _graph_classes(n):\n        yield g\n",
@@ -99,8 +101,6 @@ MUTANTS = (
            (C3,), "0d677ff"),
     Mutant("_column_rows reads the columns in the wrong order", GRAPHS,
            "for j in range(n - 1, 0, -1):", "for j in range(1, n):", (C10,), "0d677ff"),
-    Mutant("tree walk keeps the old parent's row bit", GENERATE,
-           "adj[par[j]] &= ~(1 << j)", "pass", (WALK,), "0c97f23"),
     Mutant("forest union rule drops its cross term", GENERATE,
            "s0, s1 = s0 * t0, s1 * t0 + t1 * s0", "s0, s1 = s0 * t0, s1 * t0 + t1", (PAIRS,), "0c97f23"),
     Mutant("tree root closure adds b0 to sigma1", GENERATE,
@@ -178,8 +178,8 @@ MUTANTS = (
     Mutant("main re-enables the collector without freezing", CLI,
            "gc.freeze()", "pass", ("test_cli.py::test_main_freezes_what_the_command_holds",), None),
     Mutant("gen_trees drops one tree at order 18", GENERATE,
-           "return (g for g, _ in _tree_classes(n))",
-           "return (g for i, (g, _) in enumerate(_tree_classes(n)) if n != 18 or i)",
+           "return (Graph._unchecked(n, t.adj) for t, _ in _tree_classes(n))",
+           "return (Graph._unchecked(n, t.adj) for i, (t, _) in enumerate(_tree_classes(n)) if n != 18 or i)",
            (TREES,), None),
     Mutant("gen_forests drops one forest at order 6", GENERATE,
            "for f, _ in _forest_classes(n))", "for i, (f, _) in enumerate(_forest_classes(n)) if n != 6 or i)",
@@ -221,7 +221,7 @@ MUTANTS = (
     Mutant("the recursion counts the graph of order 0 as one vertex", SIGMA,
            "return (2, 0) if mask else (1, 0)", "return (2, 0) if mask else (2, 0)", (C2,), None),
     Mutant("the label fold lets the top vertex have two lower neighbours", SIGMA,
-           "if low & (low - 1):", "if low & (low - 1) and z < n - 1:",
+           "if any(low & (low - 1) for low in lows):", "if any(low & (low - 1) for low in lows[:-1]):",
            ("test_sigma.py::test_tree_dp_rejects_a_cycle_in_a_later_component",
             "test_sigma.py::test_tree_dp_accepts_exactly_the_forests"), None),
     Mutant("the recursion's far side drops its neighbour terms", SIGMA,
@@ -253,6 +253,20 @@ MUTANTS = (
            ("test_cli.py::test_each_command_loads_only_the_engine_it_runs[compute]",
             "test_cli.py::test_each_command_loads_only_the_engine_it_runs[distribution]",
             "test_cli.py::test_each_command_loads_only_the_engine_it_runs[gen]"), None),
+    Mutant("a root column gets a bit in a parent array's code", GRAPHS,
+           "if p < j:\n            code", "if p != j:\n            code", (RECORDS,), None),
+    Mutant("a parent array's rows leave out each vertex's parent", GRAPHS,
+           "adj[j] = 1 << p", "adj[j] = 0", (RECORDS, TREES), None),
+    Mutant("a forest's parents are not shifted past the trees before them", GENERATE,
+           "bytes(p + shift for tree", "bytes(p for tree", (RECORDS,), None),
+    Mutant("the fold keeps each vertex's last child only", SIGMA,
+           "kids[p] |= 1 << z", "kids[p] = 1 << z",
+           (C7, "test_verify.py::test_leaf_deletion_counts_match_subgraph_oracle"), None),
+    Mutant("the leaf walk leaves a vertex's parent out of its neighbours", SIGMA,
+           "(1 << par[u] if u else 0)", "0", (C7, "test_verify.py::test_leaf_deletion_counts_match_subgraph_oracle"), None),
+    Mutant("a graph's root hangs from vertex 0, not TOP", SIGMA,
+           "if low else len(adj) for low in lows]", "if low else 0 for low in lows]",
+           (C2, "test_verify.py::test_leaf_deletion_counts_match_subgraph_oracle"), None),
 )
 
 

@@ -363,8 +363,8 @@ def test_main_restores_the_collector(capsys, monkeypatch):
     ``main`` (exit 0, exit 2 on a capability error or on bad graph6, an
     argparse usage error) it is on again exactly when it was on before."""
     during = []
-    real = nearindep.generate.gen_class
-    monkeypatch.setattr(nearindep.generate, "gen_class", lambda spec: during.append(gc.isenabled()) or real(spec))
+    real = nearindep.cli._class_spec  # every gen run builds its spec inside the command
+    monkeypatch.setattr(nearindep.cli, "_class_spec", lambda args: during.append(gc.isenabled()) or real(args))
     runs = [(["gen", "--class", "trees", "--n", "4"], 0), (["gen", "--class", "graphs", "--n", "9"], 2), (["compute"], 2)]
     try:
         for enabled in (True, False):

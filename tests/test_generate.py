@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 from operator import itemgetter
 
@@ -14,14 +14,17 @@ from nearindep.generate import (
     _graph_classes,
     _orbit_min_subsets,
     _outranked,
+    _tree_classes,
     _tree_list,
     gen_class,
     gen_forests,
     gen_graphs,
     gen_trees,
 )
+from nearindep.graph6 import _emit_code, emit_graph6
 from nearindep.graphs import (
     Graph,
+    _parent_code,
     canonical_code,
     canonical_form,
     make_graph,
@@ -78,6 +81,29 @@ def filtered_walk(n):
 def test_tree_stream_equals_filtered_walk():
     for n in range(1, Limits.tree_checks_max_n + 1):
         assert [t.adj for t in gen_trees(n)] == [t.adj for t in filtered_walk(n)], n
+
+
+def test_tree_and_forest_records_read_and_print_as_their_graphs():
+    """Each tree the walk yields, a parent array, reads as the rows of the
+    plain walk, and the graph6 line printed from its parents is that of
+    the graph, every tree to order 14.  A forest reads as its trees' rows,
+    each shifted past the trees before it, and prints as that graph, every
+    forest to order 12, as ``gen`` prints them."""
+    def printed(record):
+        return _emit_code(record.n, _parent_code(record.par))
+
+    for n in range(1, 15):
+        records = [t for t, _ in _tree_classes(n)]
+        graphs = [Graph(n, adj) for adj in (t.adj for t in filtered_walk(n))]
+        assert [t.adj for t in records] == [g.adj for g in graphs], n
+        assert list(map(printed, records)) == list(map(emit_graph6, graphs)), n
+    for n in range(1, 13):
+        for f, _ in _forest_classes(n):
+            rows = []
+            for tree, _ in chain.from_iterable(f):
+                rows += [row << len(rows) for row in tree.adj]
+            g = Graph(n, tuple(rows))
+            assert f.adj == g.adj and printed(f) == emit_graph6(g), f
 
 
 def test_tree_walk_rereads_the_first_subtree_only_when_rewritten(spy):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nearindep.graph6 import Graph6Error, _write_digits, emit_graph6, parse_graph6
-from nearindep.graphs import make_graph, make_named
+from nearindep.graphs import Graph, make_graph, make_named
 from nearindep.limits import CapabilityError
 
 from conftest import graphs
@@ -138,6 +138,7 @@ def test_parse_fuzz_raises_only_codec_errors(line):
         return
     text = line.decode("ascii") if isinstance(line, bytes) else line
     assert emit_graph6(g) == text.strip().removeprefix(">>graph6<<")
+    assert Graph(g.n, g.adj) == g  # parse_graph6 builds unchecked; the full check accepts it
 
 
 @given(graphs(max_n=20))

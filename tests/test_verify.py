@@ -566,10 +566,13 @@ def per_leaf(tree):
 
 
 def test_leaf_deletion_counts_match_subgraph_oracle():
+    """Every tree to order 12, given as its graph, and alike as the parent
+    array the tree walk yields."""
     for n in range(1, 13):
-        for tree in gen_trees(n):
+        for tree, (record, _) in zip(gen_trees(n), generate_module._tree_classes(n), strict=True):
             got = per_leaf(tree)
             assert got == oracles.leaf_deletion_counts(tree)
+            assert leaf_deletion_counts(record) == leaf_deletion_counts(tree)
 
 
 @st.composite
